@@ -60,7 +60,6 @@ class Instance:
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 0
     tol_match: float = TOL.match
     tol_geometry: float = TOL.geometry
     tol_linalg: float = TOL.linalg
@@ -223,16 +222,13 @@ def _format_report(payload: dict, fmt: str) -> str:
 
 
 def run_check(theorem: str, instance: Instance, config: RunConfig, edge_index: int = 1) -> theorems.CheckReport:
-    """Dispatch a theorem checker with the configured tolerances."""
+    """Dispatch a theorem checker with the configured tolerances;
+    ``edge_index`` is the 1-based hull edge for edge-preimage."""
     if theorem == "elliptical-range":
         matrix = _instance_quadratic(instance)
         if matrix is None:
-            return theorems.CheckReport(
-                "elliptical-range",
-                theorems.PRECONDITIONS_UNMET,
-                math.nan,
-                (("unmet_hypothesis", "instance must be quadratic (2 roots or degree 2)"),),
-                {"match": config.tol_match},
+            return theorems.preconditions_unmet(
+                "elliptical-range", "instance must be quadratic (2 roots or degree 2)", {"match": config.tol_match}
             )
         return theorems.check_elliptical_range(matrix, m=config.sweep_samples, tol=config.tol_match)
     zeros = instance_zeros(instance)
@@ -247,34 +243,12 @@ def run_check(theorem: str, instance: Instance, config: RunConfig, edge_index: i
     if theorem == "bgm":
         return theorems.check_bgm(zeros, tol=config.tol_geometry)
     if theorem == "edge-preimage":
-        try:
-            hyp = theorems.check_siebeck_hypotheses(zeros)
-        except ValueError as exc:
-            return theorems.CheckReport(
-                "edge-preimage",
-                theorems.PRECONDITIONS_UNMET,
-                math.nan,
-                (("unmet_hypothesis", str(exc)),),
-                {"geometry": config.tol_geometry},
-            )
-        if not 1 <= edge_index <= len(hyp.vertex_indices):
-            return theorems.CheckReport(
-                "edge-preimage",
-                theorems.PRECONDITIONS_UNMET,
-                math.nan,
-                (("unmet_hypothesis", f"edge index {edge_index} out of range"),),
-                {"geometry": config.tol_geometry},
-            )
-        edge = hyp.vertex_indices[edge_index - 1]
-        return theorems.check_edge_preimage(
-            zeros, edge, tol=config.tol_geometry, m=config.sweep_samples
-        )
+        return theorems.check_edge_preimage(zeros, edge_index, tol=config.tol_geometry, m=config.sweep_samples)
     raise InstanceError(f"unknown theorem {theorem!r}")
 
 
 def _config_from_args(args) -> RunConfig:
     return RunConfig(
-        seed=getattr(args, "seed", 0),
         tol_match=args.tol_match if getattr(args, "tol_match", None) is not None else TOL.match,
         tol_geometry=args.tol_geom if getattr(args, "tol_geom", None) is not None else TOL.geometry,
         tol_linalg=args.tol_linalg if getattr(args, "tol_linalg", None) is not None else TOL.linalg,
@@ -395,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--theorem", choices=THEOREMS, required=True)
     p_check.add_argument("--index", type=int, default=1, help="1-based hull edge (edge-preimage)")
     p_check.add_argument("--samples", type=int, default=DEFAULT_SWEEP_SAMPLES)
-    p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--tol-match", type=float, default=None, dest="tol_match")
     p_check.add_argument("--tol-geom", type=float, default=None, dest="tol_geom")
     p_check.add_argument("--tol-linalg", type=float, default=None, dest="tol_linalg")

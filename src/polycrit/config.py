@@ -3,6 +3,11 @@
 Matrix tolerances are relative to the Frobenius norm of the operand
 unless a docstring says otherwise; planar-geometry tolerances are
 relative to the spread (max pairwise distance) of the input points.
+The tangency checkers follow the same rule: ``siebeck`` bounds its
+margins by ``geometry`` times the spread of the zeros, and
+``edge-preimage`` its probe margins by ``membership_slack`` times the
+spread (its ``geometry`` bound is the midpoint neighborhood in units of
+the edge length, which no scaling changes).
 Everything lives in one record so there is a single tuning point.
 """
 
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     # linear algebra, relative to the Frobenius norm
-    hermitian_input: float = 1e-10
     eig_residual: float = 1e-10
     eigval_residual: float = 1e-8
     unitarity: float = 1e-10

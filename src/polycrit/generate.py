@@ -28,9 +28,8 @@ def generate_zeros(
     for _ in range(max_attempts):
         zeros = random_zeros(rng, n)
         try:
-            hyp = check_siebeck_hypotheses(zeros)
+            if check_siebeck_hypotheses(zeros).holds:
+                return zeros
         except ValueError:
             continue
-        if hyp.simple_vertex_eigenvalues and hyp.strict_half_plane:
-            return zeros
     raise GenerationCapExceeded(f"no hypothesis-satisfying instance in {max_attempts} attempts")

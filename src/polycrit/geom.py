@@ -123,8 +123,6 @@ def convex_hull(points, tol: float = TOL.geometry) -> ConvexPolygon:
                 del hull[k]
                 changed = True
                 break
-    if len(hull) == 2:
-        return ConvexPolygon(np.array(hull))
     return ConvexPolygon(np.array(hull))
 
 
@@ -138,6 +136,22 @@ def edge_midpoints(p: ConvexPolygon) -> np.ndarray:
     return (v + np.roll(v, -1)) / 2.0
 
 
+def polygon_edges(p: ConvexPolygon) -> tuple[tuple[complex, complex, complex], ...]:
+    """The sides of a polygon with at least 3 vertices as
+    ``(a, b, outward unit normal)``, counterclockwise from the first
+    vertex. The signed distance of z past the side's line is
+    ``(conj(normal) * (z - a)).real``."""
+    v = p.vertices
+    if v.size < 3:
+        raise ValueError("fewer than 3 hull vertices")
+    edges = []
+    for k in range(v.size):
+        a, b = complex(v[k]), complex(v[(k + 1) % v.size])
+        normal = -1j * (b - a)
+        edges.append((a, b, normal / abs(normal)))
+    return tuple(edges)
+
+
 def hull_violation(p: ConvexPolygon, z: complex) -> float:
     """Worst signed distance of z to the polygon edge lines (positive
     outside). Degenerate polygons measure plain distance."""
@@ -147,14 +161,7 @@ def hull_violation(p: ConvexPolygon, z: complex) -> float:
         return abs(zz - v[0])
     if v.size == 2:
         return _segment_distance(zz, complex(v[0]), complex(v[1]))
-    worst = -math.inf
-    n = v.size
-    for k in range(n):
-        a, b = complex(v[k]), complex(v[(k + 1) % n])
-        normal = -1j * (b - a)
-        normal /= abs(normal)
-        worst = max(worst, (np.conj(normal) * (zz - a)).real)
-    return float(worst)
+    return float(max((np.conj(normal) * (zz - a)).real for a, _, normal in polygon_edges(p)))
 
 
 def point_in_hull(p: ConvexPolygon, z: complex, tol: float = TOL.geometry) -> bool:

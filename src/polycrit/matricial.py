@@ -87,11 +87,6 @@ def build_construction(zeros, hadamard=None) -> DftConstruction:
     return DftConstruction(D=d, U=u, A=a)
 
 
-def normalized_trace(a) -> complex:
-    m = numlin.as_square(a)
-    return complex(np.trace(m) / m.shape[0])
-
-
 @dataclass(frozen=True)
 class TraceVectorReport:
     is_trace_vector: bool

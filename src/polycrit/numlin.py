@@ -8,12 +8,9 @@ contracts, not on the solver internals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import poly
-from .config import TOL
 from .errors import NumericalError
 
 
@@ -38,45 +35,9 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a), "fro"))
 
 
-def mat_mul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose. Involutive exactly: adjoint(adjoint(a)) == a."""
     return as_matrix(a).conj().T
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    """Eigenvalues (and optionally unit-norm eigenvector columns)."""
-
-    values: np.ndarray
-    vectors: np.ndarray | None = None
-
-
-def hermitian_eig(a) -> EigenResult:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Values are real (stored as complex with zero imaginary part) and
-    ascending; eigenvector columns are orthonormal. Rejects inputs whose
-    anti-Hermitian part exceeds ``TOL.hermitian_input`` relative to the
-    Frobenius norm.
-    """
-    m = as_square(a)
-    dev = frobenius(m - adjoint(m))
-    if dev > TOL.hermitian_input * frobenius(m):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    h = (m + adjoint(m)) / 2.0
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"hermitian eigensolver failed: {exc}") from exc
-    return EigenResult(values=w.astype(complex), vectors=v)
 
 
 def general_eigvals(a) -> np.ndarray:

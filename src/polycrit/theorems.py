@@ -38,11 +38,18 @@ class SiebeckHypotheses:
     statement: every hull vertex is a simple zero, and every hull edge
     has all remaining zeros strictly on its inner side.
     ``vertex_indices`` lists the 1-based zero indices of each hull edge's
-    endpoints."""
+    endpoints, and ``edges`` the same edges as ``geom.polygon_edges``
+    gives them; ``spread`` is the scale the tolerances are relative to."""
 
     simple_vertex_eigenvalues: bool
     strict_half_plane: bool
     vertex_indices: tuple[tuple[int, int], ...]
+    edges: tuple[tuple[complex, complex, complex], ...]
+    spread: float
+
+    @property
+    def holds(self) -> bool:
+        return self.simple_vertex_eigenvalues and self.strict_half_plane
 
 
 def _as_zeros(zeros) -> np.ndarray:
@@ -60,7 +67,9 @@ def critical_points_oracle(zeros) -> np.ndarray:
     return poly.roots(poly.derivative(poly.from_roots(_as_zeros(zeros))))
 
 
-def _precond(theorem: str, reason: str, tols: dict[str, float], extra=()) -> CheckReport:
+def preconditions_unmet(theorem: str, reason: str, tols: dict[str, float], extra=()) -> CheckReport:
+    """The report of a check whose hypotheses do not hold: the reason
+    first, then any evidence in ``extra``."""
     details = (("unmet_hypothesis", reason),) + tuple(extra)
     return CheckReport(theorem, PRECONDITIONS_UNMET, math.nan, details, tols)
 
@@ -71,7 +80,7 @@ def check_main_theorem(zeros, tol: float = TOL.match) -> CheckReport:
     z = _as_zeros(zeros)
     tols = {"match": tol}
     if z.size < 2:
-        return _precond("main", "need at least 2 zeros", tols)
+        return preconditions_unmet("main", "need at least 2 zeros", tols)
     oracle = critical_points_oracle(z)
     worst = 0.0
     all_matched = True
@@ -93,7 +102,7 @@ def check_gauss_lucas(zeros, tol: float = TOL.geometry) -> CheckReport:
     z = _as_zeros(zeros)
     tols = {"geometry": tol}
     if z.size < 2:
-        return _precond("gauss-lucas", "need at least 2 zeros", tols)
+        return preconditions_unmet("gauss-lucas", "need at least 2 zeros", tols)
     hull = geom.convex_hull(z, tol=1e-12)
     crit = critical_points_oracle(z)
     violations = [geom.hull_violation(hull, c) for c in crit]
@@ -112,10 +121,10 @@ def check_interlacing(zeros, tol: float = TOL.linalg) -> CheckReport:
     z = _as_zeros(zeros)
     tols = {"linalg": tol}
     if z.size < 2:
-        return _precond("interlacing", "need at least 2 zeros", tols)
+        return preconditions_unmet("interlacing", "need at least 2 zeros", tols)
     imag_max = float(np.max(np.abs(z.imag)))
     if imag_max > 1e-12:
-        return _precond(
+        return preconditions_unmet(
             "interlacing", "zeros are not real", tols, (("max_imag", imag_max),)
         )
     lam = np.sort(z.real)[::-1]
@@ -137,38 +146,22 @@ def check_siebeck_hypotheses(zeros, tol: float = TOL.geometry) -> SiebeckHypothe
     z = _as_zeros(zeros)
     if z.size < 3:
         raise ValueError("need at least 3 zeros")
-    hull = geom.convex_hull(z, tol=1e-12)
-    verts = hull.vertices
-    if verts.size < 3:
-        raise ValueError("fewer than 3 hull vertices")
-    scale = geom.point_spread(z)
-    radius = tol * scale
+    edges = geom.polygon_edges(geom.convex_hull(z, tol=1e-12))
+    spread = geom.point_spread(z)
+    radius = tol * spread
 
-    simple = True
-    rep: list[int] = []  # 1-based index of the zero at each hull vertex
-    for v in verts:
-        dists = np.abs(z - v)
-        close = np.flatnonzero(dists <= radius)
-        if close.size != 1:
-            simple = False
-        rep.append(int(np.argmin(dists)) + 1)
-
-    strict = True
-    pairs: list[tuple[int, int]] = []
-    n = verts.size
-    for k in range(n):
-        a, b = complex(verts[k]), complex(verts[(k + 1) % n])
-        i, j = rep[k], rep[(k + 1) % n]
-        pairs.append((i, j))
-        normal = -1j * (b - a)
-        normal /= abs(normal)
-        for idx in range(z.size):
-            if idx + 1 in (i, j):
-                continue
-            signed = (np.conj(normal) * (z[idx] - a)).real
-            if signed > -tol * scale:
-                strict = False
-    return SiebeckHypotheses(simple, strict, tuple(pairs))
+    verts = np.array([a for a, _, _ in edges])
+    normals = np.array([normal for _, _, normal in edges])
+    dists = np.abs(z[None, :] - verts[:, None])
+    simple = bool(np.all(np.count_nonzero(dists <= radius, axis=1) == 1))
+    first = np.argmin(dists, axis=1)  # zero at each hull vertex, so at each edge's start
+    last = np.roll(first, -1)
+    signed = (np.conj(normals)[:, None] * (z[None, :] - verts[:, None])).real
+    rows = np.arange(len(edges))
+    signed[rows, first] = signed[rows, last] = -math.inf  # an edge's endpoints are not tested
+    strict = not np.any(signed > -radius)
+    pairs = tuple(zip((first + 1).tolist(), (last + 1).tolist()))
+    return SiebeckHypotheses(simple, strict, pairs, edges, spread)
 
 
 def _hull_supports(zeros: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -187,6 +180,55 @@ def _edge_fan(theta_e: float) -> np.ndarray:
     return theta_e + np.concatenate([-offsets[::-1], [0.0], offsets])
 
 
+@dataclass(frozen=True)
+class _Tangency:
+    """What both tangency checkers sweep: the zeros, their hypotheses
+    (hull edges and spread included), ``A_(1)``, and its supports on the
+    uniform angle grid."""
+
+    zeros: np.ndarray
+    hyp: SiebeckHypotheses
+    sub: np.ndarray
+    thetas: np.ndarray
+    supports: np.ndarray
+
+    def fan(self, normal: complex) -> tuple[np.ndarray, np.ndarray]:
+        """Angles of the fan around an edge normal and the supports of
+        ``A_(1)`` there; the fan center is the normal itself."""
+        angles = _edge_fan(math.atan2(normal.imag, normal.real))
+        return angles, fov.sweep_supports(self.sub, angles)
+
+    def margin(self, fan: tuple[np.ndarray, np.ndarray], point: complex) -> float:
+        """Outer membership margin of a point on an edge: the larger of
+        its margins on the uniform grid and on the edge's fan."""
+        return max(fov.point_margin(self.thetas, self.supports, point), fov.point_margin(*fan, point))
+
+
+def _tangency_setup(
+    theorem: str, zeros, tols: dict[str, float], hyp_tol: float, m: int
+) -> CheckReport | _Tangency:
+    """The preconditions report when the tangency hypotheses fail, else
+    the shared record of the tangency checkers."""
+    z = _as_zeros(zeros)
+    try:
+        hyp = check_siebeck_hypotheses(z, hyp_tol)
+    except ValueError as exc:
+        return preconditions_unmet(theorem, str(exc), tols)
+    if not hyp.holds:
+        return preconditions_unmet(
+            theorem,
+            "hypothesis flags not satisfied",
+            tols,
+            (
+                ("simple_vertex_eigenvalues", hyp.simple_vertex_eigenvalues),
+                ("strict_half_plane", hyp.strict_half_plane),
+            ),
+        )
+    sub = numlin.principal_submatrix(matricial.build_construction(z).A, 1)
+    thetas = 2.0 * np.pi * np.arange(m) / m
+    return _Tangency(z, hyp, sub, thetas, fov.sweep_supports(sub, thetas))
+
+
 def check_poor_mans_siebeck(
     zeros,
     m: int = DEFAULT_SWEEP_SAMPLES,
@@ -197,72 +239,36 @@ def check_poor_mans_siebeck(
     """The field of values of the first principal submatrix is contained
     in the hull of the zeros, touches every hull edge exactly at its
     midpoint, and stays clear of each edge outside the 5% neighborhood
-    of the midpoint by more than ``tol``."""
-    z = _as_zeros(zeros)
+    of the midpoint by more than ``tol``. ``tol`` is relative to the
+    spread of the zeros."""
     tols = {"geometry": tol, "hypotheses": hyp_tol}
-    if z.size < 3:
-        return _precond("siebeck", "need at least 3 zeros", tols)
-    try:
-        hyp = check_siebeck_hypotheses(z, hyp_tol)
-    except ValueError as exc:
-        return _precond("siebeck", str(exc), tols)
-    if not (hyp.simple_vertex_eigenvalues and hyp.strict_half_plane):
-        return _precond(
-            "siebeck",
-            "hypothesis flags not satisfied",
-            tols,
-            (
-                ("simple_vertex_eigenvalues", hyp.simple_vertex_eigenvalues),
-                ("strict_half_plane", hyp.strict_half_plane),
-            ),
-        )
+    setup = _tangency_setup("siebeck", zeros, tols, hyp_tol, m)
+    if isinstance(setup, CheckReport):
+        return setup
+    containment_excess = float(np.max(setup.supports - _hull_supports(setup.zeros, setup.thetas)))
 
-    built = matricial.build_construction(z)
-    sub = numlin.principal_submatrix(built.A, 1)
-    thetas = 2.0 * np.pi * np.arange(m) / m
-    sub_supports = fov.sweep_supports(sub, thetas)
-    containment_excess = float(np.max(sub_supports - _hull_supports(z, thetas)))
-
-    hull = geom.convex_hull(z, tol=1e-12)
-    verts = hull.vertices
+    params = [p / (probes_per_edge - 1) for p in range(probes_per_edge)]
+    params = [t for t in params if abs(t - 0.5) > 0.05]
     tangency_gap = 0.0
     midpoint_excess = -math.inf
     uniqueness_margin = math.inf
-    for k in range(verts.size):
-        a, b = complex(verts[k]), complex(verts[(k + 1) % verts.size])
-        normal = -1j * (b - a)
-        normal /= abs(normal)
-        theta_e = math.atan2(normal.imag, normal.real)
-        edge_support = (np.conj(normal) * a).real
-        fan = _edge_fan(theta_e)
-        fan_supports = fov.sweep_supports(sub, fan)
-        sub_at_edge = float(fan_supports[fan.size // 2])  # the fan center is theta_e
-        tangency_gap = max(tangency_gap, abs(sub_at_edge - edge_support))
-        mid = (a + b) / 2.0
-        midpoint_excess = max(
-            midpoint_excess,
-            fov.point_margin(thetas, sub_supports, mid),
-            fov.point_margin(fan, fan_supports, mid),
-        )
-        for p in range(probes_per_edge):
-            t = p / (probes_per_edge - 1)
-            if abs(t - 0.5) <= 0.05:
-                continue
-            probe = a + t * (b - a)
-            margin = max(
-                fov.point_margin(thetas, sub_supports, probe),
-                fov.point_margin(fan, fan_supports, probe),
-            )
-            uniqueness_margin = min(uniqueness_margin, margin)
+    for a, b, normal in setup.hyp.edges:
+        fan = setup.fan(normal)
+        sub_at_edge = float(fan[1][fan[1].size // 2])  # the fan center is the normal
+        tangency_gap = max(tangency_gap, abs(sub_at_edge - (np.conj(normal) * a).real))
+        midpoint_excess = max(midpoint_excess, setup.margin(fan, (a + b) / 2.0))
+        for t in params:
+            uniqueness_margin = min(uniqueness_margin, setup.margin(fan, a + t * (b - a)))
 
     worst = max(containment_excess, tangency_gap, midpoint_excess)
-    ok = worst <= tol and uniqueness_margin > tol
+    bound = tol * setup.hyp.spread
+    ok = worst <= bound and uniqueness_margin > bound
     details = (
         ("containment_excess", containment_excess),
         ("tangency_gap", tangency_gap),
         ("midpoint_excess", midpoint_excess),
         ("uniqueness_min_margin", uniqueness_margin),
-        ("hull_vertices", int(verts.size)),
+        ("hull_vertices", len(setup.hyp.edges)),
     )
     return CheckReport("siebeck", PASS if ok else FAIL, worst, details, tols)
 
@@ -274,11 +280,11 @@ def check_bgm(zeros, tol: float = TOL.geometry) -> CheckReport:
     z = _as_zeros(zeros)
     tols = {"geometry": tol}
     if z.size != 3:
-        return _precond("bgm", "exactly 3 zeros required", tols)
+        return preconditions_unmet("bgm", "exactly 3 zeros required", tols)
     try:
         ellipse = geom.steiner_inellipse(z[0], z[1], z[2])
     except ValueError as exc:
-        return _precond("bgm", str(exc), tols)
+        return preconditions_unmet("bgm", str(exc), tols)
     crit = critical_points_oracle(z)
     match = poly.multiset_match(np.array([ellipse.focus1, ellipse.focus2]), crit, tol)
     tangent_all = True
@@ -287,7 +293,7 @@ def check_bgm(zeros, tol: float = TOL.geometry) -> CheckReport:
             if not geom.ellipse_tangency_check(ellipse, z[k], z[(k + 1) % 3], tol):
                 tangent_all = False
     except ValueError as exc:
-        return _precond("bgm", f"inellipse degenerate: {exc}", tols)
+        return preconditions_unmet("bgm", f"inellipse degenerate: {exc}", tols)
     ok = match.matched and tangent_all
     details = (
         ("foci_match_distance", match.max_distance),
@@ -305,7 +311,7 @@ def check_elliptical_range(a, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = TOL.m
     mat = numlin.as_square(a)
     tols = {"match": tol}
     if mat.shape[0] != 2:
-        return _precond("elliptical-range", "order-2 matrix required", tols)
+        return preconditions_unmet("elliptical-range", "order-2 matrix required", tols)
     ellipse = fov.elliptical_range(mat)
     polyline = fov.boundary_polyline(mat, m)
     he = fov.ellipse_support(ellipse, polyline.thetas)
@@ -325,7 +331,7 @@ def check_elliptical_range(a, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = TOL.m
 
 def check_edge_preimage(
     zeros,
-    edge: tuple[int, int],
+    edge: int | tuple[int, int],
     samples: int = 101,
     tol: float = TOL.geometry,
     m: int = DEFAULT_SWEEP_SAMPLES,
@@ -335,45 +341,36 @@ def check_edge_preimage(
     """Probe a hull edge: the only probed points of the edge segment that
     belong to the field of values of the first principal submatrix are
     those within ``tol`` of the midpoint (in units of the edge length).
+    A probe belongs when its margin is at most ``slack`` times the
+    spread of the zeros.
 
-    ``edge`` is a pair of 1-based indices into the zeros that must name
-    a hull edge satisfying the tangency hypotheses.
+    ``edge`` is either the 1-based position of the edge on the hull,
+    counterclockwise as in ``check_siebeck_hypotheses(zeros).vertex_indices``,
+    or a pair of 1-based indices into the zeros naming a hull edge in
+    either order. The edge is probed in its counterclockwise direction.
     """
-    z = _as_zeros(zeros)
-    tols = {"geometry": tol, "membership_slack": slack, "hypotheses": hyp_tol}
-    if z.size < 3:
-        return _precond("edge-preimage", "need at least 3 zeros", tols)
     if samples < 3:
         raise ValueError("need at least 3 probes")
-    try:
-        hyp = check_siebeck_hypotheses(z, hyp_tol)
-    except ValueError as exc:
-        return _precond("edge-preimage", str(exc), tols)
-    if not (hyp.simple_vertex_eigenvalues and hyp.strict_half_plane):
-        return _precond("edge-preimage", "hypothesis flags not satisfied", tols)
-    pair = (int(edge[0]), int(edge[1]))
-    if pair not in hyp.vertex_indices and pair[::-1] not in hyp.vertex_indices:
-        return _precond("edge-preimage", f"{pair} is not a hull edge", tols)
+    tols = {"geometry": tol, "membership_slack": slack, "hypotheses": hyp_tol}
+    setup = _tangency_setup("edge-preimage", zeros, tols, hyp_tol, m)
+    if isinstance(setup, CheckReport):
+        return setup
+    pairs = setup.hyp.vertex_indices
+    if isinstance(edge, (int, np.integer)):
+        if not 1 <= edge <= len(pairs):
+            return preconditions_unmet("edge-preimage", f"edge index {edge} out of range", tols)
+        k = int(edge) - 1
+    else:
+        pair = (int(edge[0]), int(edge[1]))
+        if pair not in pairs and pair[::-1] not in pairs:
+            return preconditions_unmet("edge-preimage", f"{pair} is not a hull edge", tols)
+        k = pairs.index(pair if pair in pairs else pair[::-1])
 
-    built = matricial.build_construction(z)
-    sub = numlin.principal_submatrix(built.A, 1)
-    thetas = 2.0 * np.pi * np.arange(m) / m
-    supports = fov.sweep_supports(sub, thetas)
-    a, b = complex(z[pair[0] - 1]), complex(z[pair[1] - 1])
-    normal = -1j * (b - a)
-    normal /= abs(normal)
-    fan = _edge_fan(math.atan2(normal.imag, normal.real))
-    fan_supports = fov.sweep_supports(sub, fan)
+    a, b, normal = setup.hyp.edges[k]
+    fan = setup.fan(normal)
     params = np.arange(samples) / (samples - 1)
-    members = []
-    for t in params:
-        probe = a + t * (b - a)
-        margin = max(
-            fov.point_margin(thetas, supports, probe),
-            fov.point_margin(fan, fan_supports, probe),
-        )
-        members.append(margin <= slack)
-    members = np.asarray(members)
+    slack_abs = slack * setup.hyp.spread
+    members = np.array([setup.margin(fan, a + t * (b - a)) <= slack_abs for t in params])
     target = np.abs(params - 0.5) <= tol
     agree = bool(np.array_equal(members, target))
     worst = float(np.max(np.abs(params - 0.5)[members])) if np.any(members) else 0.0

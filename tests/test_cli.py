@@ -175,6 +175,11 @@ class TestCheckExitCodes:
     def test_edge_preimage(self, cube_roots, capsys):
         code, out, _ = run_main(["check", cube_roots, "--theorem", "edge-preimage"], capsys)
         assert code == 0
+        code, out, _ = run_main(["check", cube_roots, "--theorem", "edge-preimage", "--index", "4"], capsys)
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["details"] == [["unmet_hypothesis", "edge index 4 out of range"]]
+        assert sorted(payload["tolerances_used"]) == ["geometry", "hypotheses", "membership_slack"]
 
     def test_interlacing_real(self, tmp_path, capsys):
         inst = write_instance(tmp_path / "r.json", {"roots": [[0, 0], [1, 0], [2, 0]]})
@@ -187,6 +192,9 @@ class TestCheckExitCodes:
 
     def test_bad_flag_is_one(self, triangle, capsys):
         code, _, _ = run_main(["check", triangle, "--theorem", "nonsense"], capsys)
+        assert code == 1
+        # check draws nothing at random, so it takes no --seed
+        code, _, _ = run_main(["check", triangle, "--theorem", "main", "--seed", "3"], capsys)
         assert code == 1
 
     def test_tolerances_echoed(self, cube_roots, capsys):

@@ -6,19 +6,6 @@ from polycrit import numlin, poly
 from polycrit.rng import random_matrix
 
 
-def triple_loop_product(a, b):
-    """Oracle: naive three-loop matrix product."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m), dtype=complex)
-    for i in range(n):
-        for j in range(m):
-            for t in range(k):
-                out[i, j] += a[i, t] * b[t, j]
-    return out
-
-
 def faddeev_leverrier(a):
     """Oracle: characteristic coefficients by the trace recursion.
     Returns ascending-degree coefficients of the monic polynomial."""
@@ -29,26 +16,6 @@ def faddeev_leverrier(a):
         m = a @ m + descending[-1] * np.eye(n)
         descending.append(-np.trace(a @ m) / k)
     return np.array(descending[::-1])
-
-
-class TestMatMul:
-    def test_identity(self):
-        m = np.array([[1 + 2j, 3], [4, 5j]])
-        np.testing.assert_array_equal(numlin.mat_mul(np.eye(2), m), m)
-
-    def test_involution(self):
-        swap = np.array([[0, 1], [1, 0]], dtype=complex)
-        np.testing.assert_array_equal(numlin.mat_mul(swap, swap), np.eye(2))
-
-    def test_random_vs_triple_loop_oracle(self):
-        rng = make_rng(21)
-        a = random_matrix(rng, 3)
-        b = random_matrix(rng, 3)
-        np.testing.assert_allclose(numlin.mat_mul(a, b), triple_loop_product(a, b), atol=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            numlin.mat_mul(np.eye(2), np.eye(3))
 
 
 class TestAdjoint:
@@ -68,37 +35,6 @@ class TestAdjoint:
         rng = make_rng(22)
         m = random_matrix(rng, 4)
         np.testing.assert_array_equal(numlin.adjoint(numlin.adjoint(m)), m)
-
-
-class TestHermitianEig:
-    def test_diagonal(self):
-        res = numlin.hermitian_eig(np.diag([2.0, 1.0]))
-        np.testing.assert_allclose(res.values, [1, 2], atol=1e-14)
-
-    def test_known_two_by_two(self):
-        res = numlin.hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))
-        np.testing.assert_allclose(res.values, [-1, 1], atol=1e-14)
-
-    def test_residual_and_orthonormality(self):
-        rng = make_rng(23)
-        h = random_hermitian(rng, 6)
-        res = numlin.hermitian_eig(h)
-        nf = numlin.frobenius(h)
-        v = res.vectors
-        for k in range(6):
-            residual = np.linalg.norm(h @ v[:, k] - res.values[k] * v[:, k])
-            assert residual <= 1e-10 * nf
-        assert numlin.frobenius(v.conj().T @ v - np.eye(6)) <= 1e-10
-        assert np.all(np.abs(res.values.imag) <= 1e-12)
-        assert np.all(np.diff(res.values.real) >= 0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            numlin.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            numlin.hermitian_eig(np.zeros((2, 3)))
 
 
 class TestGeneralEigvals:
@@ -191,7 +127,7 @@ class TestInvariants:
     def test_general_matches_hermitian_values(self):
         rng = make_rng(28)
         h = random_hermitian(rng, 7)
-        hermitian = np.sort(numlin.hermitian_eig(h).values.real)
+        hermitian = np.linalg.eigvalsh(h)
         general = np.sort(numlin.general_eigvals(h).real)
         np.testing.assert_allclose(general, hermitian, atol=1e-8)
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import make_rng
-from polycrit import poly, theorems
+from polycrit import geom, poly, theorems
+from polycrit.config import TOL
 from polycrit.generate import generate_zeros
 from polycrit.rng import random_zeros
 
@@ -109,6 +110,29 @@ class TestSiebeckHypotheses:
     def test_collinear_raises(self):
         with pytest.raises(ValueError):
             theorems.check_siebeck_hypotheses([0, 1, 2])
+
+    def test_matches_loop_reference(self):
+        rng = make_rng(119)
+        instances = [[0, 0, 1, 1j], [0, 1, 2, 1j], [0, 2, 2j, 1 + 1j], [0, 1, 1j, 1e-9]]
+        instances += [random_zeros(rng, n) for n in (3, 4, 5, 8, 12) for _ in range(4)]
+        for zeros in instances:
+            z = np.asarray(zeros, dtype=complex)
+            hyp = theorems.check_siebeck_hypotheses(z)
+            radius = TOL.geometry * geom.point_spread(z)
+            verts = geom.convex_hull(z, tol=1e-12).vertices
+            simple, strict, pairs = True, True, []
+            for k in range(verts.size):
+                a, b = verts[k], verts[(k + 1) % verts.size]
+                if np.count_nonzero(np.abs(z - a) <= radius) != 1:
+                    simple = False
+                i, j = int(np.argmin(np.abs(z - a))) + 1, int(np.argmin(np.abs(z - b))) + 1
+                pairs.append((i, j))
+                normal = -1j * (b - a) / abs(b - a)
+                for idx in range(z.size):
+                    if idx + 1 not in (i, j) and (np.conj(normal) * (z[idx] - a)).real > -radius:
+                        strict = False
+            assert (hyp.simple_vertex_eigenvalues, hyp.strict_half_plane) == (simple, strict)
+            assert hyp.vertex_indices == tuple(pairs)
 
     def test_vertex_indices_name_hull_edges(self):
         zeros = np.array([0.0, 2.0, 2j, 0.5 + 0.5j])  # last point interior
@@ -215,6 +239,20 @@ class TestEdgePreimage:
         report = theorems.check_edge_preimage([0, 2, 2j], hyp.vertex_indices[0])
         assert report.verdict == theorems.PASS
 
+    def test_index_and_pair_in_either_order_agree(self):
+        # a reversed pair was once probed with the fan on the inward normal,
+        # a false fail on edge (5, 3) here
+        zeros = np.array([-0.52 - 0.55j, -0.41 + 0.98j, -2.44 - 0.31j, 1.8 - 0.33j,
+                          1.14 - 0.79j, -0.33 + 0.45j, 0.77 - 0.1j, 0.28 + 0.55j])
+        pairs = theorems.check_siebeck_hypotheses(zeros).vertex_indices
+        for k, (i, j) in enumerate(pairs, start=1):
+            reports = [theorems.check_edge_preimage(zeros, e) for e in (k, (i, j), (j, i))]
+            assert reports[0] == reports[1] == reports[2]
+            assert reports[0].verdict == theorems.PASS
+        out_of_range = theorems.check_edge_preimage(zeros, len(pairs) + 1)
+        assert out_of_range.verdict == theorems.PRECONDITIONS_UNMET
+        assert "out of range" in dict(out_of_range.details)["unmet_hypothesis"]
+
     def test_repeated_vertex_precondition(self):
         report = theorems.check_edge_preimage([0, 0, 1, 1j], (1, 3))
         assert report.verdict == theorems.PRECONDITIONS_UNMET
@@ -242,14 +280,21 @@ class TestVerdictInvariants:
     def test_translation_scaling_equivariance(self):
         rng = make_rng(117)
         zeros = generate_zeros(rng, 5, "siebeck-ok")
+        quadrilateral = np.array([0, 1, 1j, -1 + 0.5j])  # K4 at scale 1e-8
         alpha, beta = 0.8 - 0.3j, 1.5 + 0.25j
-        mapped = alpha * zeros + beta
-        for checker in (
-            theorems.check_main_theorem,
-            theorems.check_gauss_lucas,
-            theorems.check_poor_mans_siebeck,
-        ):
-            assert checker(zeros).verdict == checker(mapped).verdict == theorems.PASS
+        for base in (zeros, quadrilateral):
+            for mapped in (alpha * base + beta, 1e-8 * base, 1e8 * base):
+                for checker in (
+                    theorems.check_main_theorem,
+                    theorems.check_gauss_lucas,
+                    theorems.check_poor_mans_siebeck,
+                ):
+                    assert checker(base).verdict == checker(mapped).verdict == theorems.PASS
+                edges = len(theorems.check_siebeck_hypotheses(mapped).vertex_indices)
+                assert edges == len(theorems.check_siebeck_hypotheses(base).vertex_indices)
+                for k in range(1, edges + 1):
+                    report = theorems.check_edge_preimage(mapped, k)
+                    assert report.verdict == theorems.PASS, (k, report.details)
 
     def test_real_scaling_preserves_interlacing(self):
         rng = make_rng(118)
