@@ -3,7 +3,10 @@
 Matrix tolerances are relative to the Frobenius norm of the operand
 unless a docstring says otherwise; planar-geometry tolerances are
 relative to the spread (max pairwise distance) of the input points.
-The tangency checkers follow the same rule: ``siebeck`` bounds its
+The checkers follow the same rule: ``main`` bounds its matched distances
+by ``match``, ``gauss-lucas`` its hull violations by ``geometry`` and
+``interlacing`` its gaps by ``linalg``, each times the spread of the
+zeros (``bgm`` still compares with absolute bounds); ``siebeck`` bounds its
 margins by ``geometry`` times the spread of the zeros, and
 ``edge-preimage`` its probe margins by ``membership_slack`` times the
 spread (its ``geometry`` bound is the midpoint neighborhood in units of

@@ -64,13 +64,12 @@ def _line_distance(z: complex, a: complex, b: complex) -> float:
     return abs(_cross(a, b, z)) / abs(b - a)
 
 
-def _segment_distance(z: complex, a: complex, b: complex) -> float:
+def _segment_distance(z: np.ndarray, a: complex, b: complex) -> np.ndarray:
     d = b - a
     if d == 0:
-        return abs(z - a)
-    t = ((z - a).real * d.real + (z - a).imag * d.imag) / abs(d) ** 2
-    t = min(max(t, 0.0), 1.0)
-    return abs(z - (a + t * d))
+        return np.abs(z - a)
+    t = np.clip(((z - a) * np.conj(d)).real / abs(d) ** 2, 0.0, 1.0)
+    return np.abs(z - (a + t * d))
 
 
 def convex_hull(points, tol: float = TOL.geometry) -> ConvexPolygon:
@@ -152,16 +151,22 @@ def polygon_edges(p: ConvexPolygon) -> tuple[tuple[complex, complex, complex], .
     return tuple(edges)
 
 
-def hull_violation(p: ConvexPolygon, z: complex) -> float:
+def hull_violation(p: ConvexPolygon, z):
     """Worst signed distance of z to the polygon edge lines (positive
-    outside). Degenerate polygons measure plain distance."""
+    outside): a float for one point, an array for an array of points,
+    with the edges computed once. Degenerate polygons measure plain
+    distance."""
     v = p.vertices
-    zz = complex(z)
+    zz = np.asarray(z, dtype=complex)
     if v.size == 1:
-        return abs(zz - v[0])
-    if v.size == 2:
-        return _segment_distance(zz, complex(v[0]), complex(v[1]))
-    return float(max((np.conj(normal) * (zz - a)).real for a, _, normal in polygon_edges(p)))
+        out = np.abs(zz - v[0])
+    elif v.size == 2:
+        out = _segment_distance(zz, complex(v[0]), complex(v[1]))
+    else:
+        starts, _, normals = (np.array(col) for col in zip(*polygon_edges(p)))
+        signed = (np.conj(normals)[:, None] * (zz.reshape(1, -1) - starts[:, None])).real
+        out = np.max(signed, axis=0).reshape(zz.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def point_in_hull(p: ConvexPolygon, z: complex, tol: float = TOL.geometry) -> bool:

@@ -3,9 +3,10 @@ theorems, each returning a structured verdict with numeric evidence.
 
 A checker never conflates a violated hypothesis with a counterexample:
 the verdict is one of ``pass``, ``fail``, ``preconditions_unmet``. The
-critical-point reference in every checker except ``check_main_theorem``
-is the companion-matrix rootfinder applied to the derivative, so the
-two sides of each comparison are computed along independent routes.
+critical-point reference in every checker is the classical route,
+``critical_points_oracle``: Aberth-Ehrlich iteration on the logarithmic
+derivative of p, which never forms coefficients or a matrix, so the two
+sides of each comparison are computed along independent routes.
 """
 
 from __future__ import annotations
@@ -62,9 +63,97 @@ def _as_zeros(zeros) -> np.ndarray:
 
 
 def critical_points_oracle(zeros) -> np.ndarray:
-    """Roots of p' for monic p with the given zeros, via the companion
-    matrix plus Newton polish. Independent of the submatrix route."""
-    return poly.roots(poly.derivative(poly.from_roots(_as_zeros(zeros))))
+    """Roots of p' for monic p with the given zeros, by Aberth-Ehrlich
+    iteration on the logarithmic derivative S1(c) = sum 1/(c - z_k). It
+    forms no coefficient and calls no eigensolver, so it is independent
+    of the submatrix route.
+
+    The zeros are centred at their centroid and scaled by the power of two
+    nearest their spread, and the critical points are mapped back. A zero
+    of multiplicity k is a critical point of multiplicity k - 1 and is
+    returned as it is (up to the roundoff of that map); the others are the
+    zeros of S1 over the distinct zeros, weighted by multiplicity.
+    """
+    z = _as_zeros(zeros)
+    if z.size < 2:
+        raise ValueError("need at least 2 zeros")
+    spread = geom.point_spread(z)
+    if spread == 0.0:
+        return np.full(z.size - 1, z[0])
+    scale = 2.0 ** round(math.log2(spread))  # scaling by it is exact
+    center = z.mean()
+    u, mult = np.unique((z - center) / scale, return_counts=True)
+    weights = mult.astype(float)
+    free = _aberth(u, weights, _aberth_start(u, weights))
+    return center + scale * np.concatenate([free, np.repeat(u, mult - 1)])
+
+
+# A point stops once its step is at most this many units of roundoff (the
+# spread is about 1), or at the iteration cap; a point whose step is not
+# finite (it sits on a zero or on another point) is nudged instead.
+_ABERTH_STEP_ULPS = 4.0
+_ABERTH_MAX_STEPS = 500
+_ABERTH_NUDGE = 2.0**-20
+
+
+def _aberth_start(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Starting points for ``_aberth``, one next to each zero but one.
+
+    A critical point sits next to every zero that is not crowded, at
+    u_k - weights_k / G_k with G_k = sum_{j != k} weights_j / (u_k - u_j).
+    The inverse is taken with a floor, so the jump stays below 1/4 of the
+    spread; the zero with the smallest |G_k| gets no point.
+    """
+    diff = u[:, None] - u[None, :]
+    np.fill_diagonal(diff, 1.0)
+    g = np.reciprocal(diff, out=diff) @ weights - weights
+    jump = weights * np.conj(g) / (np.abs(g) ** 2 + 4.0 * weights**2)
+    return np.delete(u - jump, np.argmin(np.abs(g)))
+
+
+def _aberth(u: np.ndarray, weights: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The u.size - 1 zeros of S1(c) = sum weights_k / (c - u_k) over
+    distinct u_k of spread about 1, by simultaneous Aberth-Ehrlich iteration
+    from ``start``.
+
+    S1 = q / prod(c - u_k) for a polynomial q of degree u.size - 1. With
+    S2 = sum weights_k / (c - u_k)^2 and T = sum (weights_k - 1) / (c - u_k),
+    the Newton correction of q is N = S1 / (S1^2 - S2 - T S1) (of p' when
+    every weight is 1). Each point steps by N / (1 - N R), where
+    R = sum_{j != i} 1 / (c_i - c_j) repels it from the other points.
+    Each step works in two preallocated buffers, shrunk to the rows still
+    moving: the 1/(c - u) terms and the repulsion terms.
+    """
+    m = start.size
+    inv_buf = np.empty((m, u.size), dtype=complex)
+    rep_buf = np.empty((m, m), dtype=complex)
+    c = start.astype(complex)
+    columns = np.stack([weights, weights - 1.0], axis=1)
+    tol = _ABERTH_STEP_ULPS * np.finfo(float).eps
+    active = np.arange(m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_ABERTH_MAX_STEPS):
+            k = active.size
+            ca = c[active]
+            inv = inv_buf[:k]
+            np.subtract(ca[:, None], u[None, :], out=inv)
+            np.reciprocal(inv, out=inv)
+            s1, t = (inv @ columns).T
+            np.square(inv, out=inv)
+            s2 = inv @ weights
+            newton = s1 / (s1 * s1 - s2 - t * s1)
+            rep = rep_buf[:k]
+            np.subtract(ca[:, None], c[None, :], out=rep)
+            rep[np.arange(k), active] = 1.0
+            np.reciprocal(rep, out=rep)
+            step = newton / (1.0 - newton * (rep.sum(axis=1) - 1.0))
+            stuck = ~np.isfinite(step)
+            step[stuck] = _ABERTH_NUDGE * np.exp(1j * active[stuck])
+            c[active] = ca - step
+            active = active[(np.abs(step) > tol) | stuck]
+            if active.size == 0:
+                break
+    return c
 
 
 def preconditions_unmet(theorem: str, reason: str, tols: dict[str, float], extra=()) -> CheckReport:
@@ -76,19 +165,26 @@ def preconditions_unmet(theorem: str, reason: str, tols: dict[str, float], extra
 
 def check_main_theorem(zeros, tol: float = TOL.match) -> CheckReport:
     """Critical points of p match the spectrum of every principal
-    submatrix of A = U D U*, as multisets within ``tol``."""
+    submatrix of A = U D U*, as multisets within ``tol`` times the spread
+    of the zeros. Critical points move with the zeros under affine maps,
+    so both routes run on the zeros centred at their centroid and scaled
+    by their spread, and no route loses accuracy to an offset of the zeros
+    from the origin; distances are reported in the units of the zeros."""
     z = _as_zeros(zeros)
     tols = {"match": tol}
     if z.size < 2:
         return preconditions_unmet("main", "need at least 2 zeros", tols)
-    oracle = critical_points_oracle(z)
+    scale = geom.point_spread(z) or 1.0
+    u = (z - z.mean()) / scale
+    oracle = critical_points_oracle(u)
     worst = 0.0
     all_matched = True
     for i in range(1, z.size + 1):
-        pts = matricial.critical_points_matricial(z, i)
+        pts = matricial.critical_points_matricial(u, i)
         report = poly.multiset_match(pts, oracle, tol)
         worst = max(worst, report.max_distance)
         all_matched = all_matched and report.matched
+    worst *= scale
     details = (
         ("submatrices_checked", z.size),
         ("max_matched_distance", worst),
@@ -98,26 +194,27 @@ def check_main_theorem(zeros, tol: float = TOL.match) -> CheckReport:
 
 def check_gauss_lucas(zeros, tol: float = TOL.geometry) -> CheckReport:
     """Every critical point lies in the convex hull of the zeros, within
-    signed distance ``tol``."""
+    signed distance ``tol`` times the spread of the zeros."""
     z = _as_zeros(zeros)
     tols = {"geometry": tol}
     if z.size < 2:
         return preconditions_unmet("gauss-lucas", "need at least 2 zeros", tols)
     hull = geom.convex_hull(z, tol=1e-12)
     crit = critical_points_oracle(z)
-    violations = [geom.hull_violation(hull, c) for c in crit]
-    worst = float(max(violations))
+    worst = float(np.max(geom.hull_violation(hull, crit)))
     details = (
         ("hull_vertices", int(hull.vertices.size)),
         ("critical_points", int(crit.size)),
         ("worst_signed_distance", worst),
     )
-    return CheckReport("gauss-lucas", PASS if worst <= tol else FAIL, worst, details, tols)
+    verdict = PASS if worst <= tol * geom.point_spread(z) else FAIL
+    return CheckReport("gauss-lucas", verdict, worst, details, tols)
 
 
 def check_interlacing(zeros, tol: float = TOL.linalg) -> CheckReport:
     """For real zeros sorted descending, critical points separate the
-    zeros: lam_k >= mu_k >= lam_{k+1}, each within ``tol``."""
+    zeros: lam_k >= mu_k >= lam_{k+1}, each within ``tol`` times the
+    spread of the zeros."""
     z = _as_zeros(zeros)
     tols = {"linalg": tol}
     if z.size < 2:
@@ -133,7 +230,8 @@ def check_interlacing(zeros, tol: float = TOL.linalg) -> CheckReport:
     for k in range(mu.size):
         worst = max(worst, mu[k] - lam[k], lam[k + 1] - mu[k])
     details = (("worst_gap", worst),)
-    return CheckReport("interlacing", PASS if worst <= tol else FAIL, worst, details, tols)
+    verdict = PASS if worst <= tol * geom.point_spread(z) else FAIL
+    return CheckReport("interlacing", verdict, worst, details, tols)
 
 
 def check_siebeck_hypotheses(zeros, tol: float = TOL.geometry) -> SiebeckHypotheses:

@@ -120,6 +120,28 @@ class TestPointInHull:
         assert geom.hull_violation(hull, 1 + 10j) > 0
         assert geom.hull_violation(hull, 0.5 + 0.5j) < 0
 
+    def test_array_matches_loop_reference(self):
+        def reference(hull, z):
+            v = [complex(x) for x in hull.vertices]
+            if len(v) == 1:
+                return abs(z - v[0])
+            if len(v) == 2:
+                a, d = v[0], v[1] - v[0]
+                t = min(max(((z - a).real * d.real + (z - a).imag * d.imag) / abs(d) ** 2, 0.0), 1.0)
+                return abs(z - (a + t * d))
+            return max((normal.conjugate() * (z - a)).real for a, _, normal in geom.polygon_edges(hull))
+
+        rng = make_rng(120)
+        points = 2.0 * random_zeros(rng, 40)
+        for zeros in ([0, 2, 2j, 1 + 0.3j], [0, 1, 2], [0.5j, 0.5j]):
+            hull = geom.convex_hull(zeros)
+            worst = geom.hull_violation(hull, points)
+            assert worst.shape == points.shape
+            for k, z in enumerate(points):
+                single = geom.hull_violation(hull, z)
+                assert isinstance(single, float) and single == worst[k]
+                assert abs(single - reference(hull, complex(z))) <= 1e-15
+
 
 class TestSteinerInellipse:
     def test_equilateral_gives_incircle(self):

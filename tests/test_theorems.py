@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_rng
-from polycrit import geom, poly, theorems
+from polycrit import geom, matricial, poly, theorems
 from polycrit.config import TOL
 from polycrit.generate import generate_zeros
 from polycrit.rng import random_zeros
@@ -51,6 +51,57 @@ class TestMainTheorem:
     def test_single_zero_precondition(self):
         report = theorems.check_main_theorem([1.0])
         assert report.verdict == theorems.PRECONDITIONS_UNMET
+
+
+class TestCriticalPointsOracle:
+    @pytest.mark.parametrize(
+        "zeros, expected",
+        [
+            ([1, 1], [1]),
+            ([2, 2, 2], [2, 2]),
+            ([0, 0, 0, 1], [0, 0, 0.75]),
+            # p = t^2 (t - 1)(t - i): 0 once, and the roots of 4t^2 - 3(1 + i)t + 2i
+            ([0, 0, 1, 1j], [0, *quadratic_roots(2j, -3 - 3j, 4)]),
+        ],
+    )
+    def test_repeated_zeros(self, zeros, expected):
+        crit = theorems.critical_points_oracle(zeros)
+        assert crit.size == len(zeros) - 1
+        assert np.all(np.isfinite(crit))
+        assert poly.multiset_match(crit, expected, 1e-14).matched
+
+    def test_forms_no_coefficients_and_calls_no_eigensolver(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must not expand coefficients or solve an eigenproblem")
+
+        zeros = generate_zeros(make_rng(121), 30)
+        expected = matricial.critical_points_matricial(zeros, 1)
+        monkeypatch.setattr(poly, "from_roots", forbidden)
+        monkeypatch.setattr(poly, "roots", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+        crit = theorems.critical_points_oracle(zeros)
+        assert poly.multiset_match(crit, expected, 1e-12 * geom.point_spread(zeros)).matched
+
+    @pytest.mark.parametrize("n", [100, 200])
+    @pytest.mark.parametrize("constraint", ["none", "real"])
+    def test_agrees_with_matricial_route(self, n, constraint):
+        zeros = generate_zeros(make_rng(122), n, constraint)
+        crit = theorems.critical_points_oracle(zeros)
+        pts = matricial.critical_points_matricial(zeros, 1)
+        assert poly.multiset_match(crit, pts, 1e-12 * geom.point_spread(zeros)).matched
+
+    def test_start_on_a_zero_or_another_point_is_nudged(self):
+        u = np.array([-0.5, 0.1j, 0.5])
+        weights = np.ones(3)
+        expected = theorems.critical_points_oracle(u)
+        for start in (np.array([u[1], 0.3 + 0.2j]), np.array([0.2j, 0.2j])):
+            crit = theorems._aberth(u, weights, start)
+            assert np.all(np.isfinite(crit))
+            assert poly.multiset_match(crit, expected, 1e-14).matched
+        # on 0, 1, 2, 3 the start next to 1 lands exactly on 2
+        crit = theorems.critical_points_oracle(np.arange(4.0))
+        expected = [1.5, (3 - math.sqrt(5)) / 2, (3 + math.sqrt(5)) / 2]
+        assert poly.multiset_match(crit, expected, 1e-14).matched
 
 
 class TestGaussLucas:
@@ -283,7 +334,7 @@ class TestVerdictInvariants:
         quadrilateral = np.array([0, 1, 1j, -1 + 0.5j])  # K4 at scale 1e-8
         alpha, beta = 0.8 - 0.3j, 1.5 + 0.25j
         for base in (zeros, quadrilateral):
-            for mapped in (alpha * base + beta, 1e-8 * base, 1e8 * base):
+            for mapped in (alpha * base + beta, 1e-8 * base, 1e8 * base, 1e10 * base):
                 for checker in (
                     theorems.check_main_theorem,
                     theorems.check_gauss_lucas,
@@ -296,8 +347,46 @@ class TestVerdictInvariants:
                     report = theorems.check_edge_preimage(mapped, k)
                     assert report.verdict == theorems.PASS, (k, report.details)
 
+    def test_interlacing_scale_invariant(self):
+        zeros = random_zeros(make_rng(123), 7, real=True)
+        for scale in (1e-8, 1.0, 1e10):
+            report = theorems.check_interlacing(scale * zeros)
+            assert report.verdict == theorems.PASS, (scale, report.details)
+
+    def test_gauss_lucas_margin_scale_invariant(self):
+        # a negative tolerance asks for a margin inside the hull; with a
+        # bound relative to the spread the verdict cannot depend on the scale
+        zeros = generate_zeros(make_rng(125), 7)
+        margin = theorems.check_gauss_lucas(zeros).max_violation / geom.point_spread(zeros)
+        assert margin < 0
+        for scale in (1e-8, 1.0, 1e10):
+            assert theorems.check_gauss_lucas(scale * zeros, tol=0.5 * margin).verdict == theorems.PASS
+            assert theorems.check_gauss_lucas(scale * zeros, tol=2.0 * margin).verdict == theorems.FAIL
+
     def test_real_scaling_preserves_interlacing(self):
         rng = make_rng(118)
         zeros = random_zeros(rng, 6, real=True)
         report = theorems.check_interlacing(2.5 * zeros - 0.3)
         assert report.verdict == theorems.PASS
+
+
+class TestKnownDefectRegressions:
+    """Instances on which the companion-matrix oracle gave a false fail."""
+
+    def test_k1_degree_100(self):
+        zeros = generate_zeros(make_rng(1), 100)  # the ROADMAP's instance
+        for checker in (theorems.check_main_theorem, theorems.check_gauss_lucas):
+            report = checker(zeros)
+            assert report.verdict == theorems.PASS, report.details
+
+    def test_k2_translated_quadrilateral(self):
+        zeros = 1e6 + np.array([0, 1, 1j, -1 + 0.5j])
+        for checker in (theorems.check_main_theorem, theorems.check_gauss_lucas):
+            report = checker(zeros)
+            assert report.verdict == theorems.PASS, report.details
+
+    @pytest.mark.parametrize("n", [50, 100, 200])
+    def test_k6_interlacing_real_zeros(self, n):
+        zeros = generate_zeros(make_rng(124), n, "real")
+        report = theorems.check_interlacing(zeros)
+        assert report.verdict == theorems.PASS, report.details
