@@ -7,10 +7,16 @@ The checkers follow the same rule: ``main`` bounds its matched distances
 by ``match``, ``gauss-lucas`` its hull violations by ``geometry`` and
 ``interlacing`` its gaps by ``linalg``, each times the spread of the
 zeros (``bgm`` still compares with absolute bounds); ``siebeck`` bounds its
-margins by ``geometry`` times the spread of the zeros, and
-``edge-preimage`` its probe margins by ``membership_slack`` times the
-spread (its ``geometry`` bound is the midpoint neighborhood in units of
-the edge length, which no scaling changes).
+containment and midpoint margins by ``geometry`` times the spread of the
+zeros, and both ``siebeck`` and ``edge-preimage`` count a probe of an
+edge as a member when its margin is at most ``membership_slack`` times the
+spread (the ``geometry`` bound of ``edge-preimage`` is the midpoint
+neighborhood in units of the edge length, which no scaling changes).
+``membership_slack`` sits between the two groups of probe margins met on
+drawn instances: at the midpoint they are at most about 1e-15 of the
+spread, and one probe away at least about 1e-10, so it is more than two
+decades from each. The DFT construction checks its FFT round trip by
+``unitarity`` times the largest modulus of the zeros.
 Everything lives in one record so there is a single tuning point.
 """
 
@@ -34,7 +40,7 @@ class Tolerances:
     match: float = 1e-6
     geometry: float = 1e-7
     linalg: float = 1e-8
-    membership_slack: float = 1e-8
+    membership_slack: float = 1e-12
     trace_defect: float = 1e-8
 
     # rootfinding

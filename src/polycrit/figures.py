@@ -33,8 +33,7 @@ def figure_layers(zeros, which: str, sweep_samples: int = DEFAULT_SWEEP_SAMPLES)
     if hull.vertices.size >= 2:
         layers["midpoints"] = geom.edge_midpoints(hull)
     if which == "siebeck":
-        built = matricial.build_construction(z)
-        sub = numlin.principal_submatrix(built.A, 1)
+        sub = numlin.principal_submatrix(matricial.build_construction(z), 1)
         layers["fov"] = fov.boundary_polyline(sub, sweep_samples).boundary_points
     else:
         if z.size != 3:

@@ -72,6 +72,24 @@ def _segment_distance(z: np.ndarray, a: complex, b: complex) -> np.ndarray:
     return np.abs(z - (a + t * d))
 
 
+def _merge_coincident(pts: np.ndarray) -> tuple[np.ndarray, float]:
+    """The points in lexsort order, each dropped when an earlier kept point
+    lies within ``TOL.dedup`` times their spread, and that spread.
+
+    A point with no neighbor within the merge radius is always kept, so
+    the greedy rule runs only over the points that have one.
+    """
+    p = pts[np.lexsort((pts.imag, pts.real))]
+    dist = np.abs(p[:, None] - p[None, :])
+    scale = float(np.max(dist))
+    near = dist <= TOL.dedup * scale
+    np.fill_diagonal(near, False)
+    keep = ~np.any(near, axis=1)
+    for k in np.flatnonzero(~keep):
+        keep[k] = not np.any(near[k] & keep)
+    return p[keep], scale
+
+
 def convex_hull(points, tol: float = TOL.geometry) -> ConvexPolygon:
     """Counterclockwise convex hull by monotone chain.
 
@@ -85,15 +103,10 @@ def convex_hull(points, tol: float = TOL.geometry) -> ConvexPolygon:
         raise ValueError("need at least one point")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    scale = point_spread(pts)
+    merged, scale = _merge_coincident(pts)
     if scale == 0.0:
         return ConvexPolygon(np.array([pts[0]]))
-    order = np.lexsort((pts.imag, pts.real))
-    kept: list[complex] = []
-    for idx in order:
-        z = complex(pts[idx])
-        if all(abs(z - w) > TOL.dedup * scale for w in kept):
-            kept.append(z)
+    kept = [complex(w) for w in merged]
     if len(kept) == 1:
         return ConvexPolygon(np.array(kept))
 

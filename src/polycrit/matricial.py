@@ -3,6 +3,7 @@
 Core construction: place the zeros of a polynomial on a diagonal D,
 conjugate by the unitary scaling U = F/sqrt(n) of the DFT matrix F, and
 read the critical points off any principal submatrix of A = U D U*.
+With the DFT, A is circulant and is built from one FFT of the zeros.
 The bridge is the trace-vector property: every canonical basis vector is
 a trace vector for A, which makes deleting a row and column act as a
 differentiation operator on the characteristic polynomial.
@@ -44,22 +45,19 @@ def is_complex_hadamard(h, tol: float = 1e-10) -> bool:
     return float(np.max(np.abs(gram - n * np.eye(n)))) <= tol * n
 
 
-@dataclass(frozen=True)
-class DftConstruction:
-    """Diagonal of zeros D, unitary U, and the normal matrix A = U D U*."""
+def build_construction(zeros, hadamard=None) -> np.ndarray:
+    """The normal matrix A = U D U* with D = diag(zeros) and U unitary from
+    a complex Hadamard matrix (the DFT matrix by default).
 
-    D: np.ndarray
-    U: np.ndarray
-    A: np.ndarray
-
-
-def build_construction(zeros, hadamard=None) -> DftConstruction:
-    """A = U D U* with D = diag(zeros) and U unitary from a complex
-    Hadamard matrix (the DFT matrix by default).
+    With the DFT, A is the circulant matrix A[j, k] = c[(j - k) mod n] of
+    c = fft(zeros) / n, formed in O(n log n + n^2) with no matrix product.
+    The construction is verified by the round trip n * ifft(c) = zeros
+    within ``TOL.unitarity * max|zeros|``. Every A_(i) is then A_(1) with
+    its indices relabelled cyclically.
 
     ``hadamard`` optionally supplies any complex Hadamard matrix of the
-    right order; it is validated before use. The zeros enter D in the
-    given order.
+    right order; it is validated before use, A is formed densely, and U
+    is checked unitary and A normal. The zeros enter D in the given order.
     """
     z = np.atleast_1d(np.asarray(zeros, dtype=complex))
     n = z.size
@@ -68,23 +66,27 @@ def build_construction(zeros, hadamard=None) -> DftConstruction:
     if not np.all(np.isfinite(z)):
         raise ValueError("zeros must be finite")
     if hadamard is None:
-        h = dft_matrix(n)
-    else:
-        h = numlin.as_square(hadamard)
-        if h.shape[0] != n:
-            raise ValueError("Hadamard order does not match the zero count")
-        if not is_complex_hadamard(h):
-            raise ValueError("matrix is not complex Hadamard within tolerance")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the round trip
+            c = np.fft.fft(z) / n
+            roundtrip = np.max(np.abs(n * np.fft.ifft(c) - z))
+        if not roundtrip <= TOL.unitarity * np.max(np.abs(z)):
+            raise NumericalError("DFT round trip does not return the zeros within tolerance")
+        idx = np.arange(n)
+        return c[np.subtract.outer(idx, idx) % n]
+
+    h = numlin.as_square(hadamard)
+    if h.shape[0] != n:
+        raise ValueError("Hadamard order does not match the zero count")
+    if not is_complex_hadamard(h):
+        raise ValueError("matrix is not complex Hadamard within tolerance")
     u = h / np.sqrt(n)
     a = (u * z[None, :]) @ numlin.adjoint(u)
-    d = np.diag(z)
-
     if numlin.frobenius(u @ numlin.adjoint(u) - np.eye(n)) > TOL.unitarity:
         raise NumericalError("constructed U is not unitary within tolerance")
     comm = numlin.frobenius(a @ numlin.adjoint(a) - numlin.adjoint(a) @ a)
     if comm > TOL.normality * max(numlin.frobenius(a) ** 2, 1e-300):
         raise NumericalError("constructed A is not normal within tolerance")
-    return DftConstruction(D=d, U=u, A=a)
+    return a
 
 
 @dataclass(frozen=True)
@@ -185,5 +187,4 @@ def critical_points_matricial(zeros, i: int = 1) -> np.ndarray:
         raise ValueError("at least 2 zeros are required")
     if not 1 <= i <= n:
         raise ValueError(f"index {i} out of range 1..{n}")
-    built = build_construction(z)
-    return numlin.general_eigvals(numlin.principal_submatrix(built.A, i))
+    return numlin.general_eigvals(numlin.principal_submatrix(build_construction(z), i))

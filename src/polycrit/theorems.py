@@ -18,6 +18,7 @@ import numpy as np
 
 from . import fov, geom, matricial, numlin, poly
 from .config import DEFAULT_SWEEP_SAMPLES, TOL
+from .errors import NumericalError
 
 PASS = "pass"
 FAIL = "fail"
@@ -169,7 +170,11 @@ def check_main_theorem(zeros, tol: float = TOL.match) -> CheckReport:
     of the zeros. Critical points move with the zeros under affine maps,
     so both routes run on the zeros centred at their centroid and scaled
     by their spread, and no route loses accuracy to an offset of the zeros
-    from the origin; distances are reported in the units of the zeros."""
+    from the origin; distances are reported in the units of the zeros.
+
+    A is built once and certified exactly circulant, A = roll(A, (1, 1)),
+    so every A_(i) is a permutation similarity of A_(1): one eigensolve
+    and one matching decide all n submatrices."""
     z = _as_zeros(zeros)
     tols = {"match": tol}
     if z.size < 2:
@@ -177,19 +182,16 @@ def check_main_theorem(zeros, tol: float = TOL.match) -> CheckReport:
     scale = geom.point_spread(z) or 1.0
     u = (z - z.mean()) / scale
     oracle = critical_points_oracle(u)
-    worst = 0.0
-    all_matched = True
-    for i in range(1, z.size + 1):
-        pts = matricial.critical_points_matricial(u, i)
-        report = poly.multiset_match(pts, oracle, tol)
-        worst = max(worst, report.max_distance)
-        all_matched = all_matched and report.matched
-    worst *= scale
+    a = matricial.build_construction(u)
+    if not np.array_equal(a, np.roll(a, (1, 1), axis=(0, 1))):
+        raise NumericalError("constructed A is not circulant")
+    report = poly.multiset_match(numlin.general_eigvals(numlin.principal_submatrix(a, 1)), oracle, tol)
+    worst = report.max_distance * scale
     details = (
         ("submatrices_checked", z.size),
         ("max_matched_distance", worst),
     )
-    return CheckReport("main", PASS if all_matched else FAIL, worst, details, tols)
+    return CheckReport("main", PASS if report.matched else FAIL, worst, details, tols)
 
 
 def check_gauss_lucas(zeros, tol: float = TOL.geometry) -> CheckReport:
@@ -214,23 +216,26 @@ def check_gauss_lucas(zeros, tol: float = TOL.geometry) -> CheckReport:
 def check_interlacing(zeros, tol: float = TOL.linalg) -> CheckReport:
     """For real zeros sorted descending, critical points separate the
     zeros: lam_k >= mu_k >= lam_{k+1}, each within ``tol`` times the
-    spread of the zeros."""
+    spread of the zeros. Zeros count as real when no imaginary part
+    exceeds ``tol`` times the spread (none may be nonzero when ``tol`` is
+    negative). ``worst_gap`` is the largest of the signed gaps, negative
+    when the interlacing is strict, so a negative ``tol`` asks for a
+    margin."""
     z = _as_zeros(zeros)
     tols = {"linalg": tol}
     if z.size < 2:
         return preconditions_unmet("interlacing", "need at least 2 zeros", tols)
+    spread = geom.point_spread(z)
     imag_max = float(np.max(np.abs(z.imag)))
-    if imag_max > 1e-12:
+    if imag_max > max(tol, 0.0) * spread:
         return preconditions_unmet(
             "interlacing", "zeros are not real", tols, (("max_imag", imag_max),)
         )
     lam = np.sort(z.real)[::-1]
     mu = np.sort(critical_points_oracle(z).real)[::-1]
-    worst = 0.0
-    for k in range(mu.size):
-        worst = max(worst, mu[k] - lam[k], lam[k + 1] - mu[k])
+    worst = float(max(np.max(mu - lam[:-1]), np.max(lam[1:] - mu)))
     details = (("worst_gap", worst),)
-    verdict = PASS if worst <= tol * geom.point_spread(z) else FAIL
+    verdict = PASS if worst <= tol * spread else FAIL
     return CheckReport("interlacing", verdict, worst, details, tols)
 
 
@@ -306,8 +311,12 @@ def _tangency_setup(
     theorem: str, zeros, tols: dict[str, float], hyp_tol: float, m: int
 ) -> CheckReport | _Tangency:
     """The preconditions report when the tangency hypotheses fail, else
-    the shared record of the tangency checkers."""
+    the shared record of the tangency checkers. The zeros are centred at
+    their centroid first: the field of values moves with them, every
+    margin is a difference, and probes far from the origin would lose
+    more to roundoff than the membership slack allows."""
     z = _as_zeros(zeros)
+    z = z - z.mean()
     try:
         hyp = check_siebeck_hypotheses(z, hyp_tol)
     except ValueError as exc:
@@ -322,7 +331,7 @@ def _tangency_setup(
                 ("strict_half_plane", hyp.strict_half_plane),
             ),
         )
-    sub = numlin.principal_submatrix(matricial.build_construction(z).A, 1)
+    sub = numlin.principal_submatrix(matricial.build_construction(z), 1)
     thetas = 2.0 * np.pi * np.arange(m) / m
     return _Tangency(z, hyp, sub, thetas, fov.sweep_supports(sub, thetas))
 
@@ -335,11 +344,13 @@ def check_poor_mans_siebeck(
     probes_per_edge: int = 41,
 ) -> CheckReport:
     """The field of values of the first principal submatrix is contained
-    in the hull of the zeros, touches every hull edge exactly at its
-    midpoint, and stays clear of each edge outside the 5% neighborhood
-    of the midpoint by more than ``tol``. ``tol`` is relative to the
-    spread of the zeros."""
-    tols = {"geometry": tol, "hypotheses": hyp_tol}
+    in the hull of the zeros and touches every hull edge at its midpoint,
+    each within ``tol`` times the spread of the zeros, and no probe of an
+    edge outside the 5% neighborhood of its midpoint belongs to it: each
+    has a margin of more than ``TOL.membership_slack`` times the spread,
+    the membership rule of ``check_edge_preimage``."""
+    slack = TOL.membership_slack
+    tols = {"geometry": tol, "hypotheses": hyp_tol, "membership_slack": slack}
     setup = _tangency_setup("siebeck", zeros, tols, hyp_tol, m)
     if isinstance(setup, CheckReport):
         return setup
@@ -360,7 +371,7 @@ def check_poor_mans_siebeck(
 
     worst = max(containment_excess, tangency_gap, midpoint_excess)
     bound = tol * setup.hyp.spread
-    ok = worst <= bound and uniqueness_margin > bound
+    ok = worst <= bound and uniqueness_margin > slack * setup.hyp.spread
     details = (
         ("containment_excess", containment_excess),
         ("tangency_gap", tangency_gap),

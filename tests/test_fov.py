@@ -46,7 +46,7 @@ class TestBoundaryPolyline:
         # normal => field of values is the convex hull of the eigenvalues
         omega = np.exp(2j * np.pi / 3)
         zeros = np.array([1, omega, omega**2])
-        a = matricial.build_construction(zeros).A
+        a = matricial.build_construction(zeros)
         pl = fov.boundary_polyline(a, 360)
         hull_support = np.max(
             np.real(np.exp(-1j * pl.thetas)[:, None] * zeros[None, :]), axis=1
@@ -196,6 +196,6 @@ class TestSweepInvariants:
     def test_flat_flags_on_normal_matrix(self):
         # ties of the top eigenvalue happen exactly at the 3 edge normals
         omega = np.exp(2j * np.pi / 3)
-        a = matricial.build_construction([1, omega, omega**2]).A
+        a = matricial.build_construction([1, omega, omega**2])
         pl = fov.boundary_polyline(a, 360)
         assert int(np.count_nonzero(pl.flat_flags)) == 3

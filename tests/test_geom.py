@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import make_rng
 from polycrit import geom, poly
+from polycrit.config import TOL
 from polycrit.rng import Xoshiro256StarStar, random_zeros
 
 
@@ -73,6 +74,36 @@ class TestConvexHull:
         base = geom.convex_hull(pts).vertices
         perm = np.array(pts)[::-1]
         np.testing.assert_array_equal(geom.convex_hull(perm).vertices, base)
+
+    def test_merge_matches_loop_reference(self):
+        def loop_merge(pts):
+            scale = geom.point_spread(pts)
+            kept = []
+            for idx in np.lexsort((pts.imag, pts.real)):
+                z = complex(pts[idx])
+                if all(abs(z - w) > TOL.dedup * scale for w in kept):
+                    kept.append(z)
+            return np.array(kept), scale
+
+        rng = make_rng(94)
+        cases = [random_zeros(rng, n) for n in (2, 3, 7, 50, 200)]
+        for trial in range(40):
+            base = random_zeros(rng, 4 + trial % 9)
+            radius = TOL.dedup * 2.0  # the spread of unit-disk points is about 2
+            # clusters around each point whose members sit near the merge
+            # radius of each other, and chains where only the greedy order
+            # decides which members stay
+            jitter = np.array([rng.uniform() - 0.5 + 1j * (rng.uniform() - 0.5) for _ in range(base.size * 3)])
+            cluster = np.repeat(base, 3) + 2.0 * radius * jitter
+            chain = base[0] + radius * np.array([0.0, 0.6, 1.2, 1.8, 2.4]) * np.exp(1j * trial)
+            cases.append(np.concatenate([base, cluster, chain]))
+        cases.append(np.array([1.0, 1.0, 1.0 + 1e-12, 2.0, 2.0]))
+        for pts in cases:
+            pts = np.asarray(pts, dtype=complex)
+            merged, scale = geom._merge_coincident(pts)
+            ref, ref_scale = loop_merge(pts)
+            assert scale == ref_scale
+            np.testing.assert_array_equal(merged, ref)
 
     def test_inputs_inside_own_hull(self):
         rng = make_rng(93)

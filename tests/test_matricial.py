@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import make_rng
-from polycrit import matricial, numlin, poly
+from polycrit import geom, matricial, numlin, poly
+from polycrit.config import TOL
+from polycrit.errors import NumericalError
 from polycrit.rng import random_matrix, random_zeros
 
 
@@ -43,28 +45,50 @@ class TestIsComplexHadamard:
 
 class TestBuildConstruction:
     def test_two_point_swap(self):
-        built = matricial.build_construction([1, -1])
-        np.testing.assert_allclose(built.A, [[0, 1], [1, 0]], atol=1e-12)
+        a = matricial.build_construction([1, -1])
+        np.testing.assert_allclose(a, [[0, 1], [1, 0]], atol=1e-12)
 
     def test_scalar_spectrum_gives_scalar_matrix(self):
         c = 0.3 - 0.7j
-        built = matricial.build_construction([c, c])
-        np.testing.assert_allclose(built.A, c * np.eye(2), atol=1e-12)
+        a = matricial.build_construction([c, c])
+        np.testing.assert_allclose(a, c * np.eye(2), atol=1e-12)
 
     def test_normality_residual(self):
         rng = make_rng(61)
         zeros = random_zeros(rng, 5)
-        built = matricial.build_construction(zeros)
-        a = built.A
+        a = matricial.build_construction(zeros)
         comm = numlin.frobenius(a @ numlin.adjoint(a) - numlin.adjoint(a) @ a)
         assert comm <= 1e-8 * numlin.frobenius(a) ** 2
-        assert numlin.frobenius(built.U @ numlin.adjoint(built.U) - np.eye(5)) <= 1e-10
-        np.testing.assert_array_equal(np.diag(built.D), zeros)
+        # U and D are not returned; rebuild them as the construction defines them
+        u = matricial.dft_matrix(5) / np.sqrt(5)
+        d = np.diag(zeros)
+        assert numlin.frobenius(u @ numlin.adjoint(u) - np.eye(5)) <= 1e-10
+        np.testing.assert_array_equal(np.diag(d), zeros)
+
+    @pytest.mark.parametrize("n", [2, 5, 16, 64])
+    def test_dft_path_is_exactly_circulant(self, n):
+        a = matricial.build_construction(random_zeros(make_rng(71), n))
+        assert np.array_equal(a, np.roll(a, (1, 1), axis=(0, 1)))
+
+    @pytest.mark.parametrize("n", [2, 5, 16, 64])
+    def test_fft_build_matches_dense_product(self, n):
+        zeros = random_zeros(make_rng(72), n)
+        a = matricial.build_construction(zeros)
+        dense = matricial.build_construction(zeros, hadamard=matricial.dft_matrix(n))
+        u = matricial.dft_matrix(n) / np.sqrt(n)
+        bound = 1e-14 * np.max(np.abs(zeros))
+        np.testing.assert_allclose(a, (u * zeros) @ numlin.adjoint(u), rtol=0, atol=bound)
+        np.testing.assert_allclose(a, dense, rtol=0, atol=bound)
+
+    def test_failed_round_trip_is_numerical_error(self):
+        # the FFT of zeros this large overflows
+        with pytest.raises(NumericalError):
+            matricial.build_construction([1e308, 1e308, -1e308])
 
     def test_custom_hadamard_hook(self):
         h = np.array([[1, 1], [1, -1]], dtype=complex)
-        built = matricial.build_construction([1, -1], hadamard=h)
-        np.testing.assert_allclose(built.A, [[0, 1], [1, 0]], atol=1e-12)
+        a = matricial.build_construction([1, -1], hadamard=h)
+        np.testing.assert_allclose(a, [[0, 1], [1, 0]], atol=1e-12)
         with pytest.raises(ValueError):
             matricial.build_construction([1, -1], hadamard=np.eye(2))
 
@@ -127,8 +151,8 @@ class TestCompression:
 
 class TestIsDifferentiator:
     def test_construction_with_basis_vector(self):
-        built = matricial.build_construction([1, -1])
-        assert matricial.is_differentiator(built.A, [1, 0])
+        a = matricial.build_construction([1, -1])
+        assert matricial.is_differentiator(a, [1, 0])
 
     def test_diagonal_with_basis_vector_is_not(self):
         assert not matricial.is_differentiator(np.diag([1.0, 2.0]), [1, 0])
@@ -166,7 +190,7 @@ class TestInvariants:
         rng = make_rng(66)
         for n in range(2, 13):
             zeros = random_zeros(rng, n)
-            a = matricial.build_construction(zeros).A
+            a = matricial.build_construction(zeros)
             for i in range(n):
                 z = np.zeros(n)
                 z[i] = 1.0
@@ -181,6 +205,25 @@ class TestInvariants:
             for i in range(1, n + 1):
                 pts = matricial.critical_points_matricial(zeros, i)
                 assert poly.multiset_match(pts, oracle, 1e-6).matched
+
+    @pytest.mark.parametrize(
+        "zeros",
+        [
+            random_zeros(make_rng(73), 5),
+            random_zeros(make_rng(74), 16),
+            1e6 + np.array([0, 1, 1j, -1 + 0.5j]),  # the translated quadrilateral (K2)
+        ],
+    )
+    def test_every_dense_submatrix_has_the_single_spectrum(self, zeros):
+        # cross-check of the circulant shortcut: eigensolve every A_(i) of
+        # the densely built U D U* and match each to the spectrum of A_(1)
+        n = zeros.size
+        single = matricial.critical_points_matricial(zeros, 1)
+        dense = matricial.build_construction(zeros, hadamard=matricial.dft_matrix(n))
+        bound = TOL.match * geom.point_spread(zeros)
+        for i in range(1, n + 1):
+            spectrum = numlin.general_eigvals(numlin.principal_submatrix(dense, i))
+            assert poly.multiset_match(spectrum, single, bound).matched, i
 
     def test_submatrix_spectra_agree_across_indices(self):
         rng = make_rng(68)
@@ -206,7 +249,7 @@ class TestInvariants:
             n = 2 + trial % 7  # n in 2..8
             if trial % 3 == 0:
                 # constructed pairs: both predicates true
-                a = matricial.build_construction(random_zeros(rng, n)).A
+                a = matricial.build_construction(random_zeros(rng, n))
                 z = np.zeros(n)
                 z[trial % n] = 1.0
             else:

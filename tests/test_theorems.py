@@ -4,13 +4,52 @@ import numpy as np
 import pytest
 
 from conftest import make_rng
-from polycrit import geom, matricial, poly, theorems
+from polycrit import geom, matricial, numlin, poly, theorems
 from polycrit.config import TOL
 from polycrit.generate import generate_zeros
 from polycrit.rng import random_zeros
 
 OMEGA = np.exp(2j * np.pi / 3)
 CUBE_ROOTS = np.array([1, OMEGA, OMEGA**2])
+
+# siebeck-ok instances of the fov-siebeck benchmark workload, drawn from
+# Xoshiro256StarStar(3), (6) and (21)
+FOV_SEED_3 = [
+    (-0.7122243673178021-0.49858076487251135j), (-0.06455860586895912+0.5429114190864255j),
+    (0.35501374537504726-0.4542146204438813j), (-0.30975570012722686-0.8345698431408515j),
+    (-0.06225297050481671+0.3408272528871765j), (-0.20479856394482643-0.16573723581804511j),
+    (0.5926651377031447-0.12567859378662738j), (0.2317524701902145-0.6247941229947782j),
+    (-0.6674734067376142-0.2929061429762623j), (-0.027676175121000846+0.8328250804180604j),
+    (-0.09191131748030545-0.18750405676290693j), (-0.11735198044050588+0.7605955732798495j),
+    (-0.4452026322610745-0.07866031156588615j), (0.5405415340186914+0.11425986246550979j),
+    (4.682965351943125e-05+0.10780967405471698j), (0.26399911173451285+0.20322222696039183j),
+]
+FOV_SEED_6 = [
+    (0.8764060850398245+0.42404056993040085j), (0.26675288144281795+0.04494356649302844j),
+    (-0.5525433393713335+0.4727223296578553j), (-0.8271801414432995+0.15360390701006388j),
+    (-0.43632540902404715+0.2569421201436475j), (0.22768746895172964+0.4869828330213044j),
+    (-0.6375534569078207-0.3613075291211294j), (-0.3762089801055206-0.8979662517208391j),
+    (-0.07688000388126137-0.610284153693579j), (-0.10382659938441541+0.07135806978142112j),
+    (-0.668835605264799+0.6621415619978603j), (-0.10793980151501592-0.9406498115868265j),
+    (0.26854553272129245-0.1936529497324626j), (-0.5475548963018879-0.5614722557909759j),
+    (-0.35383630202016336+0.33682788903570327j), (-0.5738310056783991-0.46900763992902395j),
+    (-0.37684710895374596-0.49141790313173495j), (-0.6443457027797375+0.04948367620239269j),
+    (0.46611025265886363-0.04306964797768842j), (0.4081209033442337-0.8533058026218288j),
+    (-0.8302231695595874-0.42199224707496197j), (0.21116817097200724-0.541328825064656j),
+    (-0.011027966894635588-0.5204951446087915j), (-0.11220852928227232-0.9591612486065877j),
+    (0.25818067010847545-0.25443094157646895j), (-0.4730415926544256+0.503787119731042j),
+    (0.4709794075698168-0.8801242315000288j), (-0.8893262399498616+0.42903900810994067j),
+    (0.6935213246655161+0.02357746848095954j), (-0.7593665884701319+0.566425926937673j),
+    (-0.22174698731191134-0.34519728842260156j), (0.5367156019336894+0.37059668717270866j),
+]
+FOV_SEED_21 = [
+    (0.1716451924254856+0.8181632676345083j), (-0.4529397341174388-0.017352373611999594j),
+    (-0.36438565271739476-0.1319484271332374j), (-0.10644056086449183+0.03778728099002615j),
+    (-0.2771886662607599+0.6123897044528672j), (0.09835712718247058+0.6470180929558174j),
+    (-0.02699218300622741+0.8332072479700221j), (0.5198699863699185+0.1471970051777156j),
+    (-0.15059111327240493+0.7241417543525055j), (-0.31416240634939707-0.16935642463262646j),
+    (0.2337733951807035+0.7486492669927074j), (0.4396362588894325+0.6760535990130085j),
+]
 
 
 def quadratic_roots(c0, c1, c2):
@@ -51,6 +90,28 @@ class TestMainTheorem:
     def test_single_zero_precondition(self):
         report = theorems.check_main_theorem([1.0])
         assert report.verdict == theorems.PRECONDITIONS_UNMET
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_one_build_one_eigensolve_one_match(self, n, monkeypatch):
+        # A is circulant, so one submatrix decides all n of them
+        calls = {}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(matricial, "build_construction")
+        counted(numlin, "general_eigvals")
+        counted(poly, "multiset_match")
+        report = theorems.check_main_theorem(generate_zeros(make_rng(126), n))
+        assert report.verdict == theorems.PASS
+        assert dict(report.details)["submatrices_checked"] == n
+        assert calls == {"build_construction": 1, "general_eigvals": 1, "multiset_match": 1}
 
 
 class TestCriticalPointsOracle:
@@ -141,6 +202,27 @@ class TestInterlacing:
         report = theorems.check_interlacing([0.0, 1.0, 1j])
         assert report.verdict == theorems.PRECONDITIONS_UNMET
 
+    def test_realness_is_relative_to_the_spread(self):
+        zeros = np.array([0, 1, 0.5 + 0.5j, 2])
+        for scale in (1e-13, 1.0, 1e10):
+            report = theorems.check_interlacing(scale * zeros)
+            assert report.verdict == theorems.PRECONDITIONS_UNMET, scale
+            assert dict(report.details)["unmet_hypothesis"] == "zeros are not real"
+
+    def test_worst_gap_shows_the_strict_margin(self):
+        # for 0, 1, 2 the critical points 1 -+ 1/sqrt(3) sit 1 - 1/sqrt(3)
+        # from the nearest zero
+        report = theorems.check_interlacing([0.0, 1.0, 2.0])
+        expected = -(1.0 - 1.0 / math.sqrt(3.0))
+        assert abs(dict(report.details)["worst_gap"] - expected) <= 1e-15
+        assert report.max_violation == dict(report.details)["worst_gap"]
+        # a negative tolerance asks for that margin, in units of the spread 2
+        margin = expected / 2.0
+        assert theorems.check_interlacing([0.0, 1.0, 2.0], tol=0.5 * margin).verdict == theorems.PASS
+        assert theorems.check_interlacing([0.0, 1.0, 2.0], tol=2.0 * margin).verdict == theorems.FAIL
+        # a double zero is a critical point, so the margin there is 0
+        assert dict(theorems.check_interlacing([0.0, 0.0, 1.0]).details)["worst_gap"] == 0.0
+
 
 class TestSiebeckHypotheses:
     def test_distinct_triangle(self):
@@ -211,6 +293,15 @@ class TestPoorMansSiebeck:
     def test_collinear_precondition(self):
         report = theorems.check_poor_mans_siebeck([0, 1, 2])
         assert report.verdict == theorems.PRECONDITIONS_UNMET
+
+    def test_flat_boundary_off_the_midpoint_is_not_a_touch(self):
+        # F(A_(1)) runs within 1e-7 of the spread of one edge outside the 5%
+        # neighborhood of its midpoint, with a positive margin that certifies
+        # the probes are outside; that used to read as a second touch
+        report = theorems.check_poor_mans_siebeck(np.array(FOV_SEED_6))
+        assert report.verdict == theorems.PASS, report.details
+        margin = dict(report.details)["uniqueness_min_margin"] / geom.point_spread(FOV_SEED_6)
+        assert 1e-10 < margin < 1e-7
 
     def test_random_instances(self):
         rng = make_rng(115)
@@ -304,6 +395,22 @@ class TestEdgePreimage:
         assert out_of_range.verdict == theorems.PRECONDITIONS_UNMET
         assert "out of range" in dict(out_of_range.details)["unmet_hypothesis"]
 
+    @pytest.mark.parametrize(
+        "zeros, edge",
+        [
+            # drawn fov-siebeck instances (benchmark seeds 3, 6, 21) whose
+            # probes next to the midpoint carry margins of about 5e-9 of the
+            # spread, which a slack of 1e-8 of the spread counted as members
+            (FOV_SEED_3, (8, 7)),
+            (FOV_SEED_6, (11, 28)),
+            (FOV_SEED_21, (9, 5)),
+        ],
+    )
+    def test_off_midpoint_probes_with_small_margins_are_not_members(self, zeros, edge):
+        report = theorems.check_edge_preimage(np.array(zeros), edge)
+        assert report.verdict == theorems.PASS, report.details
+        assert dict(report.details)["member_count"] == 1
+
     def test_repeated_vertex_precondition(self):
         report = theorems.check_edge_preimage([0, 0, 1, 1j], (1, 3))
         assert report.verdict == theorems.PRECONDITIONS_UNMET
@@ -334,7 +441,7 @@ class TestVerdictInvariants:
         quadrilateral = np.array([0, 1, 1j, -1 + 0.5j])  # K4 at scale 1e-8
         alpha, beta = 0.8 - 0.3j, 1.5 + 0.25j
         for base in (zeros, quadrilateral):
-            for mapped in (alpha * base + beta, 1e-8 * base, 1e8 * base, 1e10 * base):
+            for mapped in (alpha * base + beta, 1e6 + base, 1e-8 * base, 1e8 * base, 1e10 * base):
                 for checker in (
                     theorems.check_main_theorem,
                     theorems.check_gauss_lucas,
