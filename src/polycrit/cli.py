@@ -397,14 +397,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        with np.errstate(over="raise"):  # an overflow fails the run instead of reaching a report
+            return args.handler(args)
     except InstanceError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except GenerationCapExceeded as exc:
         print(f"generation cap exceeded: {exc}", file=sys.stderr)
         return EXIT_GENERATION_CAP
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

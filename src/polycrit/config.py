@@ -3,21 +3,22 @@
 Matrix tolerances are relative to the Frobenius norm of the operand
 unless a docstring says otherwise; planar-geometry tolerances are
 relative to the spread (max pairwise distance) of the input points.
-The checkers follow the same rule: ``main`` bounds its matched distances
-by ``match``, ``gauss-lucas`` its hull violations by ``geometry`` and
-``interlacing`` its gaps by ``linalg``, each times the spread of the
-zeros (``bgm`` still compares with absolute bounds); ``siebeck`` bounds its
-containment and midpoint margins by ``geometry`` times the spread of the
-zeros, and both ``siebeck`` and ``edge-preimage`` count a probe of an
-edge as a member when its margin is at most ``membership_slack`` times the
-spread (the ``geometry`` bound of ``edge-preimage`` is the midpoint
-neighborhood in units of the edge length, which no scaling changes).
-``membership_slack`` sits between the two groups of probe margins met on
-drawn instances: at the midpoint they are at most about 1e-15 of the
-spread, and one probe away at least about 1e-10, so it is more than two
-decades from each. The DFT construction checks its FFT round trip by
-``unitarity`` times the largest modulus of the zeros.
-Everything lives in one record so there is a single tuning point.
+Every checker of zeros runs on the zeros in one frame
+(``theorems._frame``: scaled by powers of two and centred at their
+centroid) and bounds each length there by its tolerance times the
+spread: ``match`` the matched distances of ``main``; ``geometry`` the
+hull violations of ``gauss-lucas``, the foci distances of ``bgm`` and
+the containment and midpoint margins of ``siebeck``; ``linalg`` the gaps
+of ``interlacing``. ``siebeck`` and ``edge-preimage`` count a probe of
+an edge as a member when its margin is at most ``membership_slack``
+times the spread (the ``geometry`` bound of ``edge-preimage`` is the
+midpoint neighborhood in units of the edge length). ``membership_slack``
+sits between the two groups of probe margins met on drawn instances: at
+the midpoint they are at most about 1e-15 of the spread, and one probe
+away at least about 1e-10, so it is more than two decades from each. The
+DFT construction checks its FFT round trip by ``unitarity`` times the
+largest modulus of the zeros. Everything lives in one record so there is
+a single tuning point.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     # linear algebra, relative to the Frobenius norm
-    eig_residual: float = 1e-10
-    eigval_residual: float = 1e-8
     unitarity: float = 1e-10
     normality: float = 1e-8
     # absolute eigenvalue-gap threshold below which a top eigenspace is

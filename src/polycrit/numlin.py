@@ -1,9 +1,8 @@
 """Dense complex linear algebra kernel.
 
 Matrices are dense square complex128 ndarrays treated as immutable.
-Eigen-decompositions are delegated to LAPACK through numpy, which meets
-the residual contracts stated here; everything downstream relies on the
-contracts, not on the solver internals.
+Eigen-decompositions are delegated to LAPACK through numpy; their
+results are not checked here.
 """
 
 from __future__ import annotations
@@ -41,11 +40,9 @@ def adjoint(a) -> np.ndarray:
 
 
 def general_eigvals(a) -> np.ndarray:
-    """Eigenvalues with multiplicity of a general square matrix.
-
-    Each returned value leaves ``a - lam*I`` with smallest singular value
-    at most ``TOL.eigval_residual * ||a||_F``.
-    """
+    """Eigenvalues with multiplicity of a general square matrix, as
+    LAPACK's QR iteration returns them; no residual is checked here, and a
+    failed iteration raises ``NumericalError``."""
     m = as_square(a)
     try:
         return np.linalg.eigvals(m)

@@ -119,6 +119,38 @@ class TestCriticalPoints:
         assert keys == sorted(keys)
 
 
+# instances whose sum or squared lengths leave the float range
+EXTREME_INSTANCES = {
+    "sum-past-max": [[1e308, 0], [1e308, 0], [-1e308, 0]],
+    "quadrilateral-1e160": [[1e160, 0], [1e160, 1e160], [-1e160, 0], [0, -1e160]],
+}
+
+
+class TestExtremeScales:
+    @pytest.mark.parametrize("name", sorted(EXTREME_INSTANCES))
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "--theorem", theorem] for theorem in cli.THEOREMS]
+        + [["critical-points", "--method", method] for method in ("matricial", "companion")]
+        + [["figure", "--which", which] for which in ("siebeck", "bgm")],
+        ids=" ".join,
+    )
+    def test_exit_code_is_a_verdict_or_numerical_failure(self, tmp_path, capsys, name, argv):
+        inst = write_instance(tmp_path / "inst.json", {"roots": EXTREME_INSTANCES[name]})
+        code, _, err = run_main([argv[0], inst, *argv[1:]], capsys)
+        assert code in (0, 2, 3, 4), err
+        assert "Traceback" not in err
+
+    def test_checkers_of_zeros_hold_on_a_sum_past_the_float_range(self, tmp_path, capsys):
+        inst = write_instance(tmp_path / "inst.json", {"roots": EXTREME_INSTANCES["sum-past-max"]})
+        for theorem in ("main", "gauss-lucas", "interlacing"):
+            code, out, _ = run_main(["check", inst, "--theorem", theorem], capsys)
+            assert code == 0, out
+        code, out, _ = run_main(["critical-points", inst, "--method", "companion"], capsys)
+        assert code == 0
+        assert json.loads(out)["critical_points"] == [[-1e308 / 3, 0.0], [1e308, 0.0]]
+
+
 class TestCheckExitCodes:
     def test_pass_is_zero(self, cube_roots, capsys):
         code, out, _ = run_main(["check", cube_roots, "--theorem", "gauss-lucas"], capsys)
@@ -155,6 +187,14 @@ class TestCheckExitCodes:
             tmp_path / "tiny.json", {"coeffs": [[1, 0], [1, 0], [1e-305, 0]]}
         )
         code, _, err = run_main(["check", inst, "--theorem", "gauss-lucas"], capsys)
+        assert code == 4
+        assert "numerical failure" in err
+
+    def test_arithmetic_error_is_four(self, tmp_path, capsys):
+        # the figure runs in the units of the zeros, where squared lengths
+        # of 1e160 overflow and a float division by zero follows
+        inst = write_instance(tmp_path / "big.json", {"roots": EXTREME_INSTANCES["quadrilateral-1e160"]})
+        code, _, err = run_main(["figure", inst, "--which", "siebeck"], capsys)
         assert code == 4
         assert "numerical failure" in err
 

@@ -151,6 +151,24 @@ class TestCriticalPointsOracle:
         pts = matricial.critical_points_matricial(zeros, 1)
         assert poly.multiset_match(crit, pts, 1e-12 * geom.point_spread(zeros)).matched
 
+    def test_frame_leaves_the_oracle_bit_for_bit_as_before(self):
+        # the reference centres the zeros as given and scales them by the
+        # power of two nearest their spread; the exact pre-scale of the frame
+        # must change no bit of that
+        def centred_as_given(z):
+            scale = 2.0 ** round(math.log2(geom.point_spread(z)))
+            center = z.mean()
+            u, mult = np.unique((z - center) / scale, return_counts=True)
+            weights = mult.astype(float)
+            free = theorems._aberth(u, weights, theorems._aberth_start(u, weights))
+            return center + scale * np.concatenate([free, np.repeat(u, mult - 1)])
+
+        for n, constraint in ((2, "none"), (5, "none"), (12, "real"), (40, "none"), (200, "none")):
+            base = generate_zeros(make_rng(127), n, constraint)
+            for z in (base, 1e-8 * base + 3.0, 1e10 * base - 2e10j, 0.7 * base + 1e3):
+                expected = centred_as_given(z)
+                assert theorems.critical_points_oracle(z).tobytes() == expected.tobytes(), (n, z[0])
+
     def test_start_on_a_zero_or_another_point_is_nudged(self):
         u = np.array([-0.5, 0.1j, 0.5])
         weights = np.ones(3)
@@ -453,6 +471,46 @@ class TestVerdictInvariants:
                 for k in range(1, edges + 1):
                     report = theorems.check_edge_preimage(mapped, k)
                     assert report.verdict == theorems.PASS, (k, report.details)
+        # bgm on a triangle, and interlacing on real zeros under real maps
+        triangle, real = zeros[:3], zeros.real
+        for mapped in (alpha * triangle + beta, 1e6 + triangle, 1e-8 * triangle, 1e10 * triangle):
+            assert theorems.check_bgm(triangle).verdict == theorems.check_bgm(mapped).verdict == theorems.PASS
+        for mapped in (2.5 * real - 0.3, 1e6 + real, 1e-8 * real, 1e10 * real):
+            report = theorems.check_interlacing(mapped)
+            assert theorems.check_interlacing(real).verdict == report.verdict == theorems.PASS, report.details
+
+    @pytest.mark.parametrize("k", [-560, -60, 0, 60, 532])
+    def test_power_of_two_equivariance(self, k):
+        # scaling by 2**k moves only the exact pre-scale of the frame, so each
+        # verdict is the same and each reported length exactly 2**k as large;
+        # at 2**-560 and 2**532 squared lengths leave the float range
+        zeros = generate_zeros(make_rng(117), 5, "siebeck-ok")
+        assert len(theorems.check_siebeck_hypotheses(zeros).vertex_indices) == 5
+
+        def reports(z, edges):
+            out = [
+                checker(z)
+                for checker in (
+                    theorems.check_main_theorem,
+                    theorems.check_gauss_lucas,
+                    theorems.check_interlacing,
+                    theorems.check_poor_mans_siebeck,
+                    theorems.check_bgm,
+                )
+            ]
+            return out + [theorems.check_edge_preimage(z, e) for e in range(1, edges + 1)]
+
+        # every hull edge of the pentagon and the triangle; the real zeros have
+        # a collinear hull, so edge-preimage reports that once
+        for base, edges in ((zeros, 5), (zeros[:3], 3), (zeros.real.astype(complex), 1)):
+            scaled = np.ldexp(base.real, k) + 1j * np.ldexp(base.imag, k)
+            for before, after in zip(reports(base, edges), reports(scaled, edges), strict=True):
+                assert before.verdict == after.verdict, (before.theorem, after.details)
+                assert before.tolerances_used == after.tolerances_used
+                if math.isnan(before.max_violation):
+                    assert math.isnan(after.max_violation), before.theorem
+                else:
+                    assert after.max_violation == np.ldexp(before.max_violation, k), before.theorem
 
     def test_interlacing_scale_invariant(self):
         zeros = random_zeros(make_rng(123), 7, real=True)
@@ -491,6 +549,27 @@ class TestKnownDefectRegressions:
         for checker in (theorems.check_main_theorem, theorems.check_gauss_lucas):
             report = checker(zeros)
             assert report.verdict == theorems.PASS, report.details
+
+    def test_k7_bgm_bounds_are_relative_to_the_spread(self):
+        # with absolute bounds these were all preconditions_unmet ("inellipse
+        # degenerate") at 1e-8 and all fail at 1e10
+        rng = make_rng(3)
+        triangles = [random_zeros(rng, 3) for _ in range(20)]
+        for scale in (1e-8, 1.0, 1e10):
+            for triangle in triangles:
+                report = theorems.check_bgm(scale * triangle)
+                assert report.verdict == theorems.PASS, (scale, report.details)
+
+    def test_sum_of_the_zeros_past_the_float_range(self):
+        # every zero is finite, but their sum and their spread are not
+        zeros = np.array([1e308, 1e308, -1e308])
+        crit = theorems.critical_points_oracle(zeros)
+        assert crit.tolist() == [-1e308 / 3, 1e308]
+        for checker in (theorems.check_main_theorem, theorems.check_gauss_lucas, theorems.check_interlacing):
+            report = checker(zeros)
+            assert report.verdict == theorems.PASS, report.details
+        report = theorems.check_poor_mans_siebeck(zeros)
+        assert dict(report.details)["unmet_hypothesis"] == "fewer than 3 hull vertices"
 
     @pytest.mark.parametrize("n", [50, 100, 200])
     def test_k6_interlacing_real_zeros(self, n):
