@@ -328,6 +328,8 @@ def _cmd_figure(args) -> int:
     zeros = instance_zeros(instance)
     try:
         layers = figures.figure_layers(zeros, args.which, config.sweep_samples)
+    except np.linalg.LinAlgError:
+        raise  # a numerical failure (exit 4), although it is a ValueError
     except ValueError as exc:
         print(f"preconditions unmet: {exc}", file=sys.stderr)
         return EXIT_PRECONDITIONS

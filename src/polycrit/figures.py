@@ -21,31 +21,35 @@ MARGIN_FRACTION = 0.05
 
 def figure_layers(zeros, which: str, sweep_samples: int = DEFAULT_SWEEP_SAMPLES) -> dict:
     """Point layers for a midpoint-tangency ("siebeck") or inscribed
-    ellipse ("bgm") figure."""
-    z = np.atleast_1d(np.asarray(zeros, dtype=complex))
+    ellipse ("bgm") figure, computed on the zeros in their frame
+    (``theorems._frame``) and mapped back to the units of the zeros; the
+    hull vertices are the zeros themselves."""
     if which not in ("siebeck", "bgm"):
         raise ValueError(f"unknown figure kind {which!r}")
-    hull = geom.convex_hull(z, tol=1e-12)
+    frame = theorems._frame(zeros, 2)
+    u = frame.u
+    hull = geom.convex_hull(u, tol=1e-12)
     layers: dict = {name: np.array([], dtype=complex) for name in LAYERS}
-    layers["zeros"] = z
-    layers["hull"] = hull.vertices
-    layers["critical"] = theorems.critical_points_oracle(z)
+    layers["zeros"] = frame.zeros
+    layers["hull"] = frame.zeros[np.argmax(u[None, :] == hull.vertices[:, None], axis=1)]
+    layers["critical"] = theorems.critical_points_oracle(frame.zeros)
     if hull.vertices.size >= 2:
-        layers["midpoints"] = geom.edge_midpoints(hull)
+        layers["midpoints"] = frame.points(geom.edge_midpoints(hull))
     if which == "siebeck":
-        sub = numlin.principal_submatrix(matricial.build_construction(z), 1)
-        layers["fov"] = fov.boundary_polyline(sub, sweep_samples).boundary_points
+        sub = numlin.principal_submatrix(matricial.build_construction(u), 1)
+        layers["fov"] = frame.points(fov.boundary_polyline(sub, sweep_samples).boundary_points)
     else:
-        if z.size != 3:
+        if u.size != 3:
             raise ValueError("bgm figure requires exactly 3 zeros")
-        ellipse = geom.steiner_inellipse(z[0], z[1], z[2])
-        layers["inellipse"] = fov.ellipse_points(ellipse, 256)
+        ellipse = geom.steiner_inellipse(u[0], u[1], u[2])
+        layers["inellipse"] = frame.points(fov.ellipse_points(ellipse, 256))
+        focus1, focus2, center = frame.points([ellipse.focus1, ellipse.focus2, ellipse.center])
         layers["inellipse_params"] = {
-            "focus1": [ellipse.focus1.real, ellipse.focus1.imag],
-            "focus2": [ellipse.focus2.real, ellipse.focus2.imag],
-            "center": [ellipse.center.real, ellipse.center.imag],
-            "major_semi_axis": ellipse.major_semi_axis,
-            "minor_semi_axis": ellipse.minor_semi_axis,
+            "focus1": [focus1.real, focus1.imag],
+            "focus2": [focus2.real, focus2.imag],
+            "center": [center.real, center.imag],
+            "major_semi_axis": frame.length(ellipse.major_semi_axis),
+            "minor_semi_axis": frame.length(ellipse.minor_semi_axis),
             "rotation": ellipse.rotation,
         }
     return layers

@@ -10,6 +10,16 @@ eigenvalue of
 with H1 = (a + a*)/2 and H2 = (a - a*)/(2i). A top eigenvector x gives
 the boundary point x* a x, whose projection Re(exp(-i*theta) x* a x)
 equals the support value.
+
+When a = A_(1) compresses a normal A with eigenvalues z_k by a vector
+whose entries all have modulus 1/sqrt(n), as the DFT construction of
+``matricial`` does, H(theta) compresses diag(x) with x_k =
+Re(exp(-i*theta) z_k), so the support is the largest root mu of the
+secular equation sum_k 1/(mu - x_k) = 0: the largest critical point of
+prod_k (mu - x_k). ``secular_supports`` solves it from the zeros in O(n)
+per angle and Newton step, and the tangency checkers sweep with it; a
+dense ``sweep_supports`` of the constructed A_(1) at a few angles is
+their runtime cross-check.
 """
 
 from __future__ import annotations
@@ -167,6 +177,60 @@ def sweep_supports(a, thetas) -> np.ndarray:
     return w[:, -1]
 
 
+# A secular solve stops once its step is at most this many units of
+# roundoff of the width of the projected zeros, or at the step cap.
+_SECULAR_STEP_ULPS = 4.0
+_SECULAR_MAX_STEPS = 100
+
+
+def secular_supports(zeros, thetas) -> np.ndarray:
+    """Support values of F(A_(1)) at many angles, from the zeros alone,
+    where A_(1) compresses the normal matrix with eigenvalues ``zeros`` by a
+    vector whose entries all have modulus 1/sqrt(n) (as the DFT makes it).
+
+    At each angle, x = Re(exp(-i theta) zeros) and d = x - max(x). The
+    support is max(x) + s for the root s in (d_second, 0] of
+    F(s) = s + 1 / psi(s), psi(s) = sum over the other zeros of 1/(s - d_k):
+    the largest root of sum 1/(mu - x_k) = 0. F increases and is concave
+    there, so Newton from 0 converges; a bisection bracket guards each step.
+    A top value that is attained twice gives s = 0. All angles are solved
+    together, each row on its own until its step is below roundoff.
+    """
+    z = np.atleast_1d(np.asarray(zeros, dtype=complex))
+    if z.size < 2:
+        raise ValueError("at least 2 zeros are required")
+    th = np.atleast_1d(np.asarray(thetas, dtype=float))
+    x = np.real(np.exp(-1j * th)[:, None] * z[None, :])
+    rows = np.arange(th.size)
+    top = np.argmax(x, axis=1)
+    x_top = x[rows, top]
+    d = x - x_top[:, None]
+    d[rows, top] = -np.inf  # 1/(s - d) = 0: the top zero leaves psi
+    lo = np.max(d, axis=1)
+    tol = _SECULAR_STEP_ULPS * np.finfo(float).eps * (x_top - np.min(x, axis=1))
+    s = np.zeros(th.size)
+    # the rows still moving: their angles, d, bracket, tolerance and iterate
+    idx = np.flatnonzero(lo < 0.0)
+    d, lo, hi, tol, sa = d[idx], lo[idx], np.zeros(idx.size), tol[idx], np.zeros(idx.size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(_SECULAR_MAX_STEPS):
+            if idx.size == 0:
+                return x_top + s
+            inv = np.reciprocal(sa[:, None] - d)
+            psi = inv.sum(axis=1)
+            f = sa + 1.0 / psi
+            below = f < 0.0
+            lo, hi = np.where(below, sa, lo), np.where(below, hi, sa)
+            new = sa - f / (1.0 + np.einsum("ij,ij->i", inv, inv) / (psi * psi))
+            new = np.where((new > lo) & (new <= hi), new, 0.5 * (lo + hi))
+            s[idx] = new
+            moving = (np.abs(new - sa) > tol) & (hi - lo > tol)
+            if not moving.all():
+                idx, d, lo, hi, tol, new = idx[moving], d[moving], lo[moving], hi[moving], tol[moving], new[moving]
+            sa = new
+    raise NumericalError("secular equation did not converge")
+
+
 def boundary_polyline(a, m: int = DEFAULT_SWEEP_SAMPLES) -> BoundaryPolyline:
     """Support sweep at the uniform grid theta_k = 2 pi k / m."""
     mat = as_square(a)
@@ -190,14 +254,18 @@ def boundary_polyline(a, m: int = DEFAULT_SWEEP_SAMPLES) -> BoundaryPolyline:
     return BoundaryPolyline(thetas, supports, points, flats)
 
 
-def point_margin(thetas, supports, z: complex) -> float:
-    """Largest violation of the sampled supporting half-planes by ``z``.
+def point_margin(thetas, supports, z):
+    """Largest violation of the sampled supporting half-planes by ``z``:
+    a float for one point, an array for an array of points, reduced over
+    the angles in one pass.
 
     Nonpositive means the point satisfies all sampled constraints; the
     sampled test is an outer approximation of membership in the convex
     set, so a positive margin certifies exteriority."""
     th = np.asarray(thetas, dtype=float)
-    return float(np.max(np.real(np.exp(-1j * th) * z) - np.asarray(supports)))
+    projected = (np.exp(-1j * th) * np.asarray(z, dtype=complex)[..., None]).real
+    out = np.max(np.subtract(projected, supports, out=projected), axis=-1)  # in place: one (points x angles) buffer
+    return float(out) if out.ndim == 0 else out
 
 
 def contains_point(a, z, m: int = DEFAULT_SWEEP_SAMPLES, slack: float = TOL.membership_slack) -> bool:

@@ -76,6 +76,10 @@ class _Frame:
         with np.errstate(over="ignore"):
             return float(np.ldexp(x, self.shift + self.exponent))
 
+    def points(self, w) -> np.ndarray:
+        """Points in the frame, in the units of the zeros."""
+        return _ldexp(self.center + 2.0**self.exponent * np.atleast_1d(w), self.shift)
+
 
 def _frame(zeros, minimum: int, theorem: str = "", tols=None, exact: bool = False) -> _Frame | CheckReport:
     """The zeros in the frame every checker of zeros works in, or the
@@ -122,7 +126,7 @@ def critical_points_oracle(zeros) -> np.ndarray:
     frame = _frame(zeros, 2)
     if frame.spread == 0.0:
         return np.full(frame.zeros.size - 1, frame.zeros[0])
-    return _ldexp(frame.center + 2.0**frame.exponent * _framed_critical_points(frame), frame.shift)
+    return frame.points(_framed_critical_points(frame))
 
 
 def _framed_critical_points(frame: _Frame) -> np.ndarray:
@@ -307,32 +311,29 @@ def _hull_supports(zeros: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _Tangency:
     """What both tangency checkers sweep: the zeros in their frame, their
-    hypotheses, ``A_(1)`` of the zeros in the frame, and its supports on
-    the uniform angle grid."""
+    hypotheses, the angle of each hull edge's outward normal, and the
+    supports of ``A_(1)`` of the zeros in the frame on the uniform angle
+    grid, from the secular equation (``fov.secular_supports``)."""
 
     frame: _Frame
     hyp: SiebeckHypotheses
-    sub: np.ndarray
+    normals: np.ndarray
     thetas: np.ndarray
     supports: np.ndarray
 
-    def fan(self, normal: complex) -> tuple[np.ndarray, np.ndarray]:
-        """Angles refined geometrically around an edge normal, and the
-        supports of ``A_(1)`` there; the fan center is the normal itself.
-
-        Margins of points near a tangency are attained at angles close to
-        the edge normal; geometric spacing resolves the optimum with a
-        relative error independent of how flat the boundary is there. The
-        resulting membership test stays an outer (sound) certificate.
-        """
+    def fans(self, edges) -> tuple[np.ndarray, np.ndarray]:
+        """The fan angles of the given edges (0-based), one row per edge
+        centred on its normal, and the supports of ``A_(1)`` there, in one
+        secular solve. Margins near a tangency peak close to the normal,
+        and geometric spacing resolves them however flat the boundary is."""
         offsets = np.geomspace(1e-6, 0.7, 48)
-        angles = math.atan2(normal.imag, normal.real) + np.concatenate([-offsets[::-1], [0.0], offsets])
-        return angles, fov.sweep_supports(self.sub, angles)
+        angles = self.normals[edges, None] + np.concatenate([-offsets[::-1], [0.0], offsets])
+        return angles, fov.secular_supports(self.frame.u, angles.ravel()).reshape(angles.shape)
 
-    def margin(self, fan: tuple[np.ndarray, np.ndarray], point: complex) -> float:
-        """Outer membership margin of a point on an edge: the larger of
-        its margins on the uniform grid and on the edge's fan."""
-        return max(fov.point_margin(self.thetas, self.supports, point), fov.point_margin(*fan, point))
+    def margins(self, angles: np.ndarray, supports: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Outer membership margins of points on an edge (positive outside
+        F(A_(1))), over the uniform grid and the edge's fan together."""
+        return fov.point_margin(np.concatenate([self.thetas, angles]), np.concatenate([self.supports, supports]), points)
 
 
 def _tangency_setup(theorem: str, zeros, tols: dict[str, float], m: int) -> CheckReport | _Tangency:
@@ -340,7 +341,12 @@ def _tangency_setup(theorem: str, zeros, tols: dict[str, float], m: int) -> Chec
     ``tols["hypotheses"]``) fail, else the shared record of the tangency
     checkers, in the frame of the zeros: every margin is a difference, and
     probes far from the origin would lose more to roundoff than the
-    membership slack allows."""
+    membership slack allows.
+
+    The secular supports are checked against a dense eigensolve of the
+    constructed ``A_(1)`` at every edge normal and at 8 evenly spaced grid
+    angles; a gap above ``TOL.membership_slack`` times the spread raises
+    NumericalError."""
     frame = _frame(zeros, 3, theorem, tols)
     if isinstance(frame, CheckReport):
         return frame
@@ -353,7 +359,12 @@ def _tangency_setup(theorem: str, zeros, tols: dict[str, float], m: int) -> Chec
         return preconditions_unmet(theorem, "hypothesis flags not satisfied", tols, flags)
     sub = numlin.principal_submatrix(matricial.build_construction(frame.u), 1)
     thetas = 2.0 * np.pi * np.arange(m) / m
-    return _Tangency(frame, hyp, sub, thetas, fov.sweep_supports(sub, thetas))
+    normals = np.array([math.atan2(normal.imag, normal.real) for _, _, normal in hyp.edges])
+    probe = np.concatenate([normals, thetas[np.arange(8) * m // 8]])
+    gap = float(np.max(np.abs(fov.secular_supports(frame.u, probe) - fov.sweep_supports(sub, probe))))
+    if not gap <= TOL.membership_slack * frame.spread:
+        raise NumericalError(f"secular and dense supports of A_(1) differ by {gap / frame.spread:.3g} of the spread")
+    return _Tangency(frame, hyp, normals, thetas, fov.secular_supports(frame.u, thetas))
 
 
 def check_poor_mans_siebeck(zeros, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = TOL.geometry) -> CheckReport:
@@ -367,18 +378,19 @@ def check_poor_mans_siebeck(zeros, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = 
     setup = _tangency_setup("siebeck", zeros, tols, m)
     if isinstance(setup, CheckReport):
         return setup
-    frame = setup.frame
+    frame, edges = setup.frame, setup.hyp.edges
     containment_excess = float(np.max(setup.supports - _hull_supports(frame.u, setup.thetas)))
+    angles, fans = setup.fans(np.arange(len(edges)))
+    at_edges = [(np.conj(normal) * a).real for a, _, normal in edges]
+    tangency_gap = float(np.max(np.abs(fans[:, fans.shape[1] // 2] - at_edges)))  # the fan centers
 
-    params = [t for t in np.arange(41) / 40 if abs(t - 0.5) > 0.05]  # 41 probes, off the midpoint
-    tangency_gap, midpoint_excess, uniqueness_margin = 0.0, -math.inf, math.inf
-    for a, b, normal in setup.hyp.edges:
-        fan = setup.fan(normal)
-        sub_at_edge = float(fan[1][fan[1].size // 2])  # the fan center is the normal
-        tangency_gap = max(tangency_gap, abs(sub_at_edge - (np.conj(normal) * a).real))
-        midpoint_excess = max(midpoint_excess, setup.margin(fan, (a + b) / 2.0))
-        for t in params:
-            uniqueness_margin = min(uniqueness_margin, setup.margin(fan, a + t * (b - a)))
+    params = np.arange(41) / 40
+    params = params[np.abs(params - 0.5) > 0.05]  # probes off the midpoint
+    midpoint_excess, uniqueness_margin = -math.inf, math.inf
+    for (a, b, _), fan_angles, fan in zip(edges, angles, fans):
+        margins = setup.margins(fan_angles, fan, np.concatenate([[(a + b) / 2.0], a + params * (b - a)]))
+        midpoint_excess = max(midpoint_excess, float(margins[0]))
+        uniqueness_margin = min(uniqueness_margin, float(np.min(margins[1:])))
 
     worst = max(containment_excess, tangency_gap, midpoint_excess)
     ok = worst <= tol * frame.spread and uniqueness_margin > TOL.membership_slack * frame.spread
@@ -387,7 +399,7 @@ def check_poor_mans_siebeck(zeros, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = 
         ("tangency_gap", frame.length(tangency_gap)),
         ("midpoint_excess", frame.length(midpoint_excess)),
         ("uniqueness_min_margin", frame.length(uniqueness_margin)),
-        ("hull_vertices", len(setup.hyp.edges)),
+        ("hull_vertices", len(edges)),
     )
     return CheckReport("siebeck", PASS if ok else FAIL, frame.length(worst), details, tols)
 
@@ -475,11 +487,10 @@ def check_edge_preimage(
             return preconditions_unmet("edge-preimage", f"{pair} is not a hull edge", tols)
         k = pairs.index(pair if pair in pairs else pair[::-1])
 
-    a, b, normal = setup.hyp.edges[k]
-    fan = setup.fan(normal)
+    a, b, _ = setup.hyp.edges[k]
     params = np.arange(101) / 100
-    slack = TOL.membership_slack * setup.frame.spread
-    members = np.array([setup.margin(fan, a + t * (b - a)) <= slack for t in params])
+    [angles], [fan] = setup.fans([k])
+    members = setup.margins(angles, fan, a + params * (b - a)) <= TOL.membership_slack * setup.frame.spread
     target = np.abs(params - 0.5) <= tol
     agree = bool(np.array_equal(members, target))
     worst = float(np.max(np.abs(params - 0.5)[members])) if np.any(members) else 0.0

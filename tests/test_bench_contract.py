@@ -54,3 +54,13 @@ def test_main_sweep_fixed_instances_end_in_a_verdict():
         outcome = workloads.run_inprocess(task)[1]
         allowed = (workloads.OK, workloads.FALSE_FAIL) if inst.defect == "K3" else (workloads.OK,)
         assert outcome in allowed, (inst.name, outcome)
+
+
+@pytest.mark.parametrize("seed", [3, 6, 21])
+def test_fov_siebeck_rounds_classify_ok(seed):
+    # every siebeck and edge-preimage check of these seeds' rounds, which
+    # once held false fails; a new one fails the suite, not only the benchmark
+    workloads = _load("workloads")
+    wl = workloads._fov_siebeck(seed, None)
+    for task in (task for tasks in wl.rounds for task in tasks):
+        assert workloads.run_inprocess(task)[1] == workloads.OK, task.label

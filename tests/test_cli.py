@@ -141,6 +141,20 @@ class TestExtremeScales:
         assert code in (0, 2, 3, 4), err
         assert "Traceback" not in err
 
+    def test_figures_of_the_1e160_quadrilateral(self, tmp_path, capsys):
+        # the figure runs in the frame of the zeros, where nothing overflows;
+        # bgm needs a triangle, so it gets one made of the first three zeros
+        roots = EXTREME_INSTANCES["quadrilateral-1e160"]
+        for which, instance, expected in (("siebeck", roots, 0), ("bgm", roots, 3), ("bgm", roots[:3], 0)):
+            inst = write_instance(tmp_path / "inst.json", {"roots": instance})
+            code, out, err = run_main(["figure", inst, "--which", which, "--format", "json"], capsys)
+            assert code == expected, err
+            if code == 0:
+                layers = json.loads(out)["layers"]
+                points = [p for name in LAYERS for p in layers[name]]
+                assert layers["hull"] and all(math.isfinite(v) for p in points for v in p)
+                assert layers["fov" if which == "siebeck" else "inellipse"]
+
     def test_checkers_of_zeros_hold_on_a_sum_past_the_float_range(self, tmp_path, capsys):
         inst = write_instance(tmp_path / "inst.json", {"roots": EXTREME_INSTANCES["sum-past-max"]})
         for theorem in ("main", "gauss-lucas", "interlacing"):
@@ -191,12 +205,38 @@ class TestCheckExitCodes:
         assert "numerical failure" in err
 
     def test_arithmetic_error_is_four(self, tmp_path, capsys):
-        # the figure runs in the units of the zeros, where squared lengths
-        # of 1e160 overflow and a float division by zero follows
-        inst = write_instance(tmp_path / "big.json", {"roots": EXTREME_INSTANCES["quadrilateral-1e160"]})
-        code, _, err = run_main(["figure", inst, "--which", "siebeck"], capsys)
+        # elliptical-range runs in the units of the zeros, where the squared
+        # trace of the companion matrix of a double root at 1e154 overflows
+        inst = write_instance(tmp_path / "big.json", {"roots": [[1e154, 0], [1e154, 0]]})
+        code, _, err = run_main(["check", inst, "--theorem", "elliptical-range"], capsys)
         assert code == 4
         assert "numerical failure" in err
+
+    def test_secular_cross_check_failure_is_four(self, tmp_path, capsys, monkeypatch):
+        # a secular route off by 1e-9 of the spread is a numerical failure,
+        # never a fail of the theorem
+        from polycrit import fov, geom
+
+        original = fov.secular_supports
+        monkeypatch.setattr(fov, "secular_supports", lambda u, t: original(u, t) + 1e-9 * geom.point_spread(u))
+        inst = write_instance(tmp_path / "sq.json", {"roots": [[1, 0], [0, 1], [-1, 0], [0, -1], [0.2, 0.1]]})
+        for theorem in ("siebeck", "edge-preimage"):
+            code, out, err = run_main(["check", inst, "--theorem", theorem], capsys)
+            assert code == 4, out
+            assert out == "" and "numerical failure" in err
+
+    @pytest.mark.parametrize("which, target", [("siebeck", "boundary_polyline"), ("bgm", "steiner_inellipse")])
+    def test_figure_linalg_error_is_four(self, cube_roots, capsys, monkeypatch, which, target):
+        # LinAlgError is a ValueError, but a numerical failure, not an unmet hypothesis
+        from polycrit import fov, geom
+
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(fov if which == "siebeck" else geom, target, broken)
+        code, out, err = run_main(["figure", cube_roots, "--which", which], capsys)
+        assert code == 4
+        assert "numerical failure" in err and "preconditions" not in err
 
     def test_bgm_pass(self, tmp_path, capsys):
         inst = write_instance(tmp_path / "rt.json", {"roots": [[0, 0], [1, 0], [0, 1]]})
@@ -355,6 +395,20 @@ class TestFigure:
         inst = write_instance(tmp_path / "col.json", {"roots": [[0, 0], [1, 0], [2, 0]]})
         code, _, _ = run_main(["figure", inst, "--which", "bgm"], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize("k", [-60, 27, 60])
+    def test_layers_scale_exactly_by_powers_of_two(self, k):
+        # the layers are computed in the frame of the zeros; at 2**-60 the
+        # absolute flat-segment gap once flagged every angle, and at 2**27
+        # (about 1e8) the absolute residual check of the sweep refused it
+        from polycrit import figures
+
+        for which, zeros in (("siebeck", np.array([0, 1, 1j, -1 + 0.5j])), ("bgm", np.array([0, 2, 0.5 + 1j]))):
+            base = figures.figure_layers(zeros, which)
+            scaled = figures.figure_layers(np.ldexp(zeros.real, k) + 1j * np.ldexp(zeros.imag, k), which)
+            for name in LAYERS:
+                np.testing.assert_array_equal(np.ldexp(base[name].real, k), scaled[name].real, err_msg=name)
+                np.testing.assert_array_equal(np.ldexp(base[name].imag, k), scaled[name].imag, err_msg=name)
 
     def test_figure_deterministic(self, cube_roots, capsys):
         _, out1, _ = run_main(["figure", cube_roots, "--which", "siebeck"], capsys)

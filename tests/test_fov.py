@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, random_normal_matrix
-from polycrit import fov, matricial, numlin, poly
+from polycrit import fov, geom, matricial, numlin, poly
+from polycrit.generate import generate_zeros
 from polycrit.rng import random_matrix, random_zeros
 
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -199,3 +200,83 @@ class TestSweepInvariants:
         a = matricial.build_construction([1, omega, omega**2])
         pl = fov.boundary_polyline(a, 360)
         assert int(np.count_nonzero(pl.flat_flags)) == 3
+
+
+def _edge_fans(zeros, offsets):
+    """Angles at and around every hull edge normal of the zeros."""
+    fan = np.concatenate([-offsets[::-1], [0.0], offsets])
+    edges = geom.polygon_edges(geom.convex_hull(zeros, tol=1e-12))
+    return np.concatenate([math.atan2(normal.imag, normal.real) + fan for _, _, normal in edges])
+
+
+# the unit square, a regular pentagon, and the square with a repeated
+# interior zero: at each edge normal the top projection is attained twice
+# (exactly at angle 0 for the square)
+TIE_INSTANCES = {
+    "square": np.array([0, 1, 1 + 1j, 1j]),
+    "pentagon": np.exp(2j * np.pi * np.arange(5) / 5),
+    "square-repeated-interior": np.array([0, 1, 1 + 1j, 1j, 0.6 + 0.3j, 0.6 + 0.3j]),
+}
+
+
+class TestSecularSupports:
+    """The secular route against a dense eigensolve of A_(1)."""
+
+    @staticmethod
+    def assert_routes_agree(zeros, thetas):
+        sub = numlin.principal_submatrix(matricial.build_construction(zeros), 1)
+        chunks = np.array_split(thetas, -(-thetas.size // 32))  # bounded memory at n=200
+        dense = np.concatenate([fov.sweep_supports(sub, chunk) for chunk in chunks])
+        gap = np.max(np.abs(fov.secular_supports(zeros, thetas) - dense))
+        assert gap <= 1e-14 * geom.point_spread(zeros), gap
+
+    @pytest.mark.parametrize("constraint", ["siebeck-ok", "none"])
+    @pytest.mark.parametrize("n", [3, 5, 16, 64, 200])
+    def test_agrees_with_dense_on_grid_and_fans(self, n, constraint):
+        zeros = generate_zeros(make_rng(400 + n), n, constraint)
+        grid = 2 * np.pi * np.arange(720) / 720
+        offsets = np.geomspace(1e-6, 0.7, 48)
+        if n == 200:  # a dense 199x199 eigensolve per angle: thin both sets
+            grid, offsets = grid[::24], offsets[::12]
+        self.assert_routes_agree(zeros, np.concatenate([grid, _edge_fans(zeros, offsets)]))
+
+    @pytest.mark.parametrize("name", sorted(TIE_INSTANCES))
+    def test_agrees_with_dense_on_exact_ties(self, name):
+        zeros = TIE_INSTANCES[name]
+        grid = 2 * np.pi * np.arange(720) / 720
+        self.assert_routes_agree(zeros, np.concatenate([grid, _edge_fans(zeros, np.geomspace(1e-6, 0.7, 48))]))
+
+    @pytest.mark.parametrize("zeros", [TIE_INSTANCES["square"], [1, 1, -1, 1j], [1, 1, 1]])
+    def test_a_top_attained_twice_is_the_support(self, zeros):
+        # the top eigenvalue of diag(x) survives the compression exactly
+        assert fov.secular_supports(zeros, [0.0]).tolist() == [1.0]
+        self.assert_routes_agree(np.asarray(zeros, dtype=complex), np.array([0.0]))
+
+    def test_two_zeros_give_the_midpoint(self):
+        thetas = np.linspace(0.0, 6.0, 13)
+        supports = fov.secular_supports([0, 2 + 2j], thetas)
+        np.testing.assert_allclose(supports, np.real(np.exp(-1j * thetas) * (1 + 1j)), rtol=0, atol=1e-15)
+
+    def test_each_angle_is_solved_on_its_own(self):
+        # a support does not depend on the other angles of the call
+        zeros = generate_zeros(make_rng(401), 12, "siebeck-ok")
+        thetas = 2 * np.pi * np.arange(97) / 97
+        together = fov.secular_supports(zeros, thetas)
+        alone = np.concatenate([fov.secular_supports(zeros, [t]) for t in thetas])
+        np.testing.assert_array_equal(together, alone)
+
+    def test_needs_two_zeros(self):
+        with pytest.raises(ValueError):
+            fov.secular_supports([1.0], [0.0])
+
+
+class TestPointMargin:
+    def test_array_of_points_matches_one_at_a_time(self):
+        thetas = 2 * np.pi * np.arange(64) / 64
+        supports = fov.sweep_supports(random_matrix(make_rng(402), 4), thetas)
+        points = random_zeros(make_rng(403), 9) * 3
+        margins = fov.point_margin(thetas, supports, points)
+        assert margins.shape == (9,)
+        for z, margin in zip(points, margins):
+            single = fov.point_margin(thetas, supports, z)
+            assert isinstance(single, float) and single == margin

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import make_rng
-from polycrit import geom, matricial, numlin, poly, theorems
+from polycrit import fov, geom, matricial, numlin, poly, theorems
 from polycrit.config import TOL
+from polycrit.errors import NumericalError
 from polycrit.generate import generate_zeros
 from polycrit.rng import random_zeros
 
@@ -437,6 +438,46 @@ class TestEdgePreimage:
         zeros = np.array([0.0, 2.0, 2j, 0.4 + 0.4j])
         report = theorems.check_edge_preimage(zeros, (1, 4))
         assert report.verdict == theorems.PRECONDITIONS_UNMET
+
+
+class TestSecularTangencyRoute:
+    """The tangency checkers take F(A_(1)) from the secular equation; a dense
+    eigensolve of A_(1) at a few angles is the runtime cross-check."""
+
+    @staticmethod
+    def count(monkeypatch, name, calls):
+        original = getattr(fov, name)
+
+        def wrapper(*args, **kwargs):
+            calls.setdefault(name, []).append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fov, name, wrapper)
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_one_dense_cross_check_and_one_margin_pass_per_edge(self, n, monkeypatch):
+        zeros = generate_zeros(make_rng(127), n, "siebeck-ok")
+        edges = len(theorems.check_siebeck_hypotheses(zeros).vertex_indices)
+        calls = {}
+        self.count(monkeypatch, "sweep_supports", calls)
+        self.count(monkeypatch, "point_margin", calls)
+        assert theorems.check_poor_mans_siebeck(zeros).verdict == theorems.PASS
+        [(_, angles)] = calls["sweep_supports"]
+        assert np.size(angles) <= edges + 8
+        assert len(calls["point_margin"]) == edges
+        calls.clear()
+        assert theorems.check_edge_preimage(zeros, 2).verdict == theorems.PASS
+        assert len(calls["sweep_supports"]) == len(calls["point_margin"]) == 1
+
+    def test_cross_check_trips_on_a_wrong_secular_route(self, monkeypatch):
+        original = fov.secular_supports
+        zeros = generate_zeros(make_rng(127), 8, "siebeck-ok")
+        assert theorems.check_poor_mans_siebeck(zeros).verdict == theorems.PASS
+        monkeypatch.setattr(fov, "secular_supports", lambda u, t: original(u, t) + 1e-9 * geom.point_spread(u))
+        with pytest.raises(NumericalError):
+            theorems.check_poor_mans_siebeck(zeros)
+        with pytest.raises(NumericalError):
+            theorems.check_edge_preimage(zeros, 1)
 
 
 class TestVerdictInvariants:
