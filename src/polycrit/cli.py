@@ -136,14 +136,19 @@ def instance_zeros(instance: Instance) -> np.ndarray:
 
 def _instance_quadratic(instance: Instance) -> np.ndarray | None:
     """2x2 companion matrix for the elliptical-range check, or None when
-    the instance is not quadratic."""
+    the instance is not quadratic. Finite roots whose coefficients
+    overflow are a numerical failure, not malformed input."""
     if instance.coefficients is not None:
         if instance.coefficients.degree != 2:
             return None
         return poly.companion_matrix(instance.coefficients)
     if instance.roots.size != 2:
         return None
-    return poly.companion_matrix(poly.from_roots(instance.roots))
+    try:
+        quadratic = poly.from_roots(instance.roots)
+    except ValueError as exc:
+        raise NumericalError(f"coefficients of the roots overflow: {exc}") from exc
+    return poly.companion_matrix(quadratic)
 
 
 def canonical_json(payload) -> str:
@@ -266,7 +271,8 @@ def _cmd_critical_points(args) -> int:
     if args.method == "matricial":
         from . import matricial
 
-        points = matricial.critical_points_matricial(zeros, args.index)
+        frame = theorems._frame(zeros, 2)  # the units of the zeros may overflow the DFT
+        points = frame.points(matricial.critical_points_matricial(frame.u, args.index))
     else:
         points = theorems.critical_points_oracle(zeros)
     points = _sorted_points(points)

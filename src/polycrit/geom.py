@@ -60,8 +60,11 @@ class ConvexPolygon:
                 raise ValueError("vertices must turn counterclockwise")
 
 
-def _line_distance(z: complex, a: complex, b: complex) -> float:
-    return abs(_cross(a, b, z)) / abs(b - a)
+def _chord_distance(z: complex, a: complex, b: complex) -> float:
+    """Distance from z to the segment ab, a != b."""
+    d = b - a
+    t = min(max(((z - a) * d.conjugate()).real / (d.real * d.real + d.imag * d.imag), 0.0), 1.0)
+    return abs(z - a - t * d)
 
 
 def _segment_distance(z: np.ndarray, a: complex, b: complex) -> np.ndarray:
@@ -95,8 +98,11 @@ def convex_hull(points, tol: float = TOL.geometry) -> ConvexPolygon:
 
     Coincident inputs are merged at ``TOL.dedup * spread`` and vertices
     within ``tol * spread`` of the chord of their neighbors are dropped,
-    so near-collinear triples do not produce sliver vertices. Collapsed
-    outputs are a single point or a segment.
+    so near-collinear triples do not produce sliver vertices. The distance
+    is to the chord as a segment, not to its line: on a sliver hull of
+    nearly collinear points an extreme vertex lies on the line through its
+    neighbors but beyond them, and must stay. Collapsed outputs are a
+    single point or a segment.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
     if pts.size == 0:
@@ -131,7 +137,7 @@ def convex_hull(points, tol: float = TOL.geometry) -> ConvexPolygon:
         for k in range(len(hull)):
             prev = hull[k - 1]
             nxt = hull[(k + 1) % len(hull)]
-            if _line_distance(hull[k], prev, nxt) <= tol * scale:
+            if _chord_distance(hull[k], prev, nxt) <= tol * scale:
                 del hull[k]
                 changed = True
                 break

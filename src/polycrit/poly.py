@@ -3,6 +3,13 @@
 Coefficients are stored in ascending degree order with a nonzero leading
 coefficient. Root sets are plain complex ndarrays with multiset
 semantics: multiplicities are carried by repetition, never by a count.
+
+Two multisets are compared under a minimum-total-cost pairing. When
+pairing each point with its nearest point on the other side is a
+bijection (equal points, such as the copies of a cluster's mean, taken
+as groups), its total is the sum of the row minima, a lower bound of
+every pairing, so it is optimal: that costs O(n^2) in numpy. Otherwise
+the Hungarian method, ``min_cost_assignment``, decides in O(n^3).
 """
 
 from __future__ import annotations
@@ -208,17 +215,48 @@ class MatchReport:
         return self.matched
 
 
+def _nearest_pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """The index in ``b`` paired with each point of ``a`` when pairing
+    every point with a nearest point of ``b`` uses each point of ``b``
+    once, else None.
+
+    Every point then sits on a minimum of its row of the cost matrix
+    |a_i - b_j|, in distinct columns, so the total cost is the sum of the
+    row minima, a lower bound of every assignment: the pairing is a
+    minimum-total-cost assignment. Equal points, such as the copies of a
+    cluster's mean, share their nearest point; so when the plain pairing
+    fails, equal points are grouped on both sides and each group of ``b``
+    must receive as many points as it holds, paired in index order.
+    """
+    near = np.argmin(np.abs(a[:, None] - b[None, :]), axis=1)
+    if np.all(np.bincount(near, minlength=b.size) == 1):
+        return near
+    ua, ia = np.unique(a, return_inverse=True)
+    ub, ib, kb = np.unique(b, return_inverse=True, return_counts=True)
+    near = np.argmin(np.abs(ua[:, None] - ub[None, :]), axis=1)[ia]
+    if not np.array_equal(np.bincount(near, minlength=ub.size), kb):
+        return None
+    assign = np.empty(a.size, dtype=int)
+    assign[np.argsort(near, kind="stable")] = np.argsort(ib, kind="stable")
+    return assign
+
+
 def multiset_match(a, b, tol: float = TOL.match) -> MatchReport:
     """True iff both multisets have equal size and a minimum-total-cost
-    perfect matching under |a_i - b_j| pairs every point within ``tol``."""
+    perfect matching under |a_i - b_j| pairs every point within ``tol``.
+
+    The matching is the nearest-point pairing when that is certified
+    optimal (``_nearest_pairing``), in O(n^2) numpy; otherwise it comes
+    from ``min_cost_assignment``."""
     aa = np.atleast_1d(np.asarray(a, dtype=complex))
     bb = np.atleast_1d(np.asarray(b, dtype=complex))
     if aa.size != bb.size:
         return MatchReport(False, math.inf, None)
     if aa.size == 0:
         return MatchReport(True, 0.0, ())
-    cost = np.abs(aa[:, None] - bb[None, :])
-    assign = min_cost_assignment(cost)
-    pairs = tuple((i, assign[i]) for i in range(aa.size))
-    dmax = float(max(cost[i, j] for i, j in pairs))
+    assign = _nearest_pairing(aa, bb)
+    if assign is None:
+        assign = np.array(min_cost_assignment(np.abs(aa[:, None] - bb[None, :])))
+    pairs = tuple(enumerate(assign.tolist()))
+    dmax = float(np.max(np.abs(aa - bb[assign])))
     return MatchReport(dmax <= tol, dmax, pairs)

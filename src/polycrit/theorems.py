@@ -137,11 +137,13 @@ def _framed_critical_points(frame: _Frame) -> np.ndarray:
 
 
 # A point stops once its step is at most this many units of roundoff (the
-# spread is about 1), or at the iteration cap; a point whose step is not
+# spread is about 1), once its log-derivative is at most this many units of
+# roundoff of its terms, or at the iteration cap; a point whose step is not
 # finite (it sits on a zero or on another point) is nudged instead.
 _ABERTH_STEP_ULPS = 4.0
 _ABERTH_MAX_STEPS = 500
 _ABERTH_NUDGE = 2.0**-20
+_ROUNDOFF = _ABERTH_STEP_ULPS * np.finfo(float).eps
 
 
 def _aberth_start(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -171,13 +173,29 @@ def _aberth(u: np.ndarray, weights: np.ndarray, start: np.ndarray) -> np.ndarray
     R = sum_{j != i} 1 / (c_i - c_j) repels it from the other points.
     Each step works in two preallocated buffers, shrunk to the rows still
     moving: the 1/(c - u) terms and the repulsion terms.
+
+    A point stops once its step is at most ``_ABERTH_STEP_ULPS`` units of
+    roundoff. Inside a cluster of zeros of q that test is never met: there
+    S1 is pure roundoff and the steps wander. So a point whose step did not
+    shrink also stops, where it stands, once |S1| is at most ``_ROUNDOFF``
+    times sum weights_k / |c - u_k|, the size of its terms. Only such rows
+    pay for that sum, and only after a step in which no point stopped: while
+    points converge one after another, the others are not yet wandering.
+    If any point stopped on its terms, or is still moving at the
+    ``_ABERTH_MAX_STEPS`` cap, each cluster of points (``_clusters``) that
+    holds one is returned as copies of its mean, refined by
+    ``_cluster_mean``; otherwise the points are returned as they stand.
     """
     m = start.size
     inv_buf = np.empty((m, u.size), dtype=complex)
     rep_buf = np.empty((m, m), dtype=complex)
     c = start.astype(complex)
-    columns = np.stack([weights, weights - 1.0], axis=1)
-    tol = _ABERTH_STEP_ULPS * np.finfo(float).eps
+    # complex operands, as the products would cast them every step
+    columns = np.stack([weights, weights - 1.0], axis=1).astype(complex)
+    cweights = weights.astype(complex)
+    rows = np.arange(m)
+    last = None  # the step sizes of the previous step, when no point stopped in it
+    floored = np.zeros(m, dtype=bool)
     active = np.arange(m)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_ABERTH_MAX_STEPS):
@@ -188,18 +206,111 @@ def _aberth(u: np.ndarray, weights: np.ndarray, start: np.ndarray) -> np.ndarray
             np.reciprocal(inv, out=inv)
             s1, t = (inv @ columns).T
             np.square(inv, out=inv)
-            s2 = inv @ weights
+            s2 = inv @ cweights
             newton = s1 / (s1 * s1 - s2 - t * s1)
             rep = rep_buf[:k]
             np.subtract(ca[:, None], c[None, :], out=rep)
-            rep[np.arange(k), active] = 1.0
+            rep[rows[:k], active] = 1.0
             np.reciprocal(rep, out=rep)
             step = newton / (1.0 - newton * (rep.sum(axis=1) - 1.0))
             stuck = ~np.isfinite(step)
-            step[stuck] = _ABERTH_NUDGE * np.exp(1j * active[stuck])
+            if stuck.any():
+                step[stuck] = _ABERTH_NUDGE * np.exp(1j * active[stuck])
+            size = np.abs(step)
+            moving = size > _ROUNDOFF
+            stalled = np.flatnonzero(size >= last) if last is not None else rows[:0]
+            if stalled.size:  # |1/(c - u)| is the root of the squared terms
+                floor = np.sqrt(np.abs(inv[stalled])) @ weights
+                flat = stalled[np.abs(s1[stalled]) <= _ROUNDOFF * floor]
+                if flat.size:
+                    flat = flat[~stuck[flat]]
+                    step[flat] = 0.0
+                    moving[flat] = False
+                    floored[active[flat]] = True
             c[active] = ca - step
-            active = active[(np.abs(step) > tol) | stuck]
+            active = active[moving]
+            last = size if active.size == k else None
             if active.size == 0:
+                break
+    floored[active] = True
+    if floored.any():
+        for idx in _clusters(u, weights, c):
+            if floored[idx].any():
+                c[idx] = _cluster_mean(u, weights, c[idx].mean(), idx.size)
+    return c
+
+
+def _clusters(u: np.ndarray, weights: np.ndarray, points: np.ndarray) -> list[np.ndarray]:
+    """The indices of each cluster of two or more ``points``: approximate
+    zeros of q = prod(c - u_k) S1(c) / sum(weights), of degree
+    points.size = u.size - 1, whose inclusion discs overlap.
+
+    Point i carries the Weierstrass radius m |q(c_i) / prod_{j != i}
+    (c_i - c_j)| (Gerschgorin-type discs for simultaneous iteration; Bini &
+    Fiorentino, Numer. Algorithms 23, 2000): a connected union of k such
+    discs holds exactly k zeros of q. It is formed in logs, so no product
+    under- or overflows, and with |S1| floored at ``_ROUNDOFF`` times the
+    size of its terms, so roundoff cannot shrink it. A point exactly on
+    another point leaves that factor out, and a point exactly on a zero
+    gets radius 0. Without two overlapping discs (the usual case) this
+    costs one m x m comparison.
+    """
+    m = points.size
+    if m < 2:
+        return []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        diff = points[:, None] - u[None, :]
+        dist = np.abs(diff)
+        s1 = np.abs(np.einsum("ij,j->i", np.reciprocal(diff, out=diff), weights))
+        s1 = np.maximum(s1, _ROUNDOFF * np.einsum("ij,j->i", np.reciprocal(dist), weights))
+        log_q = np.log(dist).sum(axis=1) + np.log(s1) - math.log(weights.sum())
+        gaps = np.abs(points[:, None] - points[None, :])
+        log_sep = np.log(gaps, out=np.zeros_like(gaps), where=gaps > 0.0).sum(axis=1)
+        radius = np.exp(math.log(m) + log_q - log_sep)
+    radius[np.isnan(radius)] = 0.0
+    overlap = gaps <= radius[:, None] + radius[None, :]
+    if np.count_nonzero(overlap) == m:
+        return []
+    labels = np.arange(m)
+    while True:  # each point takes the least label of its neighbours
+        least = np.min(np.where(overlap, labels[None, :], m), axis=1)
+        if np.array_equal(least, labels):
+            break
+        labels = least
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return [idx for idx in groups if idx.size > 1]
+
+
+def _cluster_mean(u: np.ndarray, weights: np.ndarray, c: complex, m: int) -> complex:
+    """The mean of a cluster of m zeros of S1 near ``c``, refined by Newton
+    on p^(m), whose root near c it is to first order (Zeng, Math. Comp. 74,
+    2005), with p = prod (c - u_k)^weights_k.
+
+    Newton steps by Y_m / Y_{m+1}, Y_k = p^(k) / p, taken from the power
+    sums S_j = sum weights_k / (c - u_k)^j by the Bell recursion, scaled so
+    that nothing overflows: with h = min |c - u_k| and
+    s_j = h^j S_j, y_0 = 1 and
+    y_{k+1} = (1 / (k + 1)) sum_{i=0}^{k} (-1)^i s_{i+1} y_{k-i},
+    Y_k = k! y_k / h^k and the step is h y_m / ((m + 1) y_{m+1}). It stops
+    at a step of at most ``_ABERTH_STEP_ULPS`` units of roundoff, at one
+    that is not finite, or at the iteration cap.
+    """
+    signs = (-1.0) ** np.arange(m + 1)
+    y = np.empty(m + 2, dtype=complex)
+    y[0] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_ABERTH_MAX_STEPS):
+            d = c - u
+            h = float(np.min(np.abs(d)))
+            s = signs * (np.cumprod(np.broadcast_to(h / d, (m + 1, u.size)), axis=0) @ weights)
+            for k in range(m + 1):
+                y[k + 1] = (s[: k + 1] @ y[k::-1]) / (k + 1)
+            step = h * y[m] / ((m + 1) * y[m + 1])
+            if not np.isfinite(step):
+                break
+            c -= step
+            if abs(step) <= _ROUNDOFF:
                 break
     return c
 
@@ -219,7 +330,12 @@ def check_main_theorem(zeros, tol: float = TOL.match) -> CheckReport:
 
     A is built once and certified exactly circulant, A = roll(A, (1, 1)),
     so every A_(i) is a permutation similarity of A_(1): one eigensolve
-    and one matching decide all n submatrices."""
+    and one matching decide all n submatrices.
+
+    A multiple critical point is a cluster of eigenvalues, spread by
+    roundoff far more than its mean is (Kato): each cluster whose inclusion
+    discs overlap (``_clusters``) is compared by its mean, as the oracle
+    returns its own clusters."""
     tols = {"match": tol}
     frame = _frame(zeros, 2, "main", tols)
     if isinstance(frame, CheckReport):
@@ -228,6 +344,8 @@ def check_main_theorem(zeros, tol: float = TOL.match) -> CheckReport:
     if not np.array_equal(a, np.roll(a, (1, 1), axis=(0, 1))):
         raise NumericalError("constructed A is not circulant")
     eigvals = numlin.general_eigvals(numlin.principal_submatrix(a, 1))
+    for idx in _clusters(frame.u, np.ones(frame.u.size), eigvals):
+        eigvals[idx] = eigvals[idx].mean()
     report = poly.multiset_match(eigvals, _framed_critical_points(frame), tol * frame.spread)
     worst = frame.length(report.max_distance)
     details = (("submatrices_checked", frame.u.size), ("max_matched_distance", worst))

@@ -164,6 +164,22 @@ class TestExtremeScales:
         assert code == 0
         assert json.loads(out)["critical_points"] == [[-1e308 / 3, 0.0], [1e308, 0.0]]
 
+    def test_matricial_critical_points_run_in_the_frame(self, tmp_path, capsys):
+        inst = write_instance(tmp_path / "inst.json", {"roots": EXTREME_INSTANCES["sum-past-max"]})
+        points = {}
+        for method in ("matricial", "companion"):
+            code, out, err = run_main(["critical-points", inst, "--method", method], capsys)
+            assert code == 0, err
+            points[method] = np.array([complex(*p) for p in json.loads(out)["critical_points"]])
+        assert np.all(np.isfinite(points["matricial"]))
+        assert np.max(np.abs(points["matricial"] - points["companion"])) <= 1e-14 * 2e308
+
+    def test_quadratic_whose_coefficients_overflow_is_four(self, tmp_path, capsys):
+        inst = write_instance(tmp_path / "inst.json", {"roots": [[1e160, 0], [-1e160, 0]]})
+        code, _, err = run_main(["check", inst, "--theorem", "elliptical-range"], capsys)
+        assert code == 4
+        assert "numerical failure" in err
+
 
 class TestCheckExitCodes:
     def test_pass_is_zero(self, cube_roots, capsys):

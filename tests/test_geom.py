@@ -39,6 +39,13 @@ class TestConvexHull:
         assert hull.vertices.size == 2
         assert set(hull.vertices) == {0, 2}
 
+    def test_sliver_keeps_its_extreme_vertices(self):
+        # nearly collinear: each extreme vertex is within tol of the line
+        # through its neighbours, but far from the segment between them
+        pts = np.array([0.0, 0.3 + 1e-14j, 0.7 - 1e-14j, 1.0]) * (1 + 2j)
+        hull = geom.convex_hull(pts, tol=1e-12)
+        assert set(hull.vertices) == {pts[0], pts[-1]}
+
     def test_single_and_coincident_points(self):
         assert geom.convex_hull([0.5j]).vertices.size == 1
         assert geom.convex_hull([1.0, 1.0, 1.0]).vertices.size == 1

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycrit import poly
@@ -182,6 +182,48 @@ class TestMultisetMatch:
         b = random_zeros(rng, n)
         t = 0.5
         assert poly.multiset_match(a, b, t).matched == poly.multiset_match(b, a, t).matched
+
+
+def brute_force_min_totals(cost):
+    perms = np.array(list(itertools.permutations(range(cost.shape[0]))))
+    return cost[np.arange(cost.shape[0]), perms].sum(axis=1).min()
+
+
+# points on a coarse grid, so that equal points and equal distances occur
+grid_points = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=7)
+
+
+class TestMatchOptimality:
+    @settings(max_examples=200, derandomize=True)
+    @given(grid_points, st.randoms(use_true_random=False), st.booleans())
+    def test_total_is_the_brute_force_minimum(self, points, shuffle, fast_path):
+        a = np.array([complex(x, y) for x, y in points])
+        b = a.copy()
+        shuffle.shuffle(b)
+        b = b + np.array([complex(shuffle.uniform(-0.6, 0.6), shuffle.uniform(-0.6, 0.6)) for _ in b])
+        b[: shuffle.randint(0, b.size)] = b[0]  # duplicates on one side
+        with pytest.MonkeyPatch.context() as mp:
+            if not fast_path:
+                mp.setattr(poly, "_nearest_pairing", lambda a, b: None)
+            match = poly.multiset_match(a, b, math.inf)
+        rows, cols = np.array(match.pairs).T
+        assert sorted(cols) == list(range(a.size))
+        cost = np.abs(a[:, None] - b[None, :])
+        assert cost[rows, cols].sum() == pytest.approx(brute_force_min_totals(cost), rel=1e-12, abs=1e-12)
+        assert match.max_distance == np.max(cost[rows, cols])
+
+    def test_nearest_pairing_is_the_hungarian_pairing(self):
+        rng = Xoshiro256StarStar(56)
+        for n in (1, 2, 5, 30):
+            a = random_zeros(rng, n)
+            b = a + 1e-3 * random_zeros(rng, n)
+            cost = np.abs(a[:, None] - b[None, :])
+            assert poly._nearest_pairing(a, b).tolist() == poly.min_cost_assignment(cost)
+
+    def test_groups_of_equal_points_pair_in_index_order(self):
+        assert poly._nearest_pairing(np.array([1, 0, 1, 0j]), np.array([0, 1, 0, 1 + 0j])).tolist() == [1, 0, 3, 2]
+        # two copies cannot both take the single nearest point
+        assert poly._nearest_pairing(np.array([0, 0j]), np.array([1e-9, 1 + 0j])) is None
 
 
 class TestInvariants:

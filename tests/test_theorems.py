@@ -115,6 +115,86 @@ class TestMainTheorem:
         assert calls == {"build_construction": 1, "general_eigvals": 1, "multiset_match": 1}
 
 
+def roots_of_unity(n):
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+# (z^3 - 1)(z^3 - 8): p' = 3 z^2 (2 z^3 - 9), a double critical point at 0
+# next to three simple ones, the cube roots of 4.5
+TWO_CUBES = np.concatenate([CUBE_ROOTS, 2.0 * CUBE_ROOTS])
+
+
+class TestClusters:
+    """A multiple critical point is a cluster on both routes: each side is
+    compared by the cluster's mean, the oracle's refined on p^(m)."""
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    @pytest.mark.parametrize(
+        "scale", [1.0, np.exp(0.37j) * 2.0**40, np.exp(0.37j) * 2.0**-40], ids=["unit", "turned-2^40", "turned-2^-40"]
+    )
+    def test_roots_of_unity_pass_main(self, n, scale):
+        zeros = scale * roots_of_unity(n)
+        report = theorems.check_main_theorem(zeros)
+        assert report.verdict == theorems.PASS
+        crit = theorems.critical_points_oracle(zeros)
+        assert crit.size == n - 1
+        assert np.max(np.abs(crit)) <= 1e-15 * abs(scale)
+
+    def test_one_cluster_of_n_minus_one_on_both_routes(self):
+        for n in (4, 8, 16, 32):
+            u = theorems._frame(roots_of_unity(n), 2).u
+            eigvals = numlin.general_eigvals(numlin.principal_submatrix(matricial.build_construction(u), 1))
+            [cluster] = theorems._clusters(u, np.ones(n), eigvals)
+            assert cluster.tolist() == list(range(n - 1))
+
+    @pytest.mark.parametrize("n", [8, 50, 200])
+    def test_drawn_zeros_have_no_cluster(self, n):
+        frame = theorems._frame(generate_zeros(make_rng(131), n), 2)
+        eigvals = matricial.critical_points_matricial(frame.u, 1)
+        for points in (eigvals, theorems._framed_critical_points(frame)):
+            assert theorems._clusters(frame.u, np.ones(n), points) == []
+
+    def test_cluster_that_is_not_the_whole_set(self):
+        crit = theorems.critical_points_oracle(TWO_CUBES)
+        near = crit[np.abs(crit) < 0.5]
+        assert near.size == 2
+        assert np.max(np.abs(near)) <= 1e-15
+        assert poly.multiset_match(crit[np.abs(crit) >= 0.5], 4.5 ** (1 / 3) * CUBE_ROOTS, 1e-14).matched
+        assert theorems.check_main_theorem(TWO_CUBES).verdict == theorems.PASS
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    def test_the_step_cap_is_not_what_stops_a_cluster(self, n, monkeypatch):
+        zeros = np.exp(0.37j) * roots_of_unity(n)
+        crit = theorems.critical_points_oracle(zeros).tobytes()
+        report = theorems.check_main_theorem(zeros)
+        monkeypatch.setattr(theorems, "_ABERTH_MAX_STEPS", 60)
+        assert theorems.critical_points_oracle(zeros).tobytes() == crit
+        assert theorems.check_main_theorem(zeros) == report
+
+    @pytest.mark.parametrize("zeros", [roots_of_unity(8), generate_zeros(make_rng(132), 16)], ids=["K3", "disk"])
+    def test_a_moved_eigenvalue_still_fails(self, zeros, monkeypatch):
+        solve = numlin.general_eigvals
+
+        def moved(a):
+            eigvals = solve(a)
+            eigvals[0] += 1e-3 * theorems._frame(zeros, 2).spread
+            return eigvals
+
+        monkeypatch.setattr(numlin, "general_eigvals", moved)
+        report = theorems.check_main_theorem(zeros)
+        assert report.verdict == theorems.FAIL
+        assert report.max_violation > 1e-4 * geom.point_spread(zeros)
+
+    @pytest.mark.parametrize("n", [16, 48, 100])
+    def test_drawn_zeros_never_reach_the_hungarian(self, n, monkeypatch):
+        calls = []
+        hungarian = poly.min_cost_assignment
+        monkeypatch.setattr(poly, "min_cost_assignment", lambda cost: calls.append(cost) or hungarian(cost))
+        for seed in range(3):
+            assert theorems.check_main_theorem(generate_zeros(make_rng(133 + seed), n)).verdict == theorems.PASS
+        assert calls == []
+
+
 class TestCriticalPointsOracle:
     @pytest.mark.parametrize(
         "zeros, expected",
@@ -198,6 +278,15 @@ class TestGaussLucas:
         rng = make_rng(113)
         report = theorems.check_gauss_lucas(random_zeros(rng, 10), tol=1e-7)
         assert report.verdict == theorems.PASS
+
+    def test_nearly_collinear_zeros(self):
+        # slanted segments: the hull is a sliver whose extreme vertices lie
+        # on the line through their neighbours, beyond them
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(3, 80))
+            zeros = (1 + 2j) * rng.uniform(-1, 1, n) + 0.5j
+            assert theorems.check_gauss_lucas(zeros).verdict == theorems.PASS, n
 
 
 class TestInterlacing:
