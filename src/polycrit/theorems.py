@@ -121,7 +121,9 @@ def critical_points_oracle(zeros) -> np.ndarray:
     critical points are mapped back. A zero of multiplicity k is a critical
     point of multiplicity k - 1 and is returned as it is (up to the roundoff
     of that map); the others are the zeros of S1 over the distinct zeros,
-    weighted by multiplicity.
+    weighted by multiplicity. When the distinct zeros in the frame are all
+    real, so is the iteration, and the critical points come back with
+    imaginary parts exactly 0.
     """
     frame = _frame(zeros, 2)
     if frame.spread == 0.0:
@@ -130,16 +132,20 @@ def critical_points_oracle(zeros) -> np.ndarray:
 
 
 def _framed_critical_points(frame: _Frame) -> np.ndarray:
-    """The critical points of the zeros in the frame, in the frame."""
+    """The critical points of the zeros in the frame, in the frame. The
+    iteration runs on the real parts when no imaginary part of a distinct
+    zero is nonzero: its iterates stay real, and real arithmetic is cheaper."""
     u, mult = np.unique(frame.u, return_counts=True)
     weights = mult.astype(float)
-    return np.concatenate([_aberth(u, weights, _aberth_start(u, weights)), np.repeat(u, mult - 1)])
+    v = u if u.imag.any() else u.real
+    return np.concatenate([_aberth(v, weights, _aberth_start(v, weights)), np.repeat(u, mult - 1)])
 
 
 # A point stops once its step is at most this many units of roundoff (the
 # spread is about 1), once its log-derivative is at most this many units of
-# roundoff of its terms, or at the iteration cap; a point whose step is not
-# finite (it sits on a zero or on another point) is nudged instead.
+# roundoff of its terms, or at the iteration cap; a point whose step or
+# repulsion is not finite (it sits on a zero or on another point) is nudged
+# instead, unless it sits where it was last nudged from.
 _ABERTH_STEP_ULPS = 4.0
 _ABERTH_MAX_STEPS = 500
 _ABERTH_NUDGE = 2.0**-20
@@ -172,7 +178,15 @@ def _aberth(u: np.ndarray, weights: np.ndarray, start: np.ndarray) -> np.ndarray
     every weight is 1). Each point steps by N / (1 - N R), where
     R = sum_{j != i} 1 / (c_i - c_j) repels it from the other points.
     Each step works in two preallocated buffers, shrunk to the rows still
-    moving: the 1/(c - u) terms and the repulsion terms.
+    moving: the 1/(c - u) terms and the repulsion terms. The arithmetic is
+    that of ``u`` and ``start`` together: real for real ones.
+
+    A point that sits on a zero or on another point is nudged by
+    ``_ABERTH_NUDGE``, along the real line in real arithmetic. If the
+    iteration brings it back to exactly where it was nudged from, that spot
+    is a fixed point of the iteration in floating point, and the point stops
+    there: in real arithmetic a critical point within an ulp or two of a
+    zero can round onto the zero every time.
 
     A point stops once its step is at most ``_ABERTH_STEP_ULPS`` units of
     roundoff. Inside a cluster of zeros of q that test is never met: there
@@ -187,15 +201,17 @@ def _aberth(u: np.ndarray, weights: np.ndarray, start: np.ndarray) -> np.ndarray
     ``_cluster_mean``; otherwise the points are returned as they stand.
     """
     m = start.size
-    inv_buf = np.empty((m, u.size), dtype=complex)
-    rep_buf = np.empty((m, m), dtype=complex)
-    c = start.astype(complex)
-    # complex operands, as the products would cast them every step
-    columns = np.stack([weights, weights - 1.0], axis=1).astype(complex)
-    cweights = weights.astype(complex)
+    dtype = np.result_type(u, start)
+    inv_buf = np.empty((m, u.size), dtype=dtype)
+    rep_buf = np.empty((m, m), dtype=dtype)
+    c = start.astype(dtype)
+    # operands in the points' arithmetic, as the products would cast them every step
+    columns = np.stack([weights, weights - 1.0], axis=1).astype(dtype)
+    cweights = weights.astype(dtype)
     rows = np.arange(m)
     last = None  # the step sizes of the previous step, when no point stopped in it
     floored = np.zeros(m, dtype=bool)
+    parked = np.full(m, np.nan, dtype=dtype)  # where each point was last nudged from
     active = np.arange(m)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_ABERTH_MAX_STEPS):
@@ -212,10 +228,18 @@ def _aberth(u: np.ndarray, weights: np.ndarray, start: np.ndarray) -> np.ndarray
             np.subtract(ca[:, None], c[None, :], out=rep)
             rep[rows[:k], active] = 1.0
             np.reciprocal(rep, out=rep)
-            step = newton / (1.0 - newton * (rep.sum(axis=1) - 1.0))
-            stuck = ~np.isfinite(step)
+            repulsion = rep.sum(axis=1) - 1.0
+            step = newton / (1.0 - newton * repulsion)
+            # on a zero or on another point; in real arithmetic an infinite
+            # repulsion gives a step of 0, not one that is not finite
+            stuck = ~np.isfinite(step + repulsion)
             if stuck.any():
-                step[stuck] = _ABERTH_NUDGE * np.exp(1j * active[stuck])
+                back = stuck & (ca == parked[active])  # a fixed point of the iteration
+                stuck &= ~back
+                step[back] = 0.0
+                parked[active[stuck]] = ca[stuck]
+                nudge = _ABERTH_NUDGE * np.exp(1j * active[stuck])
+                step[stuck] = nudge if np.iscomplexobj(step) else nudge.real
             size = np.abs(step)
             moving = size > _ROUNDOFF
             stalled = np.flatnonzero(size >= last) if last is not None else rows[:0]
@@ -294,10 +318,11 @@ def _cluster_mean(u: np.ndarray, weights: np.ndarray, c: complex, m: int) -> com
     y_{k+1} = (1 / (k + 1)) sum_{i=0}^{k} (-1)^i s_{i+1} y_{k-i},
     Y_k = k! y_k / h^k and the step is h y_m / ((m + 1) y_{m+1}). It stops
     at a step of at most ``_ABERTH_STEP_ULPS`` units of roundoff, at one
-    that is not finite, or at the iteration cap.
+    that is not finite, or at the iteration cap. It works in the arithmetic
+    of ``u`` and ``c``, so the mean of a real cluster stays real.
     """
     signs = (-1.0) ** np.arange(m + 1)
-    y = np.empty(m + 2, dtype=complex)
+    y = np.empty(m + 2, dtype=np.result_type(u, c))
     y[0] = 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_ABERTH_MAX_STEPS):

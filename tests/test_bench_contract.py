@@ -61,3 +61,13 @@ def test_fov_siebeck_rounds_classify_ok(seed):
     wl = workloads._fov_siebeck(seed, None)
     for task in (task for tasks in wl.rounds for task in tasks):
         assert workloads.run_inprocess(task)[1] == workloads.OK, task.label
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_oracle_highdeg_rounds_classify_ok(seed):
+    # workloads.known_defect still excuses a false fail of interlacing at
+    # n >= 40 and of gauss-lucas at n >= 48, so only the suite sees one
+    workloads = _load("workloads")
+    wl = workloads._oracle_highdeg(seed, None)
+    for task in (task for tasks in wl.rounds for task in tasks):
+        assert workloads.run_inprocess(task)[1] == workloads.OK, task.label

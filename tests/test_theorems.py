@@ -53,6 +53,14 @@ FOV_SEED_21 = [
 ]
 
 
+def three_close_real_zeros(seed: int, n: int) -> np.ndarray:
+    """Uniform real zeros, the first three within 4e-15 of each other."""
+    zeros = np.random.default_rng(seed).uniform(-1, 1, n)
+    zeros[1] = zeros[0] + 3.3e-15
+    zeros[2] = zeros[0] + 3.7e-15
+    return zeros
+
+
 def quadratic_roots(c0, c1, c2):
     """Oracle: stable quadratic formula for c2 t^2 + c1 t + c0."""
     import cmath
@@ -194,6 +202,29 @@ class TestClusters:
             assert theorems.check_main_theorem(generate_zeros(make_rng(133 + seed), n)).verdict == theorems.PASS
         assert calls == []
 
+    @pytest.mark.parametrize("seed, n", [(11, 40), (5, 80)])
+    def test_real_zeros_three_within_4e_15(self, seed, n):
+        zeros = three_close_real_zeros(seed, n)
+        crit = theorems.critical_points_oracle(zeros)
+        assert crit.size == n - 1
+        assert not crit.imag.any()
+        for check in (theorems.check_interlacing, theorems.check_gauss_lucas, theorems.check_main_theorem):
+            assert check(zeros).verdict == theorems.PASS, check.__name__
+        # the point between the two closest zeros lands exactly on one of them
+        # and comes back there after its nudge: it stops there, not at the
+        # step cap as a cluster with its neighbour, so no slack is needed
+        assert theorems.check_interlacing(zeros, tol=0.0).verdict == theorems.PASS
+
+    def test_real_cluster_is_refined_in_real_arithmetic(self):
+        frame = theorems._frame(three_close_real_zeros(11, 40), 2)
+        u = frame.u.real
+        weights = np.ones(u.size)
+        crit = theorems._framed_critical_points(frame).real
+        [pair] = theorems._clusters(u, weights, crit)
+        mean = theorems._cluster_mean(u, weights, crit[pair].mean(), pair.size)
+        assert isinstance(mean, float)
+        assert u[0] < mean < u[2]
+
 
 class TestCriticalPointsOracle:
     @pytest.mark.parametrize(
@@ -241,7 +272,8 @@ class TestCriticalPointsOracle:
             center = z.mean()
             u, mult = np.unique((z - center) / scale, return_counts=True)
             weights = mult.astype(float)
-            free = theorems._aberth(u, weights, theorems._aberth_start(u, weights))
+            v = u if u.imag.any() else u.real  # the oracle's arithmetic
+            free = theorems._aberth(v, weights, theorems._aberth_start(v, weights))
             return center + scale * np.concatenate([free, np.repeat(u, mult - 1)])
 
         for n, constraint in ((2, "none"), (5, "none"), (12, "real"), (40, "none"), (200, "none")):
@@ -250,18 +282,38 @@ class TestCriticalPointsOracle:
                 expected = centred_as_given(z)
                 assert theorems.critical_points_oracle(z).tobytes() == expected.tobytes(), (n, z[0])
 
-    def test_start_on_a_zero_or_another_point_is_nudged(self):
-        u = np.array([-0.5, 0.1j, 0.5])
+    @pytest.mark.parametrize(
+        "u, starts",
+        [
+            ([-0.5, 0.1j, 0.5], ([0.1j, 0.3 + 0.2j], [0.2j, 0.2j])),
+            ([-0.5, 0.1, 0.5], ([0.1, 0.3], [0.2, 0.2])),
+        ],
+        ids=["complex", "real"],
+    )
+    def test_start_on_a_zero_or_another_point_is_nudged(self, u, starts):
+        u = np.array(u)
         weights = np.ones(3)
         expected = theorems.critical_points_oracle(u)
-        for start in (np.array([u[1], 0.3 + 0.2j]), np.array([0.2j, 0.2j])):
+        for start in map(np.array, starts):
             crit = theorems._aberth(u, weights, start)
+            assert crit.dtype == u.dtype
             assert np.all(np.isfinite(crit))
             assert poly.multiset_match(crit, expected, 1e-14).matched
+
+    def test_start_next_to_a_zero_that_lands_on_another_is_nudged(self):
         # on 0, 1, 2, 3 the start next to 1 lands exactly on 2
         crit = theorems.critical_points_oracle(np.arange(4.0))
         expected = [1.5, (3 - math.sqrt(5)) / 2, (3 + math.sqrt(5)) / 2]
         assert poly.multiset_match(crit, expected, 1e-14).matched
+
+    @pytest.mark.parametrize("n", [12, 50, 200])
+    def test_real_and_complex_arithmetic_agree(self, n):
+        u, mult = np.unique(theorems._frame(generate_zeros(make_rng(128), n, "real"), 2).u, return_counts=True)
+        weights = mult.astype(float)
+        real = theorems._aberth(u.real, weights, theorems._aberth_start(u.real, weights))
+        cplx = theorems._aberth(u, weights, theorems._aberth_start(u, weights))
+        assert real.dtype == float
+        assert np.max(np.abs(np.sort(real) - np.sort_complex(cplx))) <= 4 * np.finfo(float).eps
 
 
 class TestGaussLucas:
