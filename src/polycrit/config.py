@@ -7,18 +7,18 @@ Every checker of zeros runs on the zeros in one frame
 (``theorems._frame``: scaled by powers of two and centred at their
 centroid) and bounds each length there by its tolerance times the
 spread: ``match`` the matched distances of ``main``; ``geometry`` the
-hull violations of ``gauss-lucas``, the foci distances of ``bgm`` and
-the containment and midpoint margins of ``siebeck``; ``linalg`` the gaps
-of ``interlacing``. ``siebeck`` and ``edge-preimage`` count a probe of
-an edge as a member when its margin is at most ``membership_slack``
-times the spread (the ``geometry`` bound of ``edge-preimage`` is the
-midpoint neighborhood in units of the edge length). ``membership_slack``
-sits between the two groups of probe margins met on drawn instances: at
-the midpoint they are at most about 1e-15 of the spread, and one probe
-away at least about 1e-10, so it is more than two decades from each. The
-DFT construction checks its FFT round trip by ``unitarity`` times the
-largest modulus of the zeros. Everything lives in one record so there is
-a single tuning point.
+hull violations of ``gauss-lucas``, the foci distances and tangency
+margins of ``bgm`` and the containment, tangency and midpoint margins of
+``siebeck``; ``linalg`` the gaps of ``interlacing``. ``siebeck`` and
+``edge-preimage`` count a probe of an edge as a member when its margin
+is at most ``membership_slack`` times the spread (the ``geometry`` bound
+of ``edge-preimage`` is the midpoint neighborhood in units of the edge
+length). ``membership_slack`` sits between the two groups of probe
+margins met on drawn instances: at the midpoint they are at most about
+1e-15 of the spread, and one probe away at least about 1e-10, so it is
+more than two decades from each. The DFT construction checks its FFT
+round trip by ``unitarity`` times the largest modulus of the zeros.
+Everything lives in one record so there is a single tuning point.
 """
 
 from __future__ import annotations

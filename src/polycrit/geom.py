@@ -229,25 +229,3 @@ def steiner_inellipse(v1: complex, v2: complex, v3: complex) -> EllipseParams:
     half_focal = math.sqrt(max(major**2 - minor**2, 0.0))
     return ellipse_from_foci(centroid - half_focal * axis, centroid + half_focal * axis, minor)
 
-
-def ellipse_tangency_check(e: EllipseParams, a: complex, b: complex, tol: float = TOL.geometry) -> bool:
-    """True iff the segment ab touches the ellipse at its midpoint: the
-    midpoint satisfies the normalized ellipse equation within ``tol`` and
-    the segment direction is parallel to the tangent there within angle
-    ``tol``. Degenerate ellipses (minor semi-axis <= tol) are rejected.
-    """
-    if e.minor_semi_axis <= tol:
-        raise ValueError("degenerate ellipse")
-    phase = np.exp(-1j * e.rotation)
-    mid = (complex(a) + complex(b)) / 2.0
-    w = phase * (mid - e.center)
-    x, y = w.real, w.imag
-    big, small = e.major_semi_axis, e.minor_semi_axis
-    if abs((x / big) ** 2 + (y / small) ** 2 - 1.0) > tol:
-        return False
-    tangent = complex(-y / small**2, x / big**2)
-    tangent /= abs(tangent)
-    direction = phase * (complex(b) - complex(a))
-    direction /= abs(direction)
-    sine = (np.conj(tangent) * direction).imag
-    return abs(sine) <= tol

@@ -447,30 +447,41 @@ def _hypotheses(frame: _Frame, tol: float) -> SiebeckHypotheses:
     return SiebeckHypotheses(simple, strict, pairs, edges)
 
 
-def _hull_supports(zeros: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    return np.max(np.real(np.exp(-1j * thetas)[:, None] * zeros[None, :]), axis=1)
+def _edge_normals(edges) -> tuple[np.ndarray, np.ndarray]:
+    """The angle of each edge's outward unit normal, and there the support
+    of the edge's line, Re(conj(normal) a): a convex set on its inner side
+    touches the line when its own support at that angle is this value."""
+    angles = np.array([math.atan2(normal.imag, normal.real) for _, _, normal in edges])
+    return angles, np.array([(np.conj(normal) * a).real for a, _, normal in edges])
+
+
+def _fans(normals: np.ndarray) -> np.ndarray:
+    """Angles about each edge normal, one row per edge, centred on it.
+    Margins near a tangency peak close to the normal, and geometric spacing
+    resolves them however flat the boundary is."""
+    offsets = np.geomspace(1e-6, 0.7, 48)
+    return normals[:, None] + np.concatenate([-offsets[::-1], [0.0], offsets])
 
 
 @dataclass(frozen=True)
 class _Tangency:
     """What both tangency checkers sweep: the zeros in their frame, their
-    hypotheses, the angle of each hull edge's outward normal, and the
-    supports of ``A_(1)`` of the zeros in the frame on the uniform angle
-    grid, from the secular equation (``fov.secular_supports``)."""
+    hypotheses, the angle of each hull edge's outward normal, the supports
+    of ``A_(1)`` of the zeros in the frame on the uniform angle grid, from
+    the secular equation (``fov.secular_supports``), and the dense supports
+    of ``A_(1)`` at the cross-check angles ``dense_thetas``."""
 
     frame: _Frame
     hyp: SiebeckHypotheses
     normals: np.ndarray
     thetas: np.ndarray
     supports: np.ndarray
+    dense_thetas: np.ndarray
+    dense: np.ndarray
 
     def fans(self, edges) -> tuple[np.ndarray, np.ndarray]:
-        """The fan angles of the given edges (0-based), one row per edge
-        centred on its normal, and the supports of ``A_(1)`` there, in one
-        secular solve. Margins near a tangency peak close to the normal,
-        and geometric spacing resolves them however flat the boundary is."""
-        offsets = np.geomspace(1e-6, 0.7, 48)
-        angles = self.normals[edges, None] + np.concatenate([-offsets[::-1], [0.0], offsets])
+        """The fans (``_fans``) of the given edges (0-based) and the supports of ``A_(1)`` there."""
+        angles = _fans(self.normals[edges])
         return angles, fov.secular_supports(self.frame.u, angles.ravel()).reshape(angles.shape)
 
     def margins(self, angles: np.ndarray, supports: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -486,10 +497,10 @@ def _tangency_setup(theorem: str, zeros, tols: dict[str, float], m: int) -> Chec
     probes far from the origin would lose more to roundoff than the
     membership slack allows.
 
-    The secular supports are checked against a dense eigensolve of the
-    constructed ``A_(1)`` at every edge normal and at 8 evenly spaced grid
-    angles; a gap above ``TOL.membership_slack`` times the spread raises
-    NumericalError."""
+    One secular solve gives the supports on the grid and at the edge
+    normals. They are checked against a dense eigensolve of the constructed
+    ``A_(1)`` at every edge normal and at 8 evenly spaced grid angles; a gap
+    above ``TOL.membership_slack`` times the spread raises NumericalError."""
     frame = _frame(zeros, 3, theorem, tols)
     if isinstance(frame, CheckReport):
         return frame
@@ -501,13 +512,15 @@ def _tangency_setup(theorem: str, zeros, tols: dict[str, float], m: int) -> Chec
         flags = tuple((name, getattr(hyp, name)) for name in ("simple_vertex_eigenvalues", "strict_half_plane"))
         return preconditions_unmet(theorem, "hypothesis flags not satisfied", tols, flags)
     sub = numlin.principal_submatrix(matricial.build_construction(frame.u), 1)
-    thetas = 2.0 * np.pi * np.arange(m) / m
-    normals = np.array([math.atan2(normal.imag, normal.real) for _, _, normal in hyp.edges])
-    probe = np.concatenate([normals, thetas[np.arange(8) * m // 8]])
-    gap = float(np.max(np.abs(fov.secular_supports(frame.u, probe) - fov.sweep_supports(sub, probe))))
+    normals, _ = _edge_normals(hyp.edges)
+    angles = np.concatenate([2.0 * np.pi * np.arange(m) / m, normals])
+    supports = fov.secular_supports(frame.u, angles)
+    probe = np.concatenate([np.arange(m, angles.size), np.arange(8) * m // 8])  # the normals, then 8 grid angles
+    dense = fov.sweep_supports(sub, angles[probe])
+    gap = float(np.max(np.abs(supports[probe] - dense)))
     if not gap <= TOL.membership_slack * frame.spread:
         raise NumericalError(f"secular and dense supports of A_(1) differ by {gap / frame.spread:.3g} of the spread")
-    return _Tangency(frame, hyp, normals, thetas, fov.secular_supports(frame.u, thetas))
+    return _Tangency(frame, hyp, normals, angles[:m], supports[:m], angles[probe], dense)
 
 
 def check_poor_mans_siebeck(zeros, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = TOL.geometry) -> CheckReport:
@@ -516,27 +529,31 @@ def check_poor_mans_siebeck(zeros, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = 
     each within ``tol`` times the spread of the zeros, and no probe of an
     edge outside the 5% neighborhood of its midpoint belongs to it: each
     has a margin of more than ``TOL.membership_slack`` times the spread,
-    the membership rule of ``check_edge_preimage``."""
+    the membership rule of ``check_edge_preimage``.
+
+    The secular supports meet the hull and the edge lines by construction,
+    so containment and tangency are measured on the dense supports of the
+    cross-check; the midpoint's margin completes the rule of ``check_bgm``."""
     tols = {"geometry": tol, "hypotheses": TOL.geometry, "membership_slack": TOL.membership_slack}
     setup = _tangency_setup("siebeck", zeros, tols, m)
     if isinstance(setup, CheckReport):
         return setup
     frame, edges = setup.frame, setup.hyp.edges
-    containment_excess = float(np.max(setup.supports - _hull_supports(frame.u, setup.thetas)))
-    angles, fans = setup.fans(np.arange(len(edges)))
-    at_edges = [(np.conj(normal) * a).real for a, _, normal in edges]
-    tangency_gap = float(np.max(np.abs(fans[:, fans.shape[1] // 2] - at_edges)))  # the fan centers
+    hull = np.max(np.real(np.exp(-1j * setup.dense_thetas)[:, None] * frame.u[None, :]), axis=1)
+    containment_excess = float(np.max(setup.dense - hull))
+    tangency_gap = float(np.max(np.abs(setup.dense[: len(edges)] - _edge_normals(edges)[1])))
 
     params = np.arange(41) / 40
     params = params[np.abs(params - 0.5) > 0.05]  # probes off the midpoint
     midpoint_excess, uniqueness_margin = -math.inf, math.inf
-    for (a, b, _), fan_angles, fan in zip(edges, angles, fans):
+    for (a, b, _), fan_angles, fan in zip(edges, *setup.fans(np.arange(len(edges)))):
         margins = setup.margins(fan_angles, fan, np.concatenate([[(a + b) / 2.0], a + params * (b - a)]))
         midpoint_excess = max(midpoint_excess, float(margins[0]))
         uniqueness_margin = min(uniqueness_margin, float(np.min(margins[1:])))
 
     worst = max(containment_excess, tangency_gap, midpoint_excess)
-    ok = worst <= tol * frame.spread and uniqueness_margin > TOL.membership_slack * frame.spread
+    slack = TOL.membership_slack * frame.spread
+    ok = worst <= tol * frame.spread and uniqueness_margin > slack
     details = (
         ("containment_excess", frame.length(containment_excess)),
         ("tangency_gap", frame.length(tangency_gap)),
@@ -544,34 +561,38 @@ def check_poor_mans_siebeck(zeros, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = 
         ("uniqueness_min_margin", frame.length(uniqueness_margin)),
         ("hull_vertices", len(edges)),
     )
-    return CheckReport("siebeck", PASS if ok else FAIL, frame.length(worst), details, tols)
+    violation = frame.length(max(worst, slack - uniqueness_margin))
+    return CheckReport("siebeck", PASS if ok else FAIL, violation, details, tols)
 
 
 def check_bgm(zeros, tol: float = TOL.geometry) -> CheckReport:
     """The foci of the inscribed midpoint-tangent ellipse of the triangle
-    of zeros coincide with the critical points, within ``tol`` times the
-    spread of the zeros, and the tangency holds on all three sides, in the
-    frame of the zeros; there ``geom.ellipse_tangency_check`` also bounds
-    the minor semi-axis of a degenerate ellipse by ``tol``."""
+    of zeros coincide with the critical points, and it touches each side at
+    the midpoint, within ``tol`` times the spread of the zeros, in the frame
+    of the zeros. A side is touched at its midpoint when the ellipse's
+    support (``fov.ellipse_support``) at the side's outward normal is the
+    side's line and the midpoint's margin over the uniform grid and the
+    side's fan is at most the bound, as in ``check_poor_mans_siebeck``."""
     tols = {"geometry": tol}
     frame = _frame(zeros, 3, "bgm", tols, exact=True)
     if isinstance(frame, CheckReport):
         return frame
-    u = frame.u
     try:
-        ellipse = geom.steiner_inellipse(u[0], u[1], u[2])
+        ellipse = geom.steiner_inellipse(*frame.u)
+        edges = geom.polygon_edges(geom.ConvexPolygon(frame.u))
     except ValueError as exc:
         return preconditions_unmet("bgm", str(exc), tols)
-    foci = np.array([ellipse.focus1, ellipse.focus2])
-    match = poly.multiset_match(foci, _framed_critical_points(frame), tol * frame.spread)
-    try:
-        tangent_all = all(geom.ellipse_tangency_check(ellipse, u[k], u[(k + 1) % 3], tol) for k in range(3))
-    except ValueError as exc:
-        return preconditions_unmet("bgm", f"inellipse degenerate: {exc}", tols)
-    ok = match.matched and tangent_all
-    distance = frame.length(match.max_distance)
-    details = (("foci_match_distance", distance), ("tangent_all_sides", tangent_all))
-    return CheckReport("bgm", PASS if ok else FAIL, distance, details, tols)
+    match = poly.multiset_match([ellipse.focus1, ellipse.focus2], _framed_critical_points(frame), tol * frame.spread)
+    normals, lines = _edge_normals(edges)
+    thetas = 2.0 * np.pi * np.arange(DEFAULT_SWEEP_SAMPLES) / DEFAULT_SWEEP_SAMPLES
+    tangency = float(np.max(np.abs(fov.ellipse_support(ellipse, normals) - lines)))
+    for (a, b, _), fan in zip(edges, _fans(normals)):
+        angles = np.concatenate([thetas, fan])
+        tangency = max(tangency, fov.point_margin(angles, fov.ellipse_support(ellipse, angles), (a + b) / 2.0))
+    tangent_all = tangency <= tol * frame.spread
+    details = (("foci_match_distance", frame.length(match.max_distance)), ("tangent_all_sides", tangent_all))
+    verdict = PASS if match.matched and tangent_all else FAIL
+    return CheckReport("bgm", verdict, frame.length(max(match.max_distance, tangency)), details, tols)
 
 
 def check_elliptical_range(a, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = TOL.match) -> CheckReport:

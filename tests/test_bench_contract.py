@@ -3,15 +3,18 @@ wraps the functions listed in ``tracing.LAYERS`` with ``getattr``, and
 the in-process workloads call the checkers with keyword arguments. These
 tests keep those names and calls working; they only read ``bench/``."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polycrit import theorems
+from polycrit import cli, theorems
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -71,3 +74,30 @@ def test_oracle_highdeg_rounds_classify_ok(seed):
     wl = workloads._oracle_highdeg(seed, None)
     for task in (task for tasks in wl.rounds for task in tasks):
         assert workloads.run_inprocess(task)[1] == workloads.OK, task.label
+
+
+def _cli(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cli_small_round_classifies_ok(seed, tmp_path):
+    # the CLI verdicts of every cli-small check, in every format, run
+    # in-process; the benchmark runs the same calls as subprocesses
+    workloads = _load("workloads")
+
+    def random_cli(args: list[str], name: str) -> str:
+        code, out = _cli(["random", *args, "--count", "1", "--out", str(tmp_path / name)])
+        assert code == 0
+        return out.strip()
+
+    [tasks] = workloads._cli_small(seed, random_cli).rounds
+    for task in tasks:
+        for fmt in workloads.FORMATS:
+            argv = workloads.cli_argv(task, fmt)
+            code, out = _cli(argv)
+            proc = subprocess.CompletedProcess(argv, code, out, "")
+            assert workloads.verify_cli(task, fmt, proc) == workloads.OK, (task.label, fmt, code, out)

@@ -232,42 +232,3 @@ class TestSteinerInellipse:
         assert abs(want[1] - got[1]) <= 1e-9 * scale
         assert abs(mapped.center - (alpha * base.center + beta)) <= 1e-9 * scale
 
-
-class TestEllipseTangency:
-    def test_incircle_touches_equilateral_sides(self):
-        w = np.exp(2j * np.pi / 3)
-        e = geom.steiner_inellipse(1, w, w**2)
-        for a, b in [(1, w), (w, w**2), (w**2, 1)]:
-            assert geom.ellipse_tangency_check(e, a, b, 1e-8)
-
-    def test_center_chord_is_not_tangent(self):
-        w = np.exp(2j * np.pi / 3)
-        e = geom.steiner_inellipse(1, w, w**2)
-        assert not geom.ellipse_tangency_check(e, -1 + 0j, 1 + 0j, 1e-8)
-
-    def test_steiner_tangency_on_all_sides(self):
-        e = geom.steiner_inellipse(0, 2, 2j)
-        for a, b in [(0, 2), (2, 2j), (2j, 0)]:
-            assert geom.ellipse_tangency_check(e, a, b, 1e-8)
-
-    def test_degenerate_rejected(self):
-        from polycrit.fov import ellipse_from_foci
-
-        flat = ellipse_from_foci(0j, 1 + 0j, 0.0)
-        with pytest.raises(ValueError):
-            geom.ellipse_tangency_check(flat, 0, 1, 1e-8)
-
-    def test_random_triangles(self):
-        rng = make_rng(94)
-        count = 0
-        while count < 25:
-            v = random_zeros(rng, 3)
-            try:
-                e = geom.steiner_inellipse(v[0], v[1], v[2])
-            except ValueError:
-                continue
-            if e.minor_semi_axis <= 1e-8:
-                continue
-            for k in range(3):
-                assert geom.ellipse_tangency_check(e, v[k], v[(k + 1) % 3], 1e-8)
-            count += 1

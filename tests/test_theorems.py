@@ -74,6 +74,16 @@ def quadratic_roots(c0, c1, c2):
     return np.array([r1, r2])
 
 
+def triangles_from(seed, count):
+    """``count`` drawn triangles, none of them nearly collinear."""
+    rng, out = make_rng(seed), []
+    while len(out) < count:
+        v = random_zeros(rng, 3)
+        if abs(((v[1] - v[0]) * np.conj(v[2] - v[0])).imag) > 1e-8:
+            out.append(v)
+    return out
+
+
 class TestMainTheorem:
     def test_symmetric_pair(self):
         report = theorems.check_main_theorem([1, -1])
@@ -470,6 +480,37 @@ class TestPoorMansSiebeck:
             report = theorems.check_poor_mans_siebeck(zeros)
             assert report.verdict == theorems.PASS, report
 
+    def test_uniqueness_alone_fails_with_a_positive_violation(self, monkeypatch):
+        # every probe off the midpoint reads as a member (margin 0), and
+        # nothing else is wrong: max_violation is the slack the margin misses
+        zeros = generate_zeros(make_rng(115), 5, "siebeck-ok")
+        original = theorems._Tangency.margins
+        monkeypatch.setattr(theorems._Tangency, "margins", lambda *args: np.minimum(original(*args), 0.0))
+        report = theorems.check_poor_mans_siebeck(zeros)
+        details = dict(report.details)
+        assert report.verdict == theorems.FAIL
+        assert details["uniqueness_min_margin"] == 0.0
+        tol = TOL.geometry * geom.point_spread(zeros)
+        assert max(details["containment_excess"], details["tangency_gap"], details["midpoint_excess"]) <= tol
+        frame = theorems._frame(zeros, 3)
+        assert report.max_violation == frame.length(TOL.membership_slack * frame.spread) > 0.0
+
+    def test_containment_and_tangency_come_from_the_dense_route(self, monkeypatch):
+        # a dense route off by 5e-13 of the spread, inside the cross-check's
+        # 1e-12, moves both by that much; the secular route holds both by
+        # construction and cannot show it
+        zeros = generate_zeros(make_rng(115), 6, "siebeck-ok")
+        before = dict(theorems.check_poor_mans_siebeck(zeros).details)
+        frame = theorems._frame(zeros, 3)
+        original = fov.sweep_supports
+        monkeypatch.setattr(fov, "sweep_supports", lambda a, t: original(a, t) + 5e-13 * frame.spread)
+        report = theorems.check_poor_mans_siebeck(zeros)
+        assert report.verdict == theorems.PASS
+        after, spread = dict(report.details), geom.point_spread(zeros)
+        for key in ("containment_excess", "tangency_gap"):
+            assert abs(before[key]) <= 1e-15 * spread
+            assert abs(after[key] - before[key] - frame.length(5e-13 * frame.spread)) <= 2e-15 * spread, key
+
 
 class TestBgm:
     def test_equilateral_focus_is_origin(self):
@@ -507,6 +548,48 @@ class TestBgm:
                 continue
             assert report.verdict == theorems.PASS, report
             done += 1
+
+    @pytest.mark.parametrize("zeros", [CUBE_ROOTS, [0, 2, 2j], *triangles_from(94, 25)])
+    def test_inellipse_touches_every_side_at_its_midpoint(self, zeros):
+        report = theorems.check_bgm(zeros)
+        assert report.verdict == theorems.PASS, report.details
+        assert dict(report.details)["tangent_all_sides"] is True
+
+    @pytest.mark.parametrize("wrong", ["incircle", "moved"])
+    @pytest.mark.parametrize("zeros", [[0, 1, 1j], [0, 2, 0.5 + 1j]])
+    def test_wrong_ellipse_is_not_tangent(self, wrong, zeros, monkeypatch):
+        inellipse = geom.steiner_inellipse
+
+        def incircle(a, b, c):
+            la, lb, lc = abs(b - c), abs(c - a), abs(a - b)
+            center = (la * a + lb * b + lc * c) / (la + lb + lc)
+            radius = abs(((b - a) * np.conj(c - a)).imag) / (la + lb + lc)
+            return fov.ellipse_from_foci(center, center, radius)
+
+        def moved(a, b, c):
+            e, shift = inellipse(a, b, c), 1e-6 * geom.point_spread([a, b, c])
+            return fov.ellipse_from_foci(e.focus1 + shift, e.focus2 + shift, e.minor_semi_axis)
+
+        monkeypatch.setattr(geom, "steiner_inellipse", incircle if wrong == "incircle" else moved)
+        report = theorems.check_bgm(zeros)
+        assert dict(report.details)["tangent_all_sides"] is False
+        assert report.verdict == theorems.FAIL
+        assert report.max_violation >= 0.9e-6 * geom.point_spread(zeros)
+
+    def test_k9_thin_triangles(self):
+        # the third vertex lies 1e-7 (times a complex normal draw) from the
+        # first; the normalised ellipse equation gave 97 preconditions_unmet
+        # ("inellipse degenerate") and 3 false fails here
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            zeros = [z[0], z[1], z[0] + 1e-7 * complex(rng.standard_normal(), rng.standard_normal())]
+            report = theorems.check_bgm(zeros)
+            if report.verdict == theorems.PRECONDITIONS_UNMET:
+                assert dict(report.details)["unmet_hypothesis"] == "vertices are collinear"
+                continue
+            assert report.verdict == theorems.PASS, (zeros, report.details)
+            assert report.max_violation <= 1e-14 * geom.point_spread(zeros)
 
 
 class TestEllipticalRange:
@@ -609,6 +692,17 @@ class TestSecularTangencyRoute:
         calls.clear()
         assert theorems.check_edge_preimage(zeros, 2).verdict == theorems.PASS
         assert len(calls["sweep_supports"]) == len(calls["point_margin"]) == 1
+
+    def test_setup_solves_the_secular_equation_once(self, monkeypatch):
+        # the grid and the edge normals in one solve; the fans are the
+        # checkers' own second solve
+        zeros = generate_zeros(make_rng(127), 16, "siebeck-ok")
+        calls = {}
+        self.count(monkeypatch, "secular_supports", calls)
+        self.count(monkeypatch, "sweep_supports", calls)
+        setup = theorems._tangency_setup("siebeck", zeros, {"hypotheses": TOL.geometry}, 720)
+        assert isinstance(setup, theorems._Tangency)
+        assert {name: len(args) for name, args in calls.items()} == {"secular_supports": 1, "sweep_supports": 1}
 
     def test_cross_check_trips_on_a_wrong_secular_route(self, monkeypatch):
         original = fov.secular_supports
