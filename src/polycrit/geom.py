@@ -17,11 +17,57 @@ from .config import TOL
 from .fov import EllipseParams, ellipse_from_foci
 
 
+# From this many points on, ``point_spread`` and ``convex_hull`` first drop
+# the points deep inside the hull (``_hull_candidates``); below it the
+# filter costs more than the pairwise work it saves.
+_FILTER_FROM = 64
+# The depth, relative to the diagonal of the bounding box, past which a
+# point counts as deep. It is 1e4 times ``TOL.dedup``: a chain of merges at
+# the dedup radius from a dropped point to the hull would need 1e4 points.
+_FILTER_DEPTH = 1e-6
+# conjugates of 1, 1 + i, i and -1 + i: projections on them are exact on the axes
+_DIRECTIONS = np.array([1, 1 - 1j, -1j, -1 - 1j])[:, None]
+_NEXT_CORNER = np.roll(np.arange(8), -1)
+
+
+def _hull_candidates(p: np.ndarray) -> np.ndarray:
+    """The points that can be hull vertices or ends of the largest pairwise
+    distance: ``p`` without the points inside the polygon of its extreme
+    points in the 8 directions k pi / 4 (Akl & Toussaint, Inform. Process.
+    Lett. 7, 1978) by more than ``_FILTER_DEPTH`` times the diagonal of
+    its bounding box. A point on the inner side of every side of a closed
+    polygon of points of ``p`` is inside their hull, so the test needs no
+    exact extremes. Points on one horizontal line (exactly real points)
+    keep only those within that depth of its two ends. That depth is far
+    above the merge radius and the roundoff of the test, so merging, the
+    monotone chain and the sliver rule see the same points near the hull.
+    Below ``_FILTER_FROM`` points ``p`` is returned as it is.
+    """
+    if p.size < _FILTER_FROM:
+        return p
+    proj = (_DIRECTIONS * p).real
+    # counterclockwise: the largest projections on the 4 directions, then the least
+    corners = p[np.concatenate([proj.argmax(axis=1), proj.argmin(axis=1)])]
+    margin = _FILTER_DEPTH * abs(complex((corners[0] - corners[4]).real, (corners[2] - corners[6]).imag))
+    if corners[2].imag == corners[6].imag:
+        x = p.real
+        return p[(x <= corners[4].real + margin) | (x >= corners[0].real - margin)]
+    sides = corners[_NEXT_CORNER] - corners
+    proper = sides != 0
+    corners, sides = corners[proper, None], sides[proper, None]
+    # the cross product of each side with each point, as ``_cross`` forms it
+    cross = (np.conj(sides) * (p - corners)).imag
+    return p[~np.all(cross > margin * np.abs(sides), axis=0)]
+
+
 def point_spread(points) -> float:
-    """Largest pairwise distance."""
+    """Largest pairwise distance. It is attained at hull vertices, so from
+    ``_FILTER_FROM`` points on only ``_hull_candidates`` are compared; the
+    value is the same bit for bit."""
     p = np.atleast_1d(np.asarray(points, dtype=complex))
     if p.size < 2:
         return 0.0
+    p = _hull_candidates(p)
     return float(np.max(np.abs(p[:, None] - p[None, :])))
 
 
@@ -102,14 +148,16 @@ def convex_hull(points, tol: float = TOL.geometry) -> ConvexPolygon:
     is to the chord as a segment, not to its line: on a sliver hull of
     nearly collinear points an extreme vertex lies on the line through its
     neighbors but beyond them, and must stay. Collapsed outputs are a
-    single point or a segment.
+    single point or a segment. From ``_FILTER_FROM`` points on, the points
+    deep inside the hull are dropped first (``_hull_candidates``); the hull
+    is the same bit for bit.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
     if pts.size == 0:
         raise ValueError("need at least one point")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    merged, scale = _merge_coincident(pts)
+    merged, scale = _merge_coincident(_hull_candidates(pts))
     if scale == 0.0:
         return ConvexPolygon(np.array([pts[0]]))
     kept = [complex(w) for w in merged]

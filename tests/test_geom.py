@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import make_rng
 from polycrit import geom, poly
 from polycrit.config import TOL
+from polycrit.generate import generate_zeros
 from polycrit.rng import Xoshiro256StarStar, random_zeros
 
 
@@ -118,6 +119,62 @@ class TestConvexHull:
         hull = geom.convex_hull(pts)
         for p in pts:
             assert geom.point_in_hull(hull, p, 1e-9)
+
+
+def filter_corners(pts):
+    """The extreme points in the directions k pi / 4, counterclockwise."""
+    proj = np.stack([pts.real, pts.real + pts.imag, pts.imag, pts.imag - pts.real])
+    return pts[np.concatenate([proj.argmax(axis=1), proj.argmin(axis=1)])]
+
+
+def near_hull_families():
+    """Point sets of at least ``geom._FILTER_FROM`` points, by name."""
+    n0, rng = geom._FILTER_FROM, np.random.default_rng(17)
+    cases = {f"disk n={n}": generate_zeros(make_rng(141), n) for n in (n0 - 1, n0, 100, 200)}
+    cases["real n=200"] = generate_zeros(make_rng(142), 200, "real")
+    for n in (n0, 100, 200):  # K8: nearly collinear
+        cases[f"slanted n={n}"] = (1 + 2j) * rng.uniform(-1, 1, n) + 0.5j
+    inner = rng.uniform(0.1, 0.9, 100) + 1j * rng.uniform(0.1, 0.9, 100)
+    cases["square with interior points"] = np.concatenate([[0, 1, 1 + 1j, 1j], inner])
+    disk = generate_zeros(make_rng(143), 200)
+    vertices = geom.convex_hull(disk, tol=1e-12).vertices
+    turns = np.exp(2j * np.pi * rng.uniform(0, 1, vertices.size))
+    cases["hull vertices doubled"] = np.concatenate([disk, vertices + 1e-11 * geom.point_spread(disk) * turns])
+    corners = filter_corners(disk)
+    t = rng.uniform(0, 1, (8, 12))
+    on_sides = (t * corners[:, None] + (1 - t) * np.roll(corners, -1)[:, None]).ravel()
+    cases["points on the filter's sides"] = np.concatenate([disk, on_sides])
+    sides = rng.uniform(-1, 1, 96)
+    square = np.concatenate([sides + 1j, sides - 1j, 1 + 1j * sides, -1 + 1j * sides])  # corners are on sides
+    cases["points on the square's sides"] = np.concatenate([square, 0.9 * (inner - 0.5 - 0.5j)])
+    return cases
+
+
+class TestHullCandidates:
+    """From ``geom._FILTER_FROM`` points on, the spread and the hull see
+    only the points near the hull; both must be bit for bit what all the
+    points give."""
+
+    @pytest.mark.parametrize("name, pts", sorted(near_hull_families().items()))
+    def test_spread_and_hull_are_bit_identical(self, name, pts, monkeypatch):
+        pts = np.asarray(pts, dtype=complex)
+        assert geom.point_spread(pts) == float(np.max(np.abs(pts[:, None] - pts[None, :])))
+        hulls = {tol: geom.convex_hull(pts, tol=tol).vertices for tol in (1e-12, TOL.geometry)}
+        monkeypatch.setattr(geom, "_FILTER_FROM", pts.size + 1)
+        for tol, vertices in hulls.items():
+            assert geom.convex_hull(pts, tol=tol).vertices.tobytes() == vertices.tobytes(), tol
+
+    def test_filter_drops_the_interior(self):
+        disk = generate_zeros(make_rng(141), 200)
+        assert geom._hull_candidates(disk).size < 50
+        real = generate_zeros(make_rng(142), 200, "real")
+        assert sorted(geom._hull_candidates(real)) == [min(real), max(real)]
+        corners = set(filter_corners(disk).tolist())
+        assert corners <= set(geom._hull_candidates(disk).tolist())
+
+    def test_points_below_the_crossover_are_not_filtered(self):
+        pts = generate_zeros(make_rng(144), geom._FILTER_FROM - 1)
+        assert geom._hull_candidates(pts) is pts
 
 
 class TestEdgeMidpoints:

@@ -220,10 +220,26 @@ class TestClusters:
         assert not crit.imag.any()
         for check in (theorems.check_interlacing, theorems.check_gauss_lucas, theorems.check_main_theorem):
             assert check(zeros).verdict == theorems.PASS, check.__name__
-        # the point between the two closest zeros lands exactly on one of them
-        # and comes back there after its nudge: it stops there, not at the
-        # step cap as a cluster with its neighbour, so no slack is needed
+        # each point starts inside its gap of a few ulps and converges there,
+        # so the interlacing is strict and no slack is needed
         assert theorems.check_interlacing(zeros, tol=0.0).verdict == theorems.PASS
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-24, 1e-36])
+    def test_cluster_next_to_a_repeated_zero(self, eps):
+        # p = z^2 (z^3 - a): p' = z (5 z^3 - 2 a) has 0 and the cube roots of
+        # 2a/5, a cluster of critical points about the double zero 0
+        a = eps * np.exp(0.6j)
+        turns = np.exp(2j * np.pi * np.arange(3) / 3)
+        zeros = np.concatenate([[0, 0], a ** (1 / 3) * turns])
+        crit = theorems.critical_points_oracle(zeros)
+        expected = np.concatenate([[0], (0.4 * a) ** (1 / 3) * turns])
+        assert poly.multiset_match(crit, expected, 1e-14 * eps ** (1 / 3)).matched
+        for more in ([], [1, 1j, -1.3]):
+            z = np.concatenate([zeros, more])
+            for check in (theorems.check_main_theorem, theorems.check_gauss_lucas):
+                assert check(z).verdict == theorems.PASS, (check.__name__, more)
+            near = np.abs(theorems.critical_points_oracle(z)) <= 2 * eps ** (1 / 3)
+            assert np.count_nonzero(near) == 4
 
     def test_real_cluster_is_refined_in_real_arithmetic(self):
         frame = theorems._frame(three_close_real_zeros(11, 40), 2)
@@ -316,8 +332,18 @@ class TestCriticalPointsOracle:
         expected = [1.5, (3 - math.sqrt(5)) / 2, (3 + math.sqrt(5)) / 2]
         assert poly.multiset_match(crit, expected, 1e-14).matched
 
-    @pytest.mark.parametrize("n", [12, 50, 200])
+    @pytest.mark.filterwarnings("error")
+    def test_real_zeros_a_subnormal_distance_apart(self):
+        # in the frame the tiny zeros are 0, 5e-324 and 1e-323: the half-width
+        # of the first gap rounds to 0, and the term of 1e-323 in r overflows
+        zeros = [-1, 0, 5e-324, 1e-323, 1.5e-323, 1]
+        crit = theorems.critical_points_oracle(zeros)
+        assert crit.size == 5 and np.all(np.isfinite(crit))
+        assert theorems.check_interlacing(zeros).verdict == theorems.PASS
+
+    @pytest.mark.parametrize("n", [12, 50, 100, 150, 200])
     def test_real_and_complex_arithmetic_agree(self, n):
+        # from different starts: one point per gap in real arithmetic
         u, mult = np.unique(theorems._frame(generate_zeros(make_rng(128), n, "real"), 2).u, return_counts=True)
         weights = mult.astype(float)
         real = theorems._aberth(u.real, weights, theorems._aberth_start(u.real, weights))
@@ -846,6 +872,26 @@ class TestKnownDefectRegressions:
             assert report.verdict == theorems.PASS, report.details
         report = theorems.check_poor_mans_siebeck(zeros)
         assert dict(report.details)["unmet_hypothesis"] == "fewer than 3 hull vertices"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_k11_three_real_zeros_within_4e_15(self, n):
+        # one start per gap gives the cluster of three zeros its two critical
+        # points; one start next to each zero gave it three
+        for seed in range(40):
+            zeros = three_close_real_zeros(seed, n)
+            for checker in (theorems.check_interlacing, theorems.check_main_theorem):
+                report = checker(zeros)
+                assert report.verdict == theorems.PASS, (seed, checker.__name__, report.details)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_k11_real_zeros_over_sixteen_decades(self, n):
+        rng = np.random.default_rng(0)
+        zeros = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+        for checker in (theorems.check_interlacing, theorems.check_main_theorem):
+            report = checker(zeros)
+            assert report.verdict == theorems.PASS, (checker.__name__, report.details)
 
     @pytest.mark.parametrize("n", [50, 100, 200])
     def test_k6_interlacing_real_zeros(self, n):
