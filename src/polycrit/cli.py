@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import figures, poly, theorems
+from . import figures, matricial, poly, theorems
 from .config import DEFAULT_SWEEP_SAMPLES, TOL
 from .errors import GenerationCapExceeded, NumericalError
 from .generate import CONSTRAINTS, generate_zeros
@@ -266,11 +266,7 @@ def _cmd_critical_points(args) -> int:
     instance = load_instance(args.instance)
     config = _config_from_args(args)
     zeros = instance_zeros(instance)
-    if zeros.size < 2:
-        raise InstanceError("need at least 2 zeros")
     if args.method == "matricial":
-        from . import matricial
-
         frame = theorems._frame(zeros, 2)  # the units of the zeros may overflow the DFT
         points = frame.points(matricial.critical_points_matricial(frame.u, args.index))
     else:

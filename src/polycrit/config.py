@@ -18,6 +18,8 @@ margins met on drawn instances: at the midpoint they are at most about
 1e-15 of the spread, and one probe away at least about 1e-10, so it is
 more than two decades from each. The DFT construction checks its FFT
 round trip by ``unitarity`` times the largest modulus of the zeros.
+``trace_defect`` is absolute on the matrix centred at its mean
+eigenvalue and scaled to a Frobenius norm near 1 (``matricial._centred``).
 Everything lives in one record so there is a single tuning point.
 """
 
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 class Tolerances:
     # linear algebra, relative to the Frobenius norm
     unitarity: float = 1e-10
-    normality: float = 1e-8
     # absolute eigenvalue-gap threshold below which a top eigenspace is
     # treated as degenerate (flat boundary segment)
     degenerate_gap: float = 1e-10

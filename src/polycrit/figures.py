@@ -28,7 +28,7 @@ def figure_layers(zeros, which: str, sweep_samples: int = DEFAULT_SWEEP_SAMPLES)
         raise ValueError(f"unknown figure kind {which!r}")
     frame = theorems._frame(zeros, 2)
     u = frame.u
-    hull = geom.convex_hull(u, tol=1e-12)
+    hull = geom.convex_hull(u)
     layers: dict = {name: np.array([], dtype=complex) for name in LAYERS}
     layers["zeros"] = frame.zeros
     layers["hull"] = frame.zeros[np.argmax(u[None, :] == hull.vertices[:, None], axis=1)]

@@ -139,18 +139,18 @@ def _merge_coincident(pts: np.ndarray) -> tuple[np.ndarray, float]:
     return p[keep], scale
 
 
-def convex_hull(points, tol: float = TOL.geometry) -> ConvexPolygon:
+def convex_hull(points, tol: float = 1e-12) -> ConvexPolygon:
     """Counterclockwise convex hull by monotone chain.
 
     Coincident inputs are merged at ``TOL.dedup * spread`` and vertices
-    within ``tol * spread`` of the chord of their neighbors are dropped,
-    so near-collinear triples do not produce sliver vertices. The distance
-    is to the chord as a segment, not to its line: on a sliver hull of
-    nearly collinear points an extreme vertex lies on the line through its
-    neighbors but beyond them, and must stay. Collapsed outputs are a
-    single point or a segment. From ``_FILTER_FROM`` points on, the points
-    deep inside the hull are dropped first (``_hull_candidates``); the hull
-    is the same bit for bit.
+    within ``tol * spread`` of the chord of their neighbors are dropped (the
+    checkers use the default), so near-collinear triples do not produce
+    sliver vertices. The distance is to the chord as a segment, not to its
+    line: on a sliver hull of nearly collinear points an extreme vertex lies
+    on the line through its neighbors but beyond them, and must stay.
+    Collapsed outputs are a single point or a segment. From
+    ``_FILTER_FROM`` points on, the points deep inside the hull are dropped
+    first (``_hull_candidates``); the hull is the same bit for bit.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
     if pts.size == 0:

@@ -7,6 +7,8 @@ results are not checked here.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import poly
@@ -28,6 +30,19 @@ def as_square(a) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def ldexp(w, e: int) -> np.ndarray:
+    """w * 2**e for a complex array; exact unless a part overflows."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.ascontiguousarray(w, dtype=complex).view(float), e).view(complex)
+
+
+def binary_exponent(w) -> int:
+    """The e that brings the largest real or imaginary part of
+    ``ldexp(w, -e)`` into [1/2, 1); 0 when w is zero."""
+    w = np.asarray(w, dtype=complex)
+    return math.frexp(max(float(np.max(np.abs(w.real))), float(np.max(np.abs(w.imag)))))[1]
 
 
 def frobenius(a) -> float:

@@ -53,12 +53,6 @@ class SiebeckHypotheses:
         return self.simple_vertex_eigenvalues and self.strict_half_plane
 
 
-def _ldexp(w: np.ndarray, e: int) -> np.ndarray:
-    """w * 2**e for a 1-d complex array; exact unless a part overflows."""
-    with np.errstate(over="ignore"):
-        return np.ldexp(np.ascontiguousarray(w, dtype=complex).view(float), e).view(complex)
-
-
 @dataclass(frozen=True)
 class _Frame:
     """The zeros as given, and ``u``, the same zeros in their frame:
@@ -78,7 +72,7 @@ class _Frame:
 
     def points(self, w) -> np.ndarray:
         """Points in the frame, in the units of the zeros."""
-        return _ldexp(self.center + 2.0**self.exponent * np.atleast_1d(w), self.shift)
+        return numlin.ldexp(self.center + 2.0**self.exponent * np.atleast_1d(w), self.shift)
 
 
 def _frame(zeros, minimum: int, theorem: str = "", tols=None, exact: bool = False) -> _Frame | CheckReport:
@@ -102,8 +96,8 @@ def _frame(zeros, minimum: int, theorem: str = "", tols=None, exact: bool = Fals
         if not theorem:
             raise ValueError(reason)
         return preconditions_unmet(theorem, reason, tols)
-    shift = math.frexp(max(float(np.max(np.abs(z.real))), float(np.max(np.abs(z.imag)))))[1]
-    pre = _ldexp(z, -shift)
+    shift = numlin.binary_exponent(z)
+    pre = numlin.ldexp(z, -shift)
     spread = geom.point_spread(pre)
     exponent = round(math.log2(spread)) if spread else 0
     center = pre.mean() if spread else pre[0]
@@ -381,9 +375,9 @@ def check_main_theorem(zeros, tol: float = TOL.match) -> CheckReport:
     of the zeros. Both routes run on the zeros in their frame (``_frame``),
     so neither loses accuracy to an offset of the zeros from the origin.
 
-    A is built once and certified exactly circulant, A = roll(A, (1, 1)),
-    so every A_(i) is a permutation similarity of A_(1): one eigensolve
-    and one matching decide all n submatrices.
+    A is circulant by construction, so every A_(i) is a permutation
+    similarity of A_(1): one eigensolve and one matching decide all n
+    submatrices.
 
     A multiple critical point is a cluster of eigenvalues, spread by
     roundoff far more than its mean is (Kato): each cluster whose inclusion
@@ -393,10 +387,7 @@ def check_main_theorem(zeros, tol: float = TOL.match) -> CheckReport:
     frame = _frame(zeros, 2, "main", tols)
     if isinstance(frame, CheckReport):
         return frame
-    a = matricial.build_construction(frame.u)
-    if not np.array_equal(a, np.roll(a, (1, 1), axis=(0, 1))):
-        raise NumericalError("constructed A is not circulant")
-    eigvals = numlin.general_eigvals(numlin.principal_submatrix(a, 1))
+    eigvals = matricial.critical_points_matricial(frame.u, 1)
     for idx in _clusters(frame.u, np.ones(frame.u.size), eigvals):
         eigvals[idx] = eigvals[idx].mean()
     report = poly.multiset_match(eigvals, _framed_critical_points(frame), tol * frame.spread)
@@ -412,7 +403,7 @@ def check_gauss_lucas(zeros, tol: float = TOL.geometry) -> CheckReport:
     frame = _frame(zeros, 2, "gauss-lucas", tols)
     if isinstance(frame, CheckReport):
         return frame
-    hull = geom.convex_hull(frame.u, tol=1e-12)
+    hull = geom.convex_hull(frame.u)
     crit = _framed_critical_points(frame)
     worst = float(np.max(geom.hull_violation(hull, crit)))
     details = (
@@ -458,7 +449,7 @@ def check_siebeck_hypotheses(zeros, tol: float = TOL.geometry) -> SiebeckHypothe
 
 def _hypotheses(frame: _Frame, tol: float) -> SiebeckHypotheses:
     u = frame.u
-    edges = geom.polygon_edges(geom.convex_hull(u, tol=1e-12))
+    edges = geom.polygon_edges(geom.convex_hull(u))
     radius = tol * frame.spread
 
     verts = np.array([a for a, _, _ in edges])
@@ -628,26 +619,30 @@ def check_elliptical_range(a, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = TOL.m
     disk. One-sided Hausdorff distances between the two convex sets are
     the positive parts of the support-function differences, sampled over
     the sweep grid; a degenerate ellipse reduces to the support of the
-    two-point focus set automatically."""
+    two-point focus set automatically.
+
+    Both sets are computed for A scaled by the power of two of its largest
+    real or imaginary part, exactly, so nothing overflows or underflows and
+    the verdict is the same on 2**k * A. The distances are bounded by
+    ``tol`` times ||A||_F (the ``scale``) and reported in the units of A."""
     mat = numlin.as_square(a)
     tols = {"match": tol}
     if mat.shape[0] != 2:
         return preconditions_unmet("elliptical-range", "order-2 matrix required", tols)
-    ellipse = fov.elliptical_range(mat)
-    polyline = fov.boundary_polyline(mat, m)
+    shift = numlin.binary_exponent(mat)
+    scaled = numlin.ldexp(mat, -shift)
+    ellipse = fov.elliptical_range(scaled)
+    polyline = fov.boundary_polyline(scaled, m)
     he = fov.ellipse_support(ellipse, polyline.thetas)
     sweep_excess = float(max(np.max(polyline.support_values - he), 0.0))
     ellipse_excess = float(max(np.max(he - polyline.support_values), 0.0))
-    scale = 1.0 + numlin.frobenius(mat)
+    norm = numlin.frobenius(scaled)
     worst = max(sweep_excess, ellipse_excess)
-    details = (
-        ("sweep_outside_ellipse", sweep_excess),
-        ("ellipse_outside_sweep", ellipse_excess),
-        ("minor_semi_axis", ellipse.minor_semi_axis),
-        ("scale", scale),
-    )
-    verdict = PASS if worst <= tol * scale else FAIL
-    return CheckReport("elliptical-range", verdict, worst, details, tols)
+    with np.errstate(over="ignore"):
+        lengths = np.ldexp([sweep_excess, ellipse_excess, ellipse.minor_semi_axis, norm, worst], shift).tolist()
+    details = tuple(zip(("sweep_outside_ellipse", "ellipse_outside_sweep", "minor_semi_axis", "scale"), lengths))
+    verdict = PASS if worst <= tol * norm else FAIL
+    return CheckReport("elliptical-range", verdict, lengths[-1], details, tols)
 
 
 def check_edge_preimage(

@@ -56,6 +56,16 @@ def test_main_sweep_fixed_instances_end_in_a_verdict():
         assert workloads.run_inprocess(task)[1] == workloads.OK, inst.name
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_main_sweep_rounds_classify_ok(seed):
+    # every drawn check of these seeds' main-sweep rounds passes; the
+    # benchmark would still excuse a false fail of main at n >= 48
+    workloads = _load("workloads")
+    wl = workloads._main_sweep(seed, None)
+    for task in (task for tasks in wl.rounds for task in tasks):
+        assert workloads.run_inprocess(task)[1] == workloads.OK, task.label
+
+
 @pytest.mark.parametrize("seed", [3, 6, 21])
 def test_fov_siebeck_rounds_classify_ok(seed):
     # every siebeck and edge-preimage check of these seeds' rounds, which

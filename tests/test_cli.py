@@ -109,6 +109,13 @@ class TestCriticalPoints:
         assert all(abs(z) <= 1e-7 for z in pts)
         assert len(pts) == 2
 
+    @pytest.mark.parametrize("method", ["matricial", "companion"])
+    @pytest.mark.parametrize("payload", [{"roots": [[1, 2]]}, {"coeffs": [[1, 0], [2, 0]]}], ids=["root", "linear"])
+    def test_one_zero_is_an_input_error(self, tmp_path, capsys, method, payload):
+        inst = write_instance(tmp_path / "one.json", payload)
+        code, out, err = run_main(["critical-points", inst, "--method", method], capsys)
+        assert (code, out, err) == (1, "", "input error: need at least 2 zeros\n")
+
     def test_output_sorted_by_re_im(self, tmp_path, capsys):
         inst = write_instance(
             tmp_path / "p.json", {"roots": [[0, 1], [0, -1], [1, 0], [-1, 0]]}
@@ -174,6 +181,15 @@ class TestExtremeScales:
         assert np.all(np.isfinite(points["matricial"]))
         assert np.max(np.abs(points["matricial"] - points["companion"])) <= 1e-14 * 2e308
 
+    @pytest.mark.parametrize("roots", [[[1e154, 0], [1e154, 0]], [[1e150, 0], [0, 1e150]]], ids=["double", "1e150"])
+    def test_elliptical_range_runs_in_a_power_of_two_frame(self, tmp_path, capsys, roots):
+        # the companion matrices have entries of 1e300 and more, whose squares overflow
+        inst = write_instance(tmp_path / "inst.json", {"roots": roots})
+        code, out, err = run_main(["check", inst, "--theorem", "elliptical-range"], capsys)
+        assert code == 0, err
+        report = json.loads(out)
+        assert 0.0 <= report["max_violation"] <= 1e-14 * dict(report["details"])["scale"]
+
     def test_quadratic_whose_coefficients_overflow_is_four(self, tmp_path, capsys):
         inst = write_instance(tmp_path / "inst.json", {"roots": [[1e160, 0], [-1e160, 0]]})
         code, _, err = run_main(["check", inst, "--theorem", "elliptical-range"], capsys)
@@ -220,9 +236,14 @@ class TestCheckExitCodes:
         assert code == 4
         assert "numerical failure" in err
 
-    def test_arithmetic_error_is_four(self, tmp_path, capsys):
-        # elliptical-range runs in the units of the zeros, where the squared
-        # trace of the companion matrix of a double root at 1e154 overflows
+    def test_arithmetic_error_is_four(self, tmp_path, capsys, monkeypatch):
+        # an overflow inside a checker is a numerical failure, never a verdict
+        from polycrit import fov
+
+        def overflow(_):
+            raise FloatingPointError("overflow encountered in square")
+
+        monkeypatch.setattr(fov, "elliptical_range", overflow)
         inst = write_instance(tmp_path / "big.json", {"roots": [[1e154, 0], [1e154, 0]]})
         code, _, err = run_main(["check", inst, "--theorem", "elliptical-range"], capsys)
         assert code == 4

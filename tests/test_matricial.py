@@ -32,17 +32,6 @@ class TestDftMatrix:
             matricial.dft_matrix(0)
 
 
-class TestIsComplexHadamard:
-    def test_dft_is_hadamard(self):
-        assert matricial.is_complex_hadamard(matricial.dft_matrix(5))
-
-    def test_identity_is_not(self):
-        assert not matricial.is_complex_hadamard(np.eye(2))
-
-    def test_rank_one_is_not(self):
-        assert not matricial.is_complex_hadamard(np.ones((2, 2)))
-
-
 class TestBuildConstruction:
     def test_two_point_swap(self):
         a = matricial.build_construction([1, -1])
@@ -74,23 +63,14 @@ class TestBuildConstruction:
     def test_fft_build_matches_dense_product(self, n):
         zeros = random_zeros(make_rng(72), n)
         a = matricial.build_construction(zeros)
-        dense = matricial.build_construction(zeros, hadamard=matricial.dft_matrix(n))
         u = matricial.dft_matrix(n) / np.sqrt(n)
         bound = 1e-14 * np.max(np.abs(zeros))
         np.testing.assert_allclose(a, (u * zeros) @ numlin.adjoint(u), rtol=0, atol=bound)
-        np.testing.assert_allclose(a, dense, rtol=0, atol=bound)
 
     def test_failed_round_trip_is_numerical_error(self):
         # the FFT of zeros this large overflows
         with pytest.raises(NumericalError):
             matricial.build_construction([1e308, 1e308, -1e308])
-
-    def test_custom_hadamard_hook(self):
-        h = np.array([[1, 1], [1, -1]], dtype=complex)
-        a = matricial.build_construction([1, -1], hadamard=h)
-        np.testing.assert_allclose(a, [[0, 1], [1, 0]], atol=1e-12)
-        with pytest.raises(ValueError):
-            matricial.build_construction([1, -1], hadamard=np.eye(2))
 
     def test_rejects_single_zero(self):
         with pytest.raises(ValueError):
@@ -219,7 +199,8 @@ class TestInvariants:
         # the densely built U D U* and match each to the spectrum of A_(1)
         n = zeros.size
         single = matricial.critical_points_matricial(zeros, 1)
-        dense = matricial.build_construction(zeros, hadamard=matricial.dft_matrix(n))
+        u = matricial.dft_matrix(n) / np.sqrt(n)
+        dense = (u * zeros) @ numlin.adjoint(u)
         bound = TOL.match * geom.point_spread(zeros)
         for i in range(1, n + 1):
             spectrum = numlin.general_eigvals(numlin.principal_submatrix(dense, i))
@@ -262,3 +243,52 @@ class TestInvariants:
             assert tv == df
             agreements += 1
         assert agreements == 200
+
+
+def _gaussian(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _scaled(a, k):
+    return np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)
+
+
+class TestK10:
+    """Both predicates are decided on the centred matrix scaled to norm
+    near 1, so they hold at every degree and scale (ROADMAP K10)."""
+
+    @pytest.mark.parametrize("n", [12, 20, 30])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_basis_vectors_pass_and_a_random_vector_fails(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a = matricial.build_construction(_gaussian(rng, n))
+        for e in np.eye(n):
+            assert matricial.is_trace_vector(a, e).is_trace_vector
+            assert matricial.is_differentiator(a, e)
+        v = _gaussian(rng, n)
+        v /= np.linalg.norm(v)
+        assert not matricial.is_trace_vector(a, v).is_trace_vector
+        assert not matricial.is_differentiator(a, v)
+        for w in (np.eye(n)[0], v):
+            report, verdict = matricial.is_trace_vector(a, w), matricial.is_differentiator(a, w)
+            for k in (-500, 500):
+                assert matricial.is_trace_vector(_scaled(a, k), w) == report
+                assert matricial.is_differentiator(_scaled(a, k), w) == verdict
+
+    def test_jordan_block_differentiator(self):
+        # the eigenvalues of the conjugated nilpotent Jordan block come out
+        # about 8.5e-5 off 0: a spectral comparison would reject U e_1
+        rng = np.random.default_rng(0)
+        u, _ = np.linalg.qr(_gaussian(rng, 16).reshape(4, 4))
+        a = u @ np.diag(np.ones(3), 1) @ numlin.adjoint(u)
+        assert np.max(np.abs(numlin.general_eigvals(a))) > 1e-5
+        assert matricial.is_differentiator(a, u[:, 0])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_householder_complement_is_orthonormal(self, seed):
+        z = _gaussian(np.random.default_rng(seed), 30)
+        z /= np.linalg.norm(z)
+        q = matricial._complement_basis(z)
+        assert q.shape == (30, 29)
+        assert np.max(np.abs(numlin.adjoint(q) @ q - np.eye(29))) <= 1e-15
+        assert np.max(np.abs(z.conj() @ q)) <= 1e-15

@@ -631,6 +631,20 @@ class TestEllipticalRange:
         report = theorems.check_elliptical_range(np.array([[1, 1], [0, -1]]))
         assert report.verdict == theorems.PASS
 
+    def test_same_report_on_every_power_of_two(self):
+        # unscaled, 2**510 overflows the Gram sum (a NaN fail), 2**-540
+        # underflows the minor axis to 0, and from 2**-40 down every sample
+        # falls under the absolute flat-segment gap
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        base = theorems.check_elliptical_range(a)
+        assert base.verdict == theorems.PASS
+        for k in (-600, -540, -40, 510):
+            report = theorems.check_elliptical_range(np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k))
+            assert report.verdict == theorems.PASS, k
+            assert report.max_violation == np.ldexp(base.max_violation, k), k
+            assert [v for _, v in report.details] == [np.ldexp(v, k) for _, v in base.details], k
+
     def test_wrong_order_precondition(self):
         report = theorems.check_elliptical_range(np.eye(3))
         assert report.verdict == theorems.PRECONDITIONS_UNMET
