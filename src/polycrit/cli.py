@@ -246,7 +246,7 @@ def run_check(theorem: str, instance: Instance, config: RunConfig, edge_index: i
     if theorem == "siebeck":
         return theorems.check_poor_mans_siebeck(zeros, m=config.sweep_samples, tol=config.tol_geometry)
     if theorem == "bgm":
-        return theorems.check_bgm(zeros, tol=config.tol_geometry)
+        return theorems.check_bgm(zeros, tol=config.tol_geometry, m=config.sweep_samples)
     if theorem == "edge-preimage":
         return theorems.check_edge_preimage(zeros, edge_index, tol=config.tol_geometry, m=config.sweep_samples)
     raise InstanceError(f"unknown theorem {theorem!r}")
@@ -257,7 +257,7 @@ def _config_from_args(args) -> RunConfig:
         tol_match=args.tol_match if getattr(args, "tol_match", None) is not None else TOL.match,
         tol_geometry=args.tol_geom if getattr(args, "tol_geom", None) is not None else TOL.geometry,
         tol_linalg=args.tol_linalg if getattr(args, "tol_linalg", None) is not None else TOL.linalg,
-        sweep_samples=getattr(args, "samples", DEFAULT_SWEEP_SAMPLES) or DEFAULT_SWEEP_SAMPLES,
+        sweep_samples=getattr(args, "samples", DEFAULT_SWEEP_SAMPLES),
         output_format=getattr(args, "format", "json") or "json",
     )
 

@@ -32,8 +32,10 @@ from dataclasses import dataclass
 class Tolerances:
     # linear algebra, relative to the Frobenius norm
     unitarity: float = 1e-10
-    # absolute eigenvalue-gap threshold below which a top eigenspace is
-    # treated as degenerate (flat boundary segment)
+    # eigenvalue-gap threshold below which a top eigenspace of H(theta) is
+    # treated as degenerate (flat boundary segment), relative to the power
+    # of two of the matrix's largest real or imaginary part
+    # (``numlin.binary_exponent``)
     degenerate_gap: float = 1e-10
 
     # verification defaults; the CLI can override per category

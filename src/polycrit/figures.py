@@ -42,7 +42,7 @@ def figure_layers(zeros, which: str, sweep_samples: int = DEFAULT_SWEEP_SAMPLES)
         if u.size != 3:
             raise ValueError("bgm figure requires exactly 3 zeros")
         ellipse = geom.steiner_inellipse(u[0], u[1], u[2])
-        layers["inellipse"] = frame.points(fov.ellipse_points(ellipse, 256))
+        layers["inellipse"] = frame.points(fov.ellipse_points(ellipse))
         focus1, focus2, center = frame.points([ellipse.focus1, ellipse.focus2, ellipse.center])
         layers["inellipse_params"] = {
             "focus1": [focus1.real, focus1.imag],

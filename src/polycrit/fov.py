@@ -1,5 +1,6 @@
-"""Field of values (numerical range): support sweep, membership, the
-determinant form of the boundary curve, and the 2x2 elliptical case.
+"""Field of values (numerical range): support sweep, membership
+margins, the determinant form of the boundary curve, and the 2x2
+elliptical case.
 
 The support function of F(a) in direction exp(i*theta) is the largest
 eigenvalue of
@@ -9,7 +10,11 @@ eigenvalue of
 
 with H1 = (a + a*)/2 and H2 = (a - a*)/(2i). A top eigenvector x gives
 the boundary point x* a x, whose projection Re(exp(-i*theta) x* a x)
-equals the support value.
+equals the support value. ``support_point`` and ``boundary_polyline``
+share one kernel, ``_boundary``: one batched eigensolve over their
+angles, with the flat-segment rule relative to the matrix's power of
+two. ``sweep_supports`` takes the support values alone from the
+eigenvalues.
 
 When a = A_(1) compresses a normal A with eigenvalues z_k by a vector
 whose entries all have modulus 1/sqrt(n), as the DFT construction of
@@ -32,47 +37,46 @@ import numpy as np
 
 from .config import DEFAULT_SWEEP_SAMPLES, TOL
 from .errors import NumericalError
-from .numlin import adjoint, as_square
+from .numlin import adjoint, as_square, binary_exponent, ldexp
 
 
 @dataclass(frozen=True)
 class EllipseParams:
     """A possibly degenerate ellipse: coincident foci give a circle,
-    zero minor semi-axis gives a segment."""
+    zero minor semi-axis gives a segment. ``ellipse_from_foci`` orders the
+    foci, which fixes the rotation."""
 
     focus1: complex
     focus2: complex
     minor_semi_axis: float
-    center: complex
-    major_semi_axis: float
-    rotation: float
 
     def __post_init__(self):
-        guard = 1e-10 * (1.0 + self.major_semi_axis**2)
-        if abs(self.center - (self.focus1 + self.focus2) / 2.0) > math.sqrt(guard):
-            raise ValueError("center must be the focus midpoint")
-        gap = self.major_semi_axis**2 - self.minor_semi_axis**2 - abs(self.focus1 - self.focus2) ** 2 / 4.0
-        if abs(gap) > guard:
-            raise ValueError("axis lengths inconsistent with focal distance")
         if self.minor_semi_axis < 0.0:
             raise ValueError("minor semi-axis must be nonnegative")
 
+    @property
+    def center(self) -> complex:
+        return (self.focus1 + self.focus2) / 2.0
+
+    @property
+    def major_semi_axis(self) -> float:
+        return math.hypot(self.minor_semi_axis, abs(self.focus2 - self.focus1) / 2.0)
+
+    @property
+    def rotation(self) -> float:
+        """arg(focus2 - focus1) in (-pi, pi], zero for coincident foci."""
+        d = self.focus2 - self.focus1
+        return 0.0 if d == 0 else math.atan2(d.imag, d.real)
+
 
 def ellipse_from_foci(f1: complex, f2: complex, minor_semi_axis: float) -> EllipseParams:
-    """EllipseParams from the foci and the minor semi-axis.
-
-    Foci are ordered lexicographically by (re, im) and the rotation is
-    arg(focus2 - focus1) in (-pi, pi], zero for coincident foci, which
-    pins a deterministic representation.
-    """
+    """EllipseParams from the foci and the minor semi-axis, with the foci
+    ordered lexicographically by (re, im), which pins a deterministic
+    representation."""
     a, b = complex(f1), complex(f2)
     if (b.real, b.imag) < (a.real, a.imag):
         a, b = b, a
-    center = (a + b) / 2.0
-    half_focal = abs(b - a) / 2.0
-    major = math.hypot(minor_semi_axis, half_focal)
-    rotation = 0.0 if b == a else math.atan2((b - a).imag, (b - a).real)
-    return EllipseParams(a, b, float(minor_semi_axis), center, major, rotation)
+    return EllipseParams(a, b, float(minor_semi_axis))
 
 
 def ellipse_support(e: EllipseParams, theta):
@@ -88,9 +92,9 @@ def ellipse_support(e: EllipseParams, theta):
     return float(out) if out.ndim == 0 else out
 
 
-def ellipse_points(e: EllipseParams, count: int = 256) -> np.ndarray:
-    """Parametric boundary samples, counterclockwise."""
-    t = 2.0 * np.pi * np.arange(count) / count
+def ellipse_points(e: EllipseParams) -> np.ndarray:
+    """256 parametric boundary samples, counterclockwise."""
+    t = 2.0 * np.pi * np.arange(256) / 256
     phase = cmath.exp(1j * e.rotation)
     return e.center + phase * (e.major_semi_axis * np.cos(t) + 1j * e.minor_semi_axis * np.sin(t))
 
@@ -100,39 +104,61 @@ def hermitian_parts(a) -> tuple[np.ndarray, np.ndarray]:
     return (m + adjoint(m)) / 2.0, (m - adjoint(m)) / 2.0j
 
 
-def direction_matrix(a, theta: float) -> np.ndarray:
-    """H(theta), whose top eigenvalue is the support value of F(a)."""
-    m = as_square(a)
-    phase = cmath.exp(-1j * theta)
-    return (phase * m + np.conj(phase) * adjoint(m)) / 2.0
-
-
-def _tangential_extreme(a: np.ndarray, theta: float, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Top eigenvector choice for a degenerate top eigenspace: the point
-    of the flat boundary segment extreme in the forward tangential
-    direction, so sweeps traverse flat edges monotonically."""
+def _tangential_extreme(a: np.ndarray, theta: float, w: np.ndarray, v: np.ndarray) -> complex:
+    """The boundary point for a degenerate top eigenspace of H(theta),
+    with eigenpairs ``(w, v)``: the point of the flat boundary segment
+    extreme in the forward tangential direction, so sweeps traverse flat
+    edges monotonically."""
     sub = v[:, w >= w[-1] - TOL.degenerate_gap]
     phase = cmath.exp(-1j * theta)
     k = (phase * a - np.conj(phase) * adjoint(a)) / 2.0j
     kv = sub.conj().T @ k @ sub
     _, kvecs = np.linalg.eigh((kv + kv.conj().T) / 2.0)
     x = sub @ kvecs[:, -1]
-    return x / np.linalg.norm(x)
+    x /= np.linalg.norm(x)
+    return complex(x.conj() @ a @ x)
+
+
+def _direction_stack(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    phase = np.exp(-1j * thetas)
+    return (phase[:, None, None] * a[None, :, :] + np.conj(phase)[:, None, None] * adjoint(a)[None, :, :]) / 2.0
+
+
+def _boundary(a: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Support values, boundary points and flat flags of F(a) at
+    ``thetas``, from one batched eigensolve of H(theta).
+
+    The sweep runs on a scaled by the power of two of its largest real or
+    imaginary part, exactly, and its values are scaled back: the results
+    on 2**k * a are 2**k times those on a, and ``TOL.degenerate_gap`` is
+    relative to that power of two. A sample is flat when the top two
+    eigenvalues differ by less than the gap; its boundary point is then
+    ``_tangential_extreme``'s. A boundary point x* a x whose projection
+    Re(exp(-i theta) x* a x) misses the support value by more than
+    1e-9 * (1 + |support|), in the scaled units, raises NumericalError."""
+    shift = binary_exponent(a)
+    a = ldexp(a, -shift)
+    try:
+        w, v = np.linalg.eigh(_direction_stack(a, thetas))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"support eigensolver failed: {exc}") from exc
+    supports = w[:, -1]
+    flats = supports - w[:, -2] < TOL.degenerate_gap if a.shape[0] > 1 else np.zeros(thetas.size, dtype=bool)
+    x = v[:, :, -1]
+    points = np.einsum("ki,ij,kj->k", x.conj(), a, x)
+    for k in np.flatnonzero(flats):
+        points[k] = _tangential_extreme(a, float(thetas[k]), w[k], v[k])
+    residual = np.abs(np.real(np.exp(-1j * thetas) * points) - supports)
+    if np.any(residual > 1e-9 * (1.0 + np.abs(supports))):
+        raise NumericalError("boundary points inconsistent with support values")
+    return np.ldexp(supports, shift), ldexp(points, shift), flats
 
 
 def support_point(a, theta: float) -> tuple[float, complex]:
     """Support value of F(a) in direction exp(i*theta) and a boundary
     point attaining it."""
-    m = as_square(a)
-    try:
-        w, v = np.linalg.eigh(direction_matrix(m, theta))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"support eigensolver failed: {exc}") from exc
-    if w.size > 1 and w[-1] - w[-2] < TOL.degenerate_gap:
-        x = _tangential_extreme(m, theta, w, v)
-    else:
-        x = v[:, -1]
-    return float(w[-1]), complex(x.conj() @ m @ x)
+    supports, points, _ = _boundary(as_square(a), np.array([float(theta)]))
+    return float(supports[0]), complex(points[0])
 
 
 @dataclass(frozen=True)
@@ -140,9 +166,8 @@ class BoundaryPolyline:
     """Support sweep of the boundary: angles, support values, boundary
     points, and per-sample flags marking degenerate (flat-segment) tops.
 
-    Validated on construction: angles strictly increasing, at least 3
-    samples, and Re(exp(-i*theta) b) equal to the support value within
-    1e-9 * (1 + |support|)."""
+    Validated on construction: angles strictly increasing and at least 3
+    samples."""
 
     thetas: np.ndarray
     support_values: np.ndarray
@@ -154,16 +179,6 @@ class BoundaryPolyline:
             raise ValueError("at least 3 samples required")
         if not np.all(np.diff(self.thetas) > 0):
             raise ValueError("angles must be strictly increasing")
-        residual = np.abs(
-            np.real(np.exp(-1j * self.thetas) * self.boundary_points) - self.support_values
-        )
-        if np.any(residual > 1e-9 * (1.0 + np.abs(self.support_values))):
-            raise ValueError("boundary points inconsistent with support values")
-
-
-def _direction_stack(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    phase = np.exp(-1j * thetas)
-    return (phase[:, None, None] * a[None, :, :] + np.conj(phase)[:, None, None] * adjoint(a)[None, :, :]) / 2.0
 
 
 def sweep_supports(a, thetas) -> np.ndarray:
@@ -236,22 +251,8 @@ def boundary_polyline(a, m: int = DEFAULT_SWEEP_SAMPLES) -> BoundaryPolyline:
     mat = as_square(a)
     if m < 8:
         raise ValueError("at least 8 samples required")
-    n = mat.shape[0]
     thetas = 2.0 * np.pi * np.arange(m) / m
-    try:
-        w, v = np.linalg.eigh(_direction_stack(mat, thetas))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"support eigensolver failed: {exc}") from exc
-    supports = w[:, -1].copy()
-    x = v[:, :, -1]
-    points = np.einsum("ki,ij,kj->k", x.conj(), mat, x)
-    if n > 1:
-        flats = (w[:, -1] - w[:, -2]) < TOL.degenerate_gap
-        for k in np.flatnonzero(flats):
-            supports[k], points[k] = support_point(mat, float(thetas[k]))
-    else:
-        flats = np.zeros(m, dtype=bool)
-    return BoundaryPolyline(thetas, supports, points, flats)
+    return BoundaryPolyline(thetas, *_boundary(mat, thetas))
 
 
 def point_margin(thetas, supports, z):
@@ -266,14 +267,6 @@ def point_margin(thetas, supports, z):
     projected = (np.exp(-1j * th) * np.asarray(z, dtype=complex)[..., None]).real
     out = np.max(np.subtract(projected, supports, out=projected), axis=-1)  # in place: one (points x angles) buffer
     return float(out) if out.ndim == 0 else out
-
-
-def contains_point(a, z, m: int = DEFAULT_SWEEP_SAMPLES, slack: float = TOL.membership_slack) -> bool:
-    """Sampled outer membership test of z in F(a)."""
-    if m < 8:
-        raise ValueError("at least 8 samples required")
-    thetas = 2.0 * np.pi * np.arange(m) / m
-    return point_margin(thetas, sweep_supports(a, thetas), complex(z)) <= slack
 
 
 def kippenhahn_eval(a, u: float, v: float, w: float) -> complex:

@@ -9,14 +9,13 @@ from .rng import Xoshiro256StarStar, random_zeros
 from .theorems import check_siebeck_hypotheses
 
 CONSTRAINTS = ("none", "real", "siebeck-ok")
+_MAX_ATTEMPTS = 1000
 
 
-def generate_zeros(
-    rng: Xoshiro256StarStar, n: int, constraint: str = "none", max_attempts: int = 1000
-) -> np.ndarray:
+def generate_zeros(rng: Xoshiro256StarStar, n: int, constraint: str = "none") -> np.ndarray:
     """Draw n zeros: unit disk by default, real interval for "real",
     and rejection-resampled until the tangency hypotheses hold for
-    "siebeck-ok" (at most ``max_attempts`` tries)."""
+    "siebeck-ok" (at most ``_MAX_ATTEMPTS`` tries)."""
     if n < 2:
         raise ValueError("need n >= 2")
     if constraint not in CONSTRAINTS:
@@ -25,11 +24,11 @@ def generate_zeros(
         return random_zeros(rng, n, real=True)
     if constraint == "none":
         return random_zeros(rng, n)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         zeros = random_zeros(rng, n)
         try:
             if check_siebeck_hypotheses(zeros).holds:
                 return zeros
         except ValueError:
             continue
-    raise GenerationCapExceeded(f"no hypothesis-satisfying instance in {max_attempts} attempts")
+    raise GenerationCapExceeded(f"no hypothesis-satisfying instance in {_MAX_ATTEMPTS} attempts")

@@ -1,4 +1,4 @@
-"""Planar convex geometry on complex points: hulls, membership, and the
+"""Planar convex geometry on complex points: hulls, hull violations, and the
 inscribed midpoint-tangent ellipse of a triangle.
 
 Predicates use tolerances relative to the spread of the input (largest
@@ -28,6 +28,8 @@ _FILTER_DEPTH = 1e-6
 # conjugates of 1, 1 + i, i and -1 + i: projections on them are exact on the axes
 _DIRECTIONS = np.array([1, 1 - 1j, -1j, -1 - 1j])[:, None]
 _NEXT_CORNER = np.roll(np.arange(8), -1)
+# ``convex_hull`` drops a vertex within this many spreads of the chord of its neighbors.
+_SLIVER = 1e-12
 
 
 def _hull_candidates(p: np.ndarray) -> np.ndarray:
@@ -139,15 +141,15 @@ def _merge_coincident(pts: np.ndarray) -> tuple[np.ndarray, float]:
     return p[keep], scale
 
 
-def convex_hull(points, tol: float = 1e-12) -> ConvexPolygon:
+def convex_hull(points) -> ConvexPolygon:
     """Counterclockwise convex hull by monotone chain.
 
     Coincident inputs are merged at ``TOL.dedup * spread`` and vertices
-    within ``tol * spread`` of the chord of their neighbors are dropped (the
-    checkers use the default), so near-collinear triples do not produce
-    sliver vertices. The distance is to the chord as a segment, not to its
-    line: on a sliver hull of nearly collinear points an extreme vertex lies
-    on the line through its neighbors but beyond them, and must stay.
+    within ``_SLIVER * spread`` of the chord of their neighbors are dropped,
+    so near-collinear triples do not produce sliver vertices. The distance
+    is to the chord as a segment, not to its line: on a sliver hull of
+    nearly collinear points an extreme vertex lies on the line through its
+    neighbors but beyond them, and must stay.
     Collapsed outputs are a single point or a segment. From
     ``_FILTER_FROM`` points on, the points deep inside the hull are dropped
     first (``_hull_candidates``); the hull is the same bit for bit.
@@ -178,14 +180,14 @@ def convex_hull(points, tol: float = 1e-12) -> ConvexPolygon:
     if len(hull) < 3:
         return ConvexPolygon(np.array([kept[0], kept[-1]]))
 
-    # drop vertices within tol*scale of the chord of their neighbors
+    # drop vertices within _SLIVER * scale of the chord of their neighbors
     changed = True
     while changed and len(hull) > 2:
         changed = False
         for k in range(len(hull)):
             prev = hull[k - 1]
             nxt = hull[(k + 1) % len(hull)]
-            if _chord_distance(hull[k], prev, nxt) <= tol * scale:
+            if _chord_distance(hull[k], prev, nxt) <= _SLIVER * scale:
                 del hull[k]
                 changed = True
                 break
@@ -234,12 +236,6 @@ def hull_violation(p: ConvexPolygon, z):
         signed = (np.conj(normals)[:, None] * (zz.reshape(1, -1) - starts[:, None])).real
         out = np.max(signed, axis=0).reshape(zz.shape)
     return float(out) if out.ndim == 0 else out
-
-
-def point_in_hull(p: ConvexPolygon, z: complex, tol: float = TOL.geometry) -> bool:
-    """True iff z is within absolute distance ``tol`` of the closed
-    polygon (signed distance to every edge line at least -tol)."""
-    return hull_violation(p, z) <= tol
 
 
 def steiner_inellipse(v1: complex, v2: complex, v3: complex) -> EllipseParams:

@@ -584,14 +584,15 @@ def check_poor_mans_siebeck(zeros, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = 
     return CheckReport("siebeck", PASS if ok else FAIL, violation, details, tols)
 
 
-def check_bgm(zeros, tol: float = TOL.geometry) -> CheckReport:
+def check_bgm(zeros, tol: float = TOL.geometry, m: int = DEFAULT_SWEEP_SAMPLES) -> CheckReport:
     """The foci of the inscribed midpoint-tangent ellipse of the triangle
     of zeros coincide with the critical points, and it touches each side at
     the midpoint, within ``tol`` times the spread of the zeros, in the frame
     of the zeros. A side is touched at its midpoint when the ellipse's
     support (``fov.ellipse_support``) at the side's outward normal is the
-    side's line and the midpoint's margin over the uniform grid and the
-    side's fan is at most the bound, as in ``check_poor_mans_siebeck``."""
+    side's line and the midpoint's margin over the uniform grid of ``m``
+    angles and the side's fan is at most the bound, as in
+    ``check_poor_mans_siebeck``."""
     tols = {"geometry": tol}
     frame = _frame(zeros, 3, "bgm", tols, exact=True)
     if isinstance(frame, CheckReport):
@@ -603,7 +604,7 @@ def check_bgm(zeros, tol: float = TOL.geometry) -> CheckReport:
         return preconditions_unmet("bgm", str(exc), tols)
     match = poly.multiset_match([ellipse.focus1, ellipse.focus2], _framed_critical_points(frame), tol * frame.spread)
     normals, lines = _edge_normals(edges)
-    thetas = 2.0 * np.pi * np.arange(DEFAULT_SWEEP_SAMPLES) / DEFAULT_SWEEP_SAMPLES
+    thetas = 2.0 * np.pi * np.arange(m) / m
     tangency = float(np.max(np.abs(fov.ellipse_support(ellipse, normals) - lines)))
     for (a, b, _), fan in zip(edges, _fans(normals)):
         angles = np.concatenate([thetas, fan])
@@ -632,10 +633,11 @@ def check_elliptical_range(a, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = TOL.m
     shift = numlin.binary_exponent(mat)
     scaled = numlin.ldexp(mat, -shift)
     ellipse = fov.elliptical_range(scaled)
-    polyline = fov.boundary_polyline(scaled, m)
-    he = fov.ellipse_support(ellipse, polyline.thetas)
-    sweep_excess = float(max(np.max(polyline.support_values - he), 0.0))
-    ellipse_excess = float(max(np.max(he - polyline.support_values), 0.0))
+    thetas = 2.0 * np.pi * np.arange(m) / m
+    supports = fov.sweep_supports(scaled, thetas)
+    he = fov.ellipse_support(ellipse, thetas)
+    sweep_excess = float(max(np.max(supports - he), 0.0))
+    ellipse_excess = float(max(np.max(he - supports), 0.0))
     norm = numlin.frobenius(scaled)
     worst = max(sweep_excess, ellipse_excess)
     with np.errstate(over="ignore"):

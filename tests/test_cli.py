@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polycrit import cli
+from polycrit import cli, fov, theorems
 from polycrit.figures import LAYERS
 
 
@@ -313,6 +313,30 @@ class TestCheckExitCodes:
         # check draws nothing at random, so it takes no --seed
         code, _, _ = run_main(["check", triangle, "--theorem", "main", "--seed", "3"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("command", [["check", "--theorem", "siebeck"], ["figure", "--which", "siebeck"]])
+    @pytest.mark.parametrize("samples", ["0", "7"])
+    def test_too_few_samples_is_one(self, cube_roots, capsys, command, samples):
+        code, out, err = run_main([command[0], cube_roots, *command[1:], "--samples", samples], capsys)
+        assert code == 1 and out == ""
+        assert "sweep sample count must be at least 8" in err
+
+    def test_bgm_sweeps_the_samples_it_reports(self, tmp_path, capsys, monkeypatch):
+        roots = [[0.1, 0.2], [1.3, -0.4], [-0.2, 0.9]]
+        inst = write_instance(tmp_path / "tri.json", {"roots": roots})
+        swept = []
+        margin = fov.point_margin
+
+        def counted(thetas, *rest):
+            swept.append(len(thetas))
+            return margin(thetas, *rest)
+
+        monkeypatch.setattr(fov, "point_margin", counted)
+        code, out, _ = run_main(["check", inst, "--theorem", "bgm", "--samples", "16"], capsys)
+        assert swept == [16 + 97] * 3  # the grid and each side's fan
+        report = theorems.check_bgm([complex(*z) for z in roots], m=16)
+        assert code == 0
+        assert json.loads(out) == cli.report_payload(report, cli.RunConfig(sweep_samples=16))
 
     def test_tolerances_echoed(self, cube_roots, capsys):
         code, out, _ = run_main(

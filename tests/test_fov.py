@@ -6,6 +6,7 @@ import pytest
 
 from conftest import make_rng, random_normal_matrix
 from polycrit import fov, geom, matricial, numlin, poly
+from polycrit.config import TOL
 from polycrit.generate import generate_zeros
 from polycrit.rng import random_matrix, random_zeros
 
@@ -61,21 +62,69 @@ class TestBoundaryPolyline:
         with pytest.raises(ValueError):
             fov.boundary_polyline(NILPOTENT, 7)
 
+    @pytest.mark.parametrize("k", [-600, -60, -34, 0, 60, 500])
+    def test_power_of_two_scaling(self, k):
+        # the flat rule is relative to the matrix's power of two: an absolute
+        # gap flags samples of small matrices as flat and moves their points
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        base = fov.boundary_polyline(a, 720)
+        pl = fov.boundary_polyline(numlin.ldexp(a, k), 720)
+        assert not base.flat_flags.any()
+        np.testing.assert_array_equal(pl.flat_flags, base.flat_flags)
+        singles = np.array([fov.support_point(numlin.ldexp(a, k), t) for t in base.thetas[::45]])
+        pairs = [
+            (pl.support_values, base.support_values),
+            (pl.boundary_points, base.boundary_points),
+            (singles[:, 0].real, base.support_values[::45]),
+            (singles[:, 1], base.boundary_points[::45]),
+        ]
+        for values, expected in pairs:
+            scaled = numlin.ldexp(expected, k)
+            if abs(k) <= 60:
+                np.testing.assert_array_equal(values, scaled)
+            else:
+                assert np.max(np.abs(values - scaled)) <= 1e-13 * np.max(np.abs(scaled))
+
+    def test_one_eigensolve_per_angle(self, monkeypatch):
+        # one batched solve of H(theta), plus one small solve in each of the
+        # three flat samples' top eigenspaces; no sample is solved again
+        omega = np.exp(2j * np.pi / 3)
+        a = matricial.build_construction([1, omega, omega**2])
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counted(m):
+            shapes.append(np.shape(m))
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        pl = fov.boundary_polyline(a, 360)
+        assert int(np.count_nonzero(pl.flat_flags)) == 3
+        assert shapes[0] == (360, 3, 3)
+        assert len(shapes) == 4 and all(len(s) == 2 and s[0] < 3 for s in shapes[1:])
+
+
+def sweep_margin(a, z):
+    """Outer membership margin of z in F(a) over the 720-angle grid."""
+    thetas = 2 * np.pi * np.arange(720) / 720
+    return fov.point_margin(thetas, fov.sweep_supports(a, thetas), z)
+
 
 class TestContainsPoint:
     def test_normalized_trace_always_inside(self):
         rng = make_rng(81)
         a = random_matrix(rng, 5)
-        assert fov.contains_point(a, np.trace(a) / a.shape[0])
+        assert sweep_margin(a, np.trace(a) / a.shape[0]) <= TOL.membership_slack
 
     def test_far_point_outside(self):
-        assert not fov.contains_point(np.diag([1.0, 2.0]), 10.0)
+        assert sweep_margin(np.diag([1.0, 2.0]), 10.0) > TOL.membership_slack
 
     def test_eigenvalues_inside(self):
         rng = make_rng(82)
         a = random_matrix(rng, 6)
         for lam in numlin.general_eigvals(a):
-            assert fov.contains_point(a, lam, slack=1e-8)
+            assert sweep_margin(a, lam) <= 1e-8
 
 
 class TestKippenhahn:
@@ -139,9 +188,18 @@ class TestEllipseParams:
         e = fov.ellipse_from_foci(1j, -1j, 0.25)
         assert abs(e.rotation - math.pi / 2) <= 1e-15
 
-    def test_inconsistent_params_rejected(self):
+    def test_axes_and_center_follow_the_foci(self):
+        rng = np.random.default_rng(5)
+        for f1, f2, minor in zip(*rng.normal(size=(2, 20, 2)) @ [1, 1j], rng.uniform(0, 2, 20)):
+            e = fov.ellipse_from_foci(f1, f2, minor)
+            half_focal_sq = abs(e.focus2 - e.focus1) ** 2 / 4
+            assert e.major_semi_axis**2 == pytest.approx(e.minor_semi_axis**2 + half_focal_sq, rel=1e-14)
+            assert e.center == (e.focus1 + e.focus2) / 2
+            assert {e.focus1, e.focus2} == {f1, f2} and e.minor_semi_axis == minor
+
+    def test_negative_minor_axis_rejected(self):
         with pytest.raises(ValueError):
-            fov.EllipseParams(0j, 2 + 0j, 1.0, 0.5 + 0j, 1.0, 0.0)
+            fov.EllipseParams(0j, 2 + 0j, -1.0)
 
     def test_support_of_circle(self):
         e = fov.ellipse_from_foci(0.3 + 0.2j, 0.3 + 0.2j, 0.5)
@@ -205,7 +263,7 @@ class TestSweepInvariants:
 def _edge_fans(zeros, offsets):
     """Angles at and around every hull edge normal of the zeros."""
     fan = np.concatenate([-offsets[::-1], [0.0], offsets])
-    edges = geom.polygon_edges(geom.convex_hull(zeros, tol=1e-12))
+    edges = geom.polygon_edges(geom.convex_hull(zeros))
     return np.concatenate([math.atan2(normal.imag, normal.real) + fan for _, _, normal in edges])
 
 

@@ -44,7 +44,7 @@ class TestConvexHull:
         # nearly collinear: each extreme vertex is within tol of the line
         # through its neighbours, but far from the segment between them
         pts = np.array([0.0, 0.3 + 1e-14j, 0.7 - 1e-14j, 1.0]) * (1 + 2j)
-        hull = geom.convex_hull(pts, tol=1e-12)
+        hull = geom.convex_hull(pts)
         assert set(hull.vertices) == {pts[0], pts[-1]}
 
     def test_single_and_coincident_points(self):
@@ -118,7 +118,7 @@ class TestConvexHull:
         pts = random_zeros(rng, 20)
         hull = geom.convex_hull(pts)
         for p in pts:
-            assert geom.point_in_hull(hull, p, 1e-9)
+            assert geom.hull_violation(hull, p) <= 1e-9
 
 
 def filter_corners(pts):
@@ -137,7 +137,7 @@ def near_hull_families():
     inner = rng.uniform(0.1, 0.9, 100) + 1j * rng.uniform(0.1, 0.9, 100)
     cases["square with interior points"] = np.concatenate([[0, 1, 1 + 1j, 1j], inner])
     disk = generate_zeros(make_rng(143), 200)
-    vertices = geom.convex_hull(disk, tol=1e-12).vertices
+    vertices = geom.convex_hull(disk).vertices
     turns = np.exp(2j * np.pi * rng.uniform(0, 1, vertices.size))
     cases["hull vertices doubled"] = np.concatenate([disk, vertices + 1e-11 * geom.point_spread(disk) * turns])
     corners = filter_corners(disk)
@@ -159,10 +159,14 @@ class TestHullCandidates:
     def test_spread_and_hull_are_bit_identical(self, name, pts, monkeypatch):
         pts = np.asarray(pts, dtype=complex)
         assert geom.point_spread(pts) == float(np.max(np.abs(pts[:, None] - pts[None, :])))
-        hulls = {tol: geom.convex_hull(pts, tol=tol).vertices for tol in (1e-12, TOL.geometry)}
+        hulls = {}
+        for sliver in (geom._SLIVER, TOL.geometry):
+            monkeypatch.setattr(geom, "_SLIVER", sliver)
+            hulls[sliver] = geom.convex_hull(pts).vertices
         monkeypatch.setattr(geom, "_FILTER_FROM", pts.size + 1)
-        for tol, vertices in hulls.items():
-            assert geom.convex_hull(pts, tol=tol).vertices.tobytes() == vertices.tobytes(), tol
+        for sliver, vertices in hulls.items():
+            monkeypatch.setattr(geom, "_SLIVER", sliver)
+            assert geom.convex_hull(pts).vertices.tobytes() == vertices.tobytes(), sliver
 
     def test_filter_drops_the_interior(self):
         disk = generate_zeros(make_rng(141), 200)
@@ -200,15 +204,15 @@ class TestEdgeMidpoints:
 class TestPointInHull:
     def test_centroid_inside(self):
         hull = geom.convex_hull([0, 2, 2j])
-        assert geom.point_in_hull(hull, (2 + 2j) / 3)
+        assert geom.hull_violation(hull, (2 + 2j) / 3) <= TOL.geometry
 
     def test_far_point_outside(self):
         hull = geom.convex_hull([0, 2, 2j])
-        assert not geom.point_in_hull(hull, 5.0)
+        assert geom.hull_violation(hull, 5.0) > TOL.geometry
 
     def test_vertex_on_boundary(self):
         hull = geom.convex_hull([0, 2, 2j])
-        assert geom.point_in_hull(hull, 2j, 1e-12)
+        assert geom.hull_violation(hull, 2j) <= 1e-12
 
     def test_violation_sign(self):
         hull = geom.convex_hull([0, 2, 2j])

@@ -448,7 +448,7 @@ class TestSiebeckHypotheses:
             z = np.asarray(zeros, dtype=complex)
             hyp = theorems.check_siebeck_hypotheses(z)
             radius = TOL.geometry * geom.point_spread(z)
-            verts = geom.convex_hull(z, tol=1e-12).vertices
+            verts = geom.convex_hull(z).vertices
             simple, strict, pairs = True, True, []
             for k in range(verts.size):
                 a, b = verts[k], verts[(k + 1) % verts.size]
