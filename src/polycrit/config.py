@@ -13,11 +13,13 @@ margins of ``bgm`` and the containment, tangency and midpoint margins of
 ``edge-preimage`` count a probe of an edge as a member when its margin
 is at most ``membership_slack`` times the spread (the ``geometry`` bound
 of ``edge-preimage`` is the midpoint neighborhood in units of the edge
-length). ``membership_slack`` sits between the two groups of probe
-margins met on drawn instances: at the midpoint they are at most about
-1e-15 of the spread, and one probe away at least about 1e-10, so it is
-more than two decades from each. The DFT construction checks its FFT
-round trip by ``unitarity`` times the largest modulus of the zeros.
+length). At the midpoint a probe's margin is roundoff, at most about
+1e-15 of the spread; away from it nothing bounds the margin from below.
+Drawn unit-disk zeros keep it above about 1e-10, but where F(A_(1)) is
+nearly a segment (zeros whose sizes span many decades) probes far from
+the midpoint sit at roundoff too, and the slack takes them for members:
+a false ``fail``. The DFT construction checks its FFT round trip by
+``unitarity`` times the largest modulus of the zeros.
 ``trace_defect`` is absolute on the matrix centred at its mean
 eigenvalue and scaled to a Frobenius norm near 1 (``matricial._centred``).
 Everything lives in one record so there is a single tuning point.

@@ -198,6 +198,49 @@ _SECULAR_STEP_ULPS = 4.0
 _SECULAR_MAX_STEPS = 100
 
 
+def _pole_order(n: int) -> np.ndarray:
+    """The order ``secular_supports`` keeps the zeros in: in each aligned
+    block of 8, the pairs last to first (6, 7, 4, 5, 2, 3, 0, 1), then the
+    rest as given. Summing the rows in this order repeats, bit for bit, the
+    sums of a row of n terms in numpy: ``_pairwise_rows`` its pairwise
+    ``sum`` (the pairs and blocks stay whole) and ``_lane_rows`` its
+    two-lane ``einsum`` (which adds each block's pairs last to first)."""
+    whole = n - n % 8
+    blocks = np.arange(0, whole, 8)[:, None] + np.array([6, 7, 4, 5, 2, 3, 0, 1])
+    return np.concatenate([blocks.ravel(), np.arange(whole, n)])
+
+
+def _pairwise_rows(a: np.ndarray) -> np.ndarray:
+    """The sum of the rows of ``a`` in numpy's pairwise order: below 8
+    rows one by one; up to 128, eight partial sums over the blocks of 8,
+    added in pairs, then the rest one by one; above that, the two halves
+    split at a multiple of 8."""
+    n = a.shape[0]
+    if n < 8:
+        return np.add.reduce(a, axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_rows(a[:half]) + _pairwise_rows(a[half:])
+    whole = n - n % 8
+    r = a[:8] if whole == 8 else np.add.reduce(a[:whole].reshape(whole // 8, 8, -1), axis=0)
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    out = r[0] + r[1]
+    for row in a[whole:]:
+        out += row
+    return out
+
+
+def _lane_rows(a: np.ndarray) -> np.ndarray:
+    """The sum of the rows of ``a`` in numpy's two-lane ``einsum`` order:
+    the even and the odd rows each one by one, then the two lanes."""
+    n = a.shape[0]
+    lanes = np.add.reduce(a[: n - n % 2].reshape(n // 2, 2, -1), axis=0)
+    if n % 2:
+        lanes[0] += a[-1]
+    return lanes[0] + lanes[1]
+
+
 def secular_supports(zeros, thetas) -> np.ndarray:
     """Support values of F(A_(1)) at many angles, from the zeros alone,
     where A_(1) compresses the normal matrix with eigenvalues ``zeros`` by a
@@ -209,39 +252,55 @@ def secular_supports(zeros, thetas) -> np.ndarray:
     the largest root of sum 1/(mu - x_k) = 0. F increases and is concave
     there, so Newton from 0 converges; a bisection bracket guards each step.
     A top value that is attained twice gives s = 0. All angles are solved
-    together, each row on its own until its step is below roundoff.
+    together, each on its own until its step is below roundoff.
+
+    The layout is pole-major: one row per zero (in ``_pole_order``), one
+    column per angle, so every sum over the zeros is a pass over whole rows.
+    The sums take the order numpy's own sums take along one row per angle,
+    so the supports are bit for bit those of a solve with one row per angle.
+    The projections are formed one zero at a time, and the solve holds two
+    buffers of one value per zero and angle.
     """
     z = np.atleast_1d(np.asarray(zeros, dtype=complex))
     if z.size < 2:
         raise ValueError("at least 2 zeros are required")
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    x = np.real(np.exp(-1j * th)[:, None] * z[None, :])
-    rows = np.arange(th.size)
-    top = np.argmax(x, axis=1)
-    x_top = x[rows, top]
-    d = x - x_top[:, None]
-    d[rows, top] = -np.inf  # 1/(s - d) = 0: the top zero leaves psi
-    lo = np.max(d, axis=1)
-    tol = _SECULAR_STEP_ULPS * np.finfo(float).eps * (x_top - np.min(x, axis=1))
+    phase = np.exp(-1j * th)
+    x = np.empty((z.size, th.size))
+    for row, zk in zip(x, z[_pole_order(z.size)]):  # no (zeros x angles) complex array
+        row[:] = np.real(phase * zk)
+    top = np.argmax(x, axis=0)
+    x_top = np.max(x, axis=0)
+    tol = _SECULAR_STEP_ULPS * np.finfo(float).eps * (x_top - np.min(x, axis=0))
+    d = np.subtract(x, x_top, out=x)
+    d[top, np.arange(th.size)] = -np.inf  # 1/(s - d) = 0: the top zero leaves psi
+    lo = np.max(d, axis=0)
     s = np.zeros(th.size)
-    # the rows still moving: their angles, d, bracket, tolerance and iterate
+    # the columns still moving: their angles, d, bracket, tolerance and iterate
     idx = np.flatnonzero(lo < 0.0)
-    d, lo, hi, tol, sa = d[idx], lo[idx], np.zeros(idx.size), tol[idx], np.zeros(idx.size)
+    d, lo, hi, tol, sa = d.take(idx, axis=1), lo[idx], np.zeros(idx.size), tol[idx], np.zeros(idx.size)
+    # two buffers take turns: d, and the Newton terms 1/(s - d_k) and their
+    # squares, into which the next d is compacted
+    terms = x.reshape(-1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(_SECULAR_MAX_STEPS):
             if idx.size == 0:
                 return x_top + s
-            inv = np.reciprocal(sa[:, None] - d)
-            psi = inv.sum(axis=1)
+            inv = np.subtract(sa, d, out=terms[: d.size].reshape(d.shape))
+            np.reciprocal(inv, out=inv)
+            psi = _pairwise_rows(inv)
             f = sa + 1.0 / psi
             below = f < 0.0
             lo, hi = np.where(below, sa, lo), np.where(below, hi, sa)
-            new = sa - f / (1.0 + np.einsum("ij,ij->i", inv, inv) / (psi * psi))
+            new = sa - f / (1.0 + _lane_rows(np.square(inv, out=inv)) / (psi * psi))
             new = np.where((new > lo) & (new <= hi), new, 0.5 * (lo + hi))
             s[idx] = new
             moving = (np.abs(new - sa) > tol) & (hi - lo > tol)
             if not moving.all():
-                idx, d, lo, hi, tol, new = idx[moving], d[moving], lo[moving], hi[moving], tol[moving], new[moving]
+                keep = np.flatnonzero(moving)
+                compact = terms[: z.size * keep.size].reshape(z.size, keep.size)
+                d, terms = np.take(d, keep, axis=1, out=compact, mode="clip"), d.reshape(-1)
+                idx, lo, hi, tol, new = idx[keep], lo[keep], hi[keep], tol[keep], new[keep]
             sa = new
     raise NumericalError("secular equation did not converge")
 

@@ -150,45 +150,42 @@ def roots(p: Polynomial) -> np.ndarray:
 
 
 def min_cost_assignment(cost: np.ndarray) -> list[int]:
-    """Assignment minimizing total cost on a square matrix (O(n^3),
-    potentials formulation). Returns the column paired with each row."""
+    """Assignment minimizing total cost on a square matrix of finite costs
+    (O(n^3), potentials formulation). Returns the column paired with each
+    row. Each step scans the free columns in one pass and takes the first
+    of equal minima."""
     cost = np.asarray(cost, dtype=float)
     n = cost.shape[0]
     if cost.shape != (n, n):
         raise ValueError("cost matrix must be square")
     if n == 0:
         return []
-    INF = math.inf
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    match = [0] * (n + 1)  # match[j] = row assigned to column j (1-based)
-    way = [0] * (n + 1)
+    # rows and columns are 1-based; row 0 and column 0 are the sentinel
+    padded = np.zeros((n + 1, n + 1))
+    padded[1:, 1:] = cost
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    match = np.zeros(n + 1, dtype=int)  # match[j] = row assigned to column j
+    way = np.zeros(n + 1, dtype=int)
     for i in range(1, n + 1):
         match[0] = i
         j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
+        minv = np.full(n + 1, math.inf)  # stays inf at the used columns
+        free = np.ones(n + 1, dtype=bool)
+        rows = np.zeros(n + 1, dtype=bool)  # the rows of the used columns
         while True:
-            used[j0] = True
+            free[j0], minv[j0] = False, math.inf
             i0 = match[j0]
-            delta = INF
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            rows[i0] = True
+            cur = padded[i0] - u[i0] - v
+            better = (cur < minv) & free
+            np.copyto(minv, cur, where=better)
+            np.copyto(way, j0, where=better)
+            j1 = int(np.argmin(minv))
+            delta = minv[j1]
+            np.add(u, delta, out=u, where=rows)
+            np.subtract(v, delta, out=v, where=~free)
+            minv -= delta
             j0 = j1
             if match[j0] == 0:
                 break

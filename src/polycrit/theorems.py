@@ -474,52 +474,63 @@ def _edge_normals(edges) -> tuple[np.ndarray, np.ndarray]:
     return angles, np.array([(np.conj(normal) * a).real for a, _, normal in edges])
 
 
+# A fan's offsets from its edge normal: 0, and 48 geometrically spaced on
+# each side.
+_FAN_STEPS = np.geomspace(1e-6, 0.7, 48)
+_FAN_OFFSETS = np.concatenate([-_FAN_STEPS[::-1], [0.0], _FAN_STEPS])
+
+
 def _fans(normals: np.ndarray) -> np.ndarray:
     """Angles about each edge normal, one row per edge, centred on it.
     Margins near a tangency peak close to the normal, and geometric spacing
     resolves them however flat the boundary is."""
-    offsets = np.geomspace(1e-6, 0.7, 48)
-    return normals[:, None] + np.concatenate([-offsets[::-1], [0.0], offsets])
+    return normals[:, None] + _FAN_OFFSETS
 
 
 @dataclass(frozen=True)
 class _Tangency:
     """What both tangency checkers sweep: the zeros in their frame, their
-    hypotheses, the angle of each hull edge's outward normal, the supports
-    of ``A_(1)`` of the zeros in the frame on the uniform angle grid, from
-    the secular equation (``fov.secular_supports``), and the dense supports
-    of ``A_(1)`` at the cross-check angles ``dense_thetas``."""
+    hypotheses, the support of each hull edge's line at its outward normal
+    (``_edge_normals``), the supports of ``A_(1)`` of the zeros in the frame
+    on the uniform angle grid and on the fans (``_fans``) of the edges the
+    check probes (0-based positions ``probed``, one row of ``fans`` each),
+    from the secular equation (``fov.secular_supports``), and the dense
+    supports of ``A_(1)`` at the cross-check angles ``dense_thetas``."""
 
     frame: _Frame
     hyp: SiebeckHypotheses
-    normals: np.ndarray
+    lines: np.ndarray
     thetas: np.ndarray
     supports: np.ndarray
+    probed: list[int]
+    fans: np.ndarray
+    fan_supports: np.ndarray
     dense_thetas: np.ndarray
     dense: np.ndarray
 
-    def fans(self, edges) -> tuple[np.ndarray, np.ndarray]:
-        """The fans (``_fans``) of the given edges (0-based) and the supports of ``A_(1)`` there."""
-        angles = _fans(self.normals[edges])
-        return angles, fov.secular_supports(self.frame.u, angles.ravel()).reshape(angles.shape)
-
-    def margins(self, angles: np.ndarray, supports: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Outer membership margins of points on an edge (positive outside
-        F(A_(1))), over the uniform grid and the edge's fan together."""
-        return fov.point_margin(np.concatenate([self.thetas, angles]), np.concatenate([self.supports, supports]), points)
+    def margins(self, row: int, points: np.ndarray) -> np.ndarray:
+        """Outer membership margins of points on the edge ``probed[row]``
+        (positive outside F(A_(1))), over the uniform grid and the edge's
+        fan together."""
+        angles = np.concatenate([self.thetas, self.fans[row]])
+        return fov.point_margin(angles, np.concatenate([self.supports, self.fan_supports[row]]), points)
 
 
-def _tangency_setup(theorem: str, zeros, tols: dict[str, float], m: int) -> CheckReport | _Tangency:
+def _tangency_setup(
+    theorem: str, zeros, tols: dict[str, float], m: int, edge: int | tuple[int, int] | None = None
+) -> CheckReport | _Tangency:
     """The preconditions report when the tangency hypotheses (at
-    ``tols["hypotheses"]``) fail, else the shared record of the tangency
-    checkers, in the frame of the zeros: every margin is a difference, and
-    probes far from the origin would lose more to roundoff than the
-    membership slack allows.
+    ``tols["hypotheses"]``) fail or ``edge`` is not a hull edge, else the
+    shared record of the tangency checkers, in the frame of the zeros: every
+    margin is a difference, and probes far from the origin would lose more
+    to roundoff than the membership slack allows.
 
-    One secular solve gives the supports on the grid and at the edge
-    normals. They are checked against a dense eigensolve of the constructed
-    ``A_(1)`` at every edge normal and at 8 evenly spaced grid angles; a gap
-    above ``TOL.membership_slack`` times the spread raises NumericalError."""
+    The fans are those of every edge, or of ``edge`` alone (as
+    ``check_edge_preimage`` takes it). One secular solve gives the supports
+    on the grid, at the edge normals and on the fans. They are checked
+    against a dense eigensolve of the constructed ``A_(1)`` at every edge
+    normal and at 8 evenly spaced grid angles; a gap above
+    ``TOL.membership_slack`` times the spread raises NumericalError."""
     frame = _frame(zeros, 3, theorem, tols)
     if isinstance(frame, CheckReport):
         return frame
@@ -530,16 +541,35 @@ def _tangency_setup(theorem: str, zeros, tols: dict[str, float], m: int) -> Chec
     if not hyp.holds:
         flags = tuple((name, getattr(hyp, name)) for name in ("simple_vertex_eigenvalues", "strict_half_plane"))
         return preconditions_unmet(theorem, "hypothesis flags not satisfied", tols, flags)
+    try:
+        probed = list(range(len(hyp.edges))) if edge is None else [_edge_position(hyp.vertex_indices, edge)]
+    except ValueError as exc:
+        return preconditions_unmet(theorem, str(exc), tols)
     sub = numlin.principal_submatrix(matricial.build_construction(frame.u), 1)
-    normals, _ = _edge_normals(hyp.edges)
-    angles = np.concatenate([2.0 * np.pi * np.arange(m) / m, normals])
+    normals, lines = _edge_normals(hyp.edges)
+    fans = _fans(normals[probed])
+    angles = np.concatenate([2.0 * np.pi * np.arange(m) / m, normals, fans.ravel()])
     supports = fov.secular_supports(frame.u, angles)
-    probe = np.concatenate([np.arange(m, angles.size), np.arange(8) * m // 8])  # the normals, then 8 grid angles
+    probe = np.concatenate([np.arange(m, m + normals.size), np.arange(8) * m // 8])  # the normals, then 8 grid angles
     dense = fov.sweep_supports(sub, angles[probe])
     gap = float(np.max(np.abs(supports[probe] - dense)))
     if not gap <= TOL.membership_slack * frame.spread:
         raise NumericalError(f"secular and dense supports of A_(1) differ by {gap / frame.spread:.3g} of the spread")
-    return _Tangency(frame, hyp, normals, angles[:m], supports[:m], angles[probe], dense)
+    fan_supports = supports[m + normals.size :].reshape(fans.shape)
+    return _Tangency(frame, hyp, lines, angles[:m], supports[:m], probed, fans, fan_supports, angles[probe], dense)
+
+
+def _edge_position(pairs, edge: int | tuple[int, int]) -> int:
+    """The 0-based position of ``edge`` among the hull edges ``pairs`` (as
+    ``check_edge_preimage`` takes it); ValueError when it names none."""
+    if isinstance(edge, (int, np.integer)):
+        if not 1 <= edge <= len(pairs):
+            raise ValueError(f"edge index {edge} out of range")
+        return int(edge) - 1
+    pair = (int(edge[0]), int(edge[1]))
+    if pair not in pairs and pair[::-1] not in pairs:
+        raise ValueError(f"{pair} is not a hull edge")
+    return pairs.index(pair if pair in pairs else pair[::-1])
 
 
 def check_poor_mans_siebeck(zeros, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = TOL.geometry) -> CheckReport:
@@ -560,13 +590,13 @@ def check_poor_mans_siebeck(zeros, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = 
     frame, edges = setup.frame, setup.hyp.edges
     hull = np.max(np.real(np.exp(-1j * setup.dense_thetas)[:, None] * frame.u[None, :]), axis=1)
     containment_excess = float(np.max(setup.dense - hull))
-    tangency_gap = float(np.max(np.abs(setup.dense[: len(edges)] - _edge_normals(edges)[1])))
+    tangency_gap = float(np.max(np.abs(setup.dense[: len(edges)] - setup.lines)))
 
     params = np.arange(41) / 40
     params = params[np.abs(params - 0.5) > 0.05]  # probes off the midpoint
     midpoint_excess, uniqueness_margin = -math.inf, math.inf
-    for (a, b, _), fan_angles, fan in zip(edges, *setup.fans(np.arange(len(edges)))):
-        margins = setup.margins(fan_angles, fan, np.concatenate([[(a + b) / 2.0], a + params * (b - a)]))
+    for k, (a, b, _) in enumerate(edges):
+        margins = setup.margins(k, np.concatenate([[(a + b) / 2.0], a + params * (b - a)]))
         midpoint_excess = max(midpoint_excess, float(margins[0]))
         uniqueness_margin = min(uniqueness_margin, float(np.min(margins[1:])))
 
@@ -662,24 +692,13 @@ def check_edge_preimage(
     either order. The edge is probed in its counterclockwise direction.
     """
     tols = {"geometry": tol, "membership_slack": TOL.membership_slack, "hypotheses": TOL.geometry}
-    setup = _tangency_setup("edge-preimage", zeros, tols, m)
+    setup = _tangency_setup("edge-preimage", zeros, tols, m, edge)
     if isinstance(setup, CheckReport):
         return setup
-    pairs = setup.hyp.vertex_indices
-    if isinstance(edge, (int, np.integer)):
-        if not 1 <= edge <= len(pairs):
-            return preconditions_unmet("edge-preimage", f"edge index {edge} out of range", tols)
-        k = int(edge) - 1
-    else:
-        pair = (int(edge[0]), int(edge[1]))
-        if pair not in pairs and pair[::-1] not in pairs:
-            return preconditions_unmet("edge-preimage", f"{pair} is not a hull edge", tols)
-        k = pairs.index(pair if pair in pairs else pair[::-1])
-
+    [k] = setup.probed
     a, b, _ = setup.hyp.edges[k]
     params = np.arange(101) / 100
-    [angles], [fan] = setup.fans([k])
-    members = setup.margins(angles, fan, a + params * (b - a)) <= TOL.membership_slack * setup.frame.spread
+    members = setup.margins(0, a + params * (b - a)) <= TOL.membership_slack * setup.frame.spread
     target = np.abs(params - 0.5) <= tol
     agree = bool(np.array_equal(members, target))
     worst = float(np.max(np.abs(params - 0.5)[members])) if np.any(members) else 0.0

@@ -140,15 +140,84 @@ def brute_force_min_total(cost):
     )
 
 
+def scalar_assignment(cost):
+    """Reference for ``poly.min_cost_assignment``: the same potentials
+    method with a column scan in Python."""
+    n = cost.shape[0]
+    u, v = [0.0] * (n + 1), [0.0] * (n + 1)
+    match, way = [0] * (n + 1), [0] * (n + 1)
+    for i in range(1, n + 1):
+        match[0], j0 = i, 0
+        minv, used = [math.inf] * (n + 1), [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0, delta, j1 = match[j0], math.inf, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0:
+            match[j0] = match[way[j0]]
+            j0 = way[j0]
+    assign = [0] * n
+    for j in range(1, n + 1):
+        assign[match[j] - 1] = j - 1
+    return assign
+
+
 class TestAssignment:
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 40, 99])
+    def test_same_assignment_as_the_scalar_scan(self, n):
+        rng = np.random.default_rng(59 + n)
+        points = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        near = points[rng.permutation(n)] + 1e-15 * rng.standard_normal(n)
+        for cost in (
+            rng.uniform(0, 1, (n, n)),
+            rng.integers(0, 3, (n, n)).astype(float),  # ties
+            np.abs(points[:, None] - near[None, :]),
+        ):
+            assert poly.min_cost_assignment(cost) == scalar_assignment(cost)
+
     def test_matches_brute_force_totals(self):
         rng = Xoshiro256StarStar(55)
-        for n in range(1, 7):
+        for n in range(1, 8):
             cost = np.array([[rng.uniform() for _ in range(n)] for _ in range(n)])
             assign = poly.min_cost_assignment(cost)
             assert sorted(assign) == list(range(n))
             total = sum(cost[i, assign[i]] for i in range(n))
             assert abs(total - brute_force_min_total(cost)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_ties_match_brute_force_totals(self, n):
+        rng = np.random.default_rng(57 + n)
+        for _ in range(5):
+            cost = rng.integers(0, 3, (n, n)).astype(float)  # many optimal assignments
+            assign = poly.min_cost_assignment(cost)
+            assert sorted(assign) == list(range(n))
+            assert cost[np.arange(n), assign].sum() == brute_force_min_total(cost)
+
+    @pytest.mark.parametrize("n", [10, 50, 200])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_total_matches_scipy(self, n, ties):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(58 + n)
+        cost = rng.integers(0, 4, (n, n)).astype(float) if ties else rng.uniform(0, 1, (n, n))
+        assign = poly.min_cost_assignment(cost)
+        assert sorted(assign) == list(range(n))
+        rows, cols = optimize.linear_sum_assignment(cost)
+        assert cost[np.arange(n), assign].sum() == pytest.approx(cost[rows, cols].sum(), rel=1e-12, abs=0.0)
 
     def test_empty(self):
         assert poly.min_cost_assignment(np.zeros((0, 0))) == []
