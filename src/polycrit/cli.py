@@ -19,7 +19,7 @@ import numpy as np
 
 from . import figures, matricial, poly, theorems
 from .config import DEFAULT_SWEEP_SAMPLES, TOL
-from .errors import GenerationCapExceeded, NumericalError
+from .errors import GenerationCapExceeded, NumericalError, PreconditionsUnmet
 from .generate import CONSTRAINTS, generate_zeros
 from .rng import RNG_ID, Xoshiro256StarStar
 
@@ -330,9 +330,7 @@ def _cmd_figure(args) -> int:
     zeros = instance_zeros(instance)
     try:
         layers = figures.figure_layers(zeros, args.which, config.sweep_samples)
-    except np.linalg.LinAlgError:
-        raise  # a numerical failure (exit 4), although it is a ValueError
-    except ValueError as exc:
+    except PreconditionsUnmet as exc:
         print(f"preconditions unmet: {exc}", file=sys.stderr)
         return EXIT_PRECONDITIONS
     fmt = config.output_format
@@ -403,9 +401,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         with np.errstate(over="raise"):  # an overflow fails the run instead of reaching a report
             return args.handler(args)
-    except InstanceError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except GenerationCapExceeded as exc:
         print(f"generation cap exceeded: {exc}", file=sys.stderr)
         return EXIT_GENERATION_CAP

@@ -22,7 +22,11 @@ a false ``fail``. The DFT construction checks its FFT round trip by
 ``unitarity`` times the largest modulus of the zeros.
 ``trace_defect`` is absolute on the matrix centred at its mean
 eigenvalue and scaled to a Frobenius norm near 1 (``matricial._centred``).
-Everything lives in one record so there is a single tuning point.
+``TOL`` holds these bounds and the thresholds that several kernels share.
+A guard of one kernel keeps its own literal: the residual guard of
+``fov._boundary`` (1e-9), the radicand guard of ``fov.elliptical_range``,
+the norm test of ``matricial._unit_vector`` and the turn test of
+``geom.ConvexPolygon`` (1e-12 each), ``geom._SLIVER`` and ``geom._FILTER_DEPTH``.
 """
 
 from __future__ import annotations

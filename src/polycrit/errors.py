@@ -8,3 +8,12 @@ class NumericalError(RuntimeError):
 
 class GenerationCapExceeded(RuntimeError):
     """Rejection sampling exhausted its attempt budget."""
+
+
+class PreconditionsUnmet(ValueError):
+    """A hypothesis of a checked result does not hold: the message is the
+    reason, ``evidence`` the ``(name, value)`` pairs that show it."""
+
+    def __init__(self, reason: str, evidence=()):
+        super().__init__(reason)
+        self.evidence = tuple(evidence)

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import fov, geom, matricial, numlin, theorems
 from .config import DEFAULT_SWEEP_SAMPLES
+from .errors import PreconditionsUnmet
 
 LAYERS = ("zeros", "hull", "fov", "inellipse", "critical", "midpoints")
 
@@ -40,7 +41,7 @@ def figure_layers(zeros, which: str, sweep_samples: int = DEFAULT_SWEEP_SAMPLES)
         layers["fov"] = frame.points(fov.boundary_polyline(sub, sweep_samples).boundary_points)
     else:
         if u.size != 3:
-            raise ValueError("bgm figure requires exactly 3 zeros")
+            raise PreconditionsUnmet("bgm figure requires exactly 3 zeros")
         ellipse = geom.steiner_inellipse(u[0], u[1], u[2])
         layers["inellipse"] = frame.points(fov.ellipse_points(ellipse))
         focus1, focus2, center = frame.points([ellipse.focus1, ellipse.focus2, ellipse.center])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GenerationCapExceeded
+from .errors import GenerationCapExceeded, PreconditionsUnmet
 from .rng import Xoshiro256StarStar, random_zeros
 from .theorems import check_siebeck_hypotheses
 
@@ -29,6 +29,6 @@ def generate_zeros(rng: Xoshiro256StarStar, n: int, constraint: str = "none") ->
         try:
             if check_siebeck_hypotheses(zeros).holds:
                 return zeros
-        except ValueError:
+        except PreconditionsUnmet:
             continue
     raise GenerationCapExceeded(f"no hypothesis-satisfying instance in {_MAX_ATTEMPTS} attempts")

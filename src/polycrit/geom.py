@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
+from .errors import PreconditionsUnmet
 from .fov import EllipseParams, ellipse_from_foci
 
 
@@ -253,7 +254,7 @@ def steiner_inellipse(v1: complex, v2: complex, v3: complex) -> EllipseParams:
     a, b, c = complex(v1), complex(v2), complex(v3)
     scale = point_spread([a, b, c])
     if abs(((b - a) * np.conj(c - a)).imag) <= TOL.collinear * scale**2:
-        raise ValueError("vertices are collinear")
+        raise PreconditionsUnmet("vertices are collinear")
     centroid = (a + b + c) / 3.0
     w = np.exp(2j * np.pi / 3.0)
     refs = np.array([1.0, w, w**2])

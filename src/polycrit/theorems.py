@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fov, geom, matricial, numlin, poly
 from .config import DEFAULT_SWEEP_SAMPLES, TOL
-from .errors import NumericalError
+from .errors import NumericalError, PreconditionsUnmet
 
 PASS = "pass"
 FAIL = "fail"
@@ -75,11 +75,10 @@ class _Frame:
         return numlin.ldexp(self.center + 2.0**self.exponent * np.atleast_1d(w), self.shift)
 
 
-def _frame(zeros, minimum: int, theorem: str = "", tols=None, exact: bool = False) -> _Frame | CheckReport:
-    """The zeros in the frame every checker of zeros works in, or the
-    report of ``theorem`` that there are fewer than ``minimum`` zeros (not
-    exactly ``minimum`` when ``exact``); with no ``theorem`` that raises
-    ValueError, as empty or non-finite zeros always do.
+def _frame(zeros, minimum: int, exact: bool = False) -> _Frame:
+    """The zeros in the frame every checker of zeros works in. Fewer than
+    ``minimum`` zeros (not exactly ``minimum`` when ``exact``) raise
+    PreconditionsUnmet; empty or non-finite zeros raise ValueError.
 
     The zeros are scaled by the power of two that brings their largest real
     or imaginary part into [1/2, 1), exactly, so nothing overflows and all
@@ -92,10 +91,7 @@ def _frame(zeros, minimum: int, theorem: str = "", tols=None, exact: bool = Fals
     if z.size == 0 or not np.all(np.isfinite(z)):
         raise ValueError("zeros must be finite" if z.size else "empty zero set")
     if z.size < minimum or (exact and z.size != minimum):
-        reason = f"exactly {minimum} zeros required" if exact else f"need at least {minimum} zeros"
-        if not theorem:
-            raise ValueError(reason)
-        return preconditions_unmet(theorem, reason, tols)
+        raise PreconditionsUnmet(f"exactly {minimum} zeros required" if exact else f"need at least {minimum} zeros")
     shift = numlin.binary_exponent(z)
     pre = numlin.ldexp(z, -shift)
     spread = geom.point_spread(pre)
@@ -384,9 +380,10 @@ def check_main_theorem(zeros, tol: float = TOL.match) -> CheckReport:
     discs overlap (``_clusters``) is compared by its mean, as the oracle
     returns its own clusters."""
     tols = {"match": tol}
-    frame = _frame(zeros, 2, "main", tols)
-    if isinstance(frame, CheckReport):
-        return frame
+    try:
+        frame = _frame(zeros, 2)
+    except PreconditionsUnmet as exc:
+        return preconditions_unmet("main", str(exc), tols, exc.evidence)
     eigvals = matricial.critical_points_matricial(frame.u, 1)
     for idx in _clusters(frame.u, np.ones(frame.u.size), eigvals):
         eigvals[idx] = eigvals[idx].mean()
@@ -400,9 +397,10 @@ def check_gauss_lucas(zeros, tol: float = TOL.geometry) -> CheckReport:
     """Every critical point lies in the convex hull of the zeros, within
     signed distance ``tol`` times the spread of the zeros."""
     tols = {"geometry": tol}
-    frame = _frame(zeros, 2, "gauss-lucas", tols)
-    if isinstance(frame, CheckReport):
-        return frame
+    try:
+        frame = _frame(zeros, 2)
+    except PreconditionsUnmet as exc:
+        return preconditions_unmet("gauss-lucas", str(exc), tols, exc.evidence)
     hull = geom.convex_hull(frame.u)
     crit = _framed_critical_points(frame)
     worst = float(np.max(geom.hull_violation(hull, crit)))
@@ -424,9 +422,10 @@ def check_interlacing(zeros, tol: float = TOL.linalg) -> CheckReport:
     negative when the interlacing is strict, so a negative ``tol`` asks
     for a margin."""
     tols = {"linalg": tol}
-    frame = _frame(zeros, 2, "interlacing", tols)
-    if isinstance(frame, CheckReport):
-        return frame
+    try:
+        frame = _frame(zeros, 2)
+    except PreconditionsUnmet as exc:
+        return preconditions_unmet("interlacing", str(exc), tols, exc.evidence)
     imag_max = float(np.max(np.abs(frame.zeros.imag)))
     if imag_max > frame.length(max(tol, 0.0) * frame.spread):
         return preconditions_unmet("interlacing", "zeros are not real", tols, (("max_imag", imag_max),))
@@ -438,19 +437,21 @@ def check_interlacing(zeros, tol: float = TOL.linalg) -> CheckReport:
     return CheckReport("interlacing", verdict, worst, (("worst_gap", worst),), tols)
 
 
-def check_siebeck_hypotheses(zeros, tol: float = TOL.geometry) -> SiebeckHypotheses:
-    """Evaluate the two tangency hypotheses on the hull of the zeros in
-    their frame (``_frame``). ``tol`` is relative to the spread of the
-    zeros: it is both the clustering radius for vertex multiplicity and the
-    required strict half-plane margin. Raises if the hull has fewer than 3
-    vertices."""
-    return _hypotheses(_frame(zeros, 3), tol)
+def check_siebeck_hypotheses(zeros) -> SiebeckHypotheses:
+    """The two tangency hypotheses on the hull of the zeros in their frame
+    (``_frame``): ``TOL.geometry`` times their spread is both the clustering
+    radius for vertex multiplicity and the strict half-plane margin. Fewer
+    than 3 zeros or hull vertices raise PreconditionsUnmet."""
+    return _hypotheses(_frame(zeros, 3))
 
 
-def _hypotheses(frame: _Frame, tol: float) -> SiebeckHypotheses:
+def _hypotheses(frame: _Frame) -> SiebeckHypotheses:
     u = frame.u
-    edges = geom.polygon_edges(geom.convex_hull(u))
-    radius = tol * frame.spread
+    hull = geom.convex_hull(u)
+    if hull.vertices.size < 3:
+        raise PreconditionsUnmet("fewer than 3 hull vertices")
+    edges = geom.polygon_edges(hull)
+    radius = TOL.geometry * frame.spread
 
     verts = np.array([a for a, _, _ in edges])
     normals = np.array([normal for _, _, normal in edges])
@@ -516,14 +517,11 @@ class _Tangency:
         return fov.point_margin(angles, np.concatenate([self.supports, self.fan_supports[row]]), points)
 
 
-def _tangency_setup(
-    theorem: str, zeros, tols: dict[str, float], m: int, edge: int | tuple[int, int] | None = None
-) -> CheckReport | _Tangency:
-    """The preconditions report when the tangency hypotheses (at
-    ``tols["hypotheses"]``) fail or ``edge`` is not a hull edge, else the
-    shared record of the tangency checkers, in the frame of the zeros: every
-    margin is a difference, and probes far from the origin would lose more
-    to roundoff than the membership slack allows.
+def _tangency_setup(zeros, m: int, edge: int | tuple[int, int] | None = None) -> _Tangency:
+    """The shared record of the tangency checkers, in the frame of the zeros
+    (every margin is a difference, and probes far from the origin would lose
+    more to roundoff than the membership slack allows); PreconditionsUnmet
+    when the tangency hypotheses fail or ``edge`` names no hull edge.
 
     The fans are those of every edge, or of ``edge`` alone (as
     ``check_edge_preimage`` takes it). One secular solve gives the supports
@@ -531,20 +529,12 @@ def _tangency_setup(
     against a dense eigensolve of the constructed ``A_(1)`` at every edge
     normal and at 8 evenly spaced grid angles; a gap above
     ``TOL.membership_slack`` times the spread raises NumericalError."""
-    frame = _frame(zeros, 3, theorem, tols)
-    if isinstance(frame, CheckReport):
-        return frame
-    try:
-        hyp = _hypotheses(frame, tols["hypotheses"])
-    except ValueError as exc:
-        return preconditions_unmet(theorem, str(exc), tols)
+    frame = _frame(zeros, 3)
+    hyp = _hypotheses(frame)
     if not hyp.holds:
         flags = tuple((name, getattr(hyp, name)) for name in ("simple_vertex_eigenvalues", "strict_half_plane"))
-        return preconditions_unmet(theorem, "hypothesis flags not satisfied", tols, flags)
-    try:
-        probed = list(range(len(hyp.edges))) if edge is None else [_edge_position(hyp.vertex_indices, edge)]
-    except ValueError as exc:
-        return preconditions_unmet(theorem, str(exc), tols)
+        raise PreconditionsUnmet("hypothesis flags not satisfied", flags)
+    probed = list(range(len(hyp.edges))) if edge is None else [_edge_position(hyp.vertex_indices, edge)]
     sub = numlin.principal_submatrix(matricial.build_construction(frame.u), 1)
     normals, lines = _edge_normals(hyp.edges)
     fans = _fans(normals[probed])
@@ -561,14 +551,14 @@ def _tangency_setup(
 
 def _edge_position(pairs, edge: int | tuple[int, int]) -> int:
     """The 0-based position of ``edge`` among the hull edges ``pairs`` (as
-    ``check_edge_preimage`` takes it); ValueError when it names none."""
+    ``check_edge_preimage`` takes it); PreconditionsUnmet when it names none."""
     if isinstance(edge, (int, np.integer)):
         if not 1 <= edge <= len(pairs):
-            raise ValueError(f"edge index {edge} out of range")
+            raise PreconditionsUnmet(f"edge index {edge} out of range")
         return int(edge) - 1
     pair = (int(edge[0]), int(edge[1]))
     if pair not in pairs and pair[::-1] not in pairs:
-        raise ValueError(f"{pair} is not a hull edge")
+        raise PreconditionsUnmet(f"{pair} is not a hull edge")
     return pairs.index(pair if pair in pairs else pair[::-1])
 
 
@@ -584,9 +574,10 @@ def check_poor_mans_siebeck(zeros, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = 
     so containment and tangency are measured on the dense supports of the
     cross-check; the midpoint's margin completes the rule of ``check_bgm``."""
     tols = {"geometry": tol, "hypotheses": TOL.geometry, "membership_slack": TOL.membership_slack}
-    setup = _tangency_setup("siebeck", zeros, tols, m)
-    if isinstance(setup, CheckReport):
-        return setup
+    try:
+        setup = _tangency_setup(zeros, m)
+    except PreconditionsUnmet as exc:
+        return preconditions_unmet("siebeck", str(exc), tols, exc.evidence)
     frame, edges = setup.frame, setup.hyp.edges
     hull = np.max(np.real(np.exp(-1j * setup.dense_thetas)[:, None] * frame.u[None, :]), axis=1)
     containment_excess = float(np.max(setup.dense - hull))
@@ -624,14 +615,12 @@ def check_bgm(zeros, tol: float = TOL.geometry, m: int = DEFAULT_SWEEP_SAMPLES) 
     angles and the side's fan is at most the bound, as in
     ``check_poor_mans_siebeck``."""
     tols = {"geometry": tol}
-    frame = _frame(zeros, 3, "bgm", tols, exact=True)
-    if isinstance(frame, CheckReport):
-        return frame
     try:
+        frame = _frame(zeros, 3, exact=True)
         ellipse = geom.steiner_inellipse(*frame.u)
-        edges = geom.polygon_edges(geom.ConvexPolygon(frame.u))
-    except ValueError as exc:
-        return preconditions_unmet("bgm", str(exc), tols)
+    except PreconditionsUnmet as exc:
+        return preconditions_unmet("bgm", str(exc), tols, exc.evidence)
+    edges = geom.polygon_edges(geom.convex_hull(frame.u))
     match = poly.multiset_match([ellipse.focus1, ellipse.focus2], _framed_critical_points(frame), tol * frame.spread)
     normals, lines = _edge_normals(edges)
     thetas = 2.0 * np.pi * np.arange(m) / m
@@ -692,9 +681,10 @@ def check_edge_preimage(
     either order. The edge is probed in its counterclockwise direction.
     """
     tols = {"geometry": tol, "membership_slack": TOL.membership_slack, "hypotheses": TOL.geometry}
-    setup = _tangency_setup("edge-preimage", zeros, tols, m, edge)
-    if isinstance(setup, CheckReport):
-        return setup
+    try:
+        setup = _tangency_setup(zeros, m, edge)
+    except PreconditionsUnmet as exc:
+        return preconditions_unmet("edge-preimage", str(exc), tols, exc.evidence)
     [k] = setup.probed
     a, b, _ = setup.hyp.edges[k]
     params = np.arange(101) / 100

@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polycrit import cli, fov, theorems
+from polycrit import cli, figures, fov, generate, theorems
+from polycrit.errors import PreconditionsUnmet
 from polycrit.figures import LAYERS
+from polycrit.rng import Xoshiro256StarStar
 
 
 def write_instance(path: Path, payload) -> str:
@@ -423,6 +425,18 @@ class TestRandom:
         )
         assert code == 5
 
+    def test_only_unmet_hypotheses_are_resampled(self, monkeypatch):
+        calls = []
+
+        def broken(zeros):
+            calls.append(zeros)
+            raise ValueError("boom")
+
+        monkeypatch.setattr(generate, "check_siebeck_hypotheses", broken)
+        with pytest.raises(ValueError, match="boom"):
+            generate.generate_zeros(Xoshiro256StarStar(0), 5, "siebeck-ok")
+        assert len(calls) == 1  # not drawn again, as an unmet hypothesis is (test_generation_cap_is_five)
+
     def test_label_records_generator(self, tmp_path, capsys):
         out = tmp_path / "lbl"
         run_main(["random", "--n", "3", "--seed", "1", "--out", str(out)], capsys)
@@ -456,6 +470,17 @@ class TestFigure:
         inst = write_instance(tmp_path / "col.json", {"roots": [[0, 0], [1, 0], [2, 0]]})
         code, _, _ = run_main(["figure", inst, "--which", "bgm"], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "error, code, message",
+        [(ValueError("boom"), 1, "input error: boom"), (PreconditionsUnmet("boom"), 3, "preconditions unmet: boom")],
+    )
+    def test_only_unmet_hypotheses_exit_three(self, cube_roots, capsys, monkeypatch, error, code, message):
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(figures, "figure_layers", broken)
+        assert run_main(["figure", cube_roots, "--which", "siebeck"], capsys) == (code, "", message + "\n")
 
     @pytest.mark.parametrize("k", [-60, 27, 60])
     def test_layers_scale_exactly_by_powers_of_two(self, k):

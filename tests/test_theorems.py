@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import make_rng
-from polycrit import fov, geom, matricial, numlin, poly, theorems
+from polycrit import figures, fov, geom, matricial, numlin, poly, theorems
 from polycrit.config import TOL
-from polycrit.errors import NumericalError
+from polycrit.errors import NumericalError, PreconditionsUnmet
 from polycrit.generate import generate_zeros
 from polycrit.rng import random_zeros
 
@@ -761,6 +761,50 @@ class TestSecularTangencyRoute:
             theorems.check_poor_mans_siebeck(zeros)
         with pytest.raises(NumericalError):
             theorems.check_edge_preimage(zeros, 1)
+
+
+FLAGS_UNMET = (("unmet_hypothesis", "hypothesis flags not satisfied"),
+               ("simple_vertex_eigenvalues", False), ("strict_half_plane", False))
+
+
+class TestPreconditionsUnmet:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: theorems.critical_points_oracle([1.0]),
+            lambda: theorems.check_siebeck_hypotheses([0, 1, 2]),
+            lambda: geom.steiner_inellipse(0, 1, 2),
+            lambda: figures.figure_layers([0, 1, 1j, 2], "bgm"),
+        ],
+        ids=["oracle-one-zero", "hypotheses-collinear", "inellipse-collinear", "bgm-figure-four-zeros"],
+    )
+    def test_raised_where_the_hypothesis_is_tested(self, call):
+        with pytest.raises(PreconditionsUnmet):
+            call()
+
+    @pytest.mark.parametrize(
+        "checker, args, details",
+        [
+            (theorems.check_main_theorem, ([1.0],), (("unmet_hypothesis", "need at least 2 zeros"),)),
+            (theorems.check_gauss_lucas, ([1.0],), (("unmet_hypothesis", "need at least 2 zeros"),)),
+            (theorems.check_interlacing, ([1.0],), (("unmet_hypothesis", "need at least 2 zeros"),)),
+            (theorems.check_poor_mans_siebeck, ([0, 1],), (("unmet_hypothesis", "need at least 3 zeros"),)),
+            (theorems.check_edge_preimage, ([0, 1], 1), (("unmet_hypothesis", "need at least 3 zeros"),)),
+            (theorems.check_bgm, ([0, 1, 1j, 2],), (("unmet_hypothesis", "exactly 3 zeros required"),)),
+            (theorems.check_poor_mans_siebeck, ([0, 1, 2],), (("unmet_hypothesis", "fewer than 3 hull vertices"),)),
+            (theorems.check_edge_preimage, ([0, 1, 2], 1), (("unmet_hypothesis", "fewer than 3 hull vertices"),)),
+            (theorems.check_poor_mans_siebeck, ([0, 0, 1, 1j],), FLAGS_UNMET),
+            (theorems.check_edge_preimage, ([0, 0, 1, 1j], 1), FLAGS_UNMET),
+            (theorems.check_edge_preimage, (roots_of_unity(4), (1, 3)), (("unmet_hypothesis", "(1, 3) is not a hull edge"),)),
+        ],
+        ids=["main", "gauss-lucas", "interlacing", "siebeck-two", "edge-preimage-two", "bgm-four",
+             "siebeck-segment", "edge-preimage-segment", "siebeck-flags", "edge-preimage-flags", "edge-preimage-pair"],
+    )
+    def test_each_checker_reports_it_once(self, checker, args, details):
+        report = checker(*args)
+        assert report.verdict == theorems.PRECONDITIONS_UNMET
+        assert report.details == details
+        assert math.isnan(report.max_violation)
 
 
 class TestVerdictInvariants:
