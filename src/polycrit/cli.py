@@ -58,19 +58,6 @@ class Instance:
     label: str | None
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    tol_match: float = TOL.match
-    tol_geometry: float = TOL.geometry
-    tol_linalg: float = TOL.linalg
-    sweep_samples: int = DEFAULT_SWEEP_SAMPLES
-    output_format: str = "json"
-
-    def __post_init__(self):
-        if self.sweep_samples < 8:
-            raise InstanceError("sweep sample count must be at least 8")
-
-
 def _parse_pairs(raw, what: str) -> np.ndarray:
     if not isinstance(raw, list) or not raw:
         raise InstanceError(f"{what} must be a nonempty list of [re, im] pairs")
@@ -176,14 +163,14 @@ def _sorted_points(points: np.ndarray) -> np.ndarray:
     return points[order]
 
 
-def report_payload(report: theorems.CheckReport, config: RunConfig) -> dict:
+def report_payload(report: theorems.CheckReport, sweep_samples: int) -> dict:
     return {
         "theorem": report.theorem,
         "verdict": report.verdict,
         "max_violation": _plain(report.max_violation),
         "details": [[key, _plain(value)] for key, value in report.details],
         "tolerances_used": {key: _plain(value) for key, value in report.tolerances_used.items()},
-        "meta": {"rng": RNG_ID, "sweep_samples": config.sweep_samples},
+        "meta": {"rng": RNG_ID, "sweep_samples": sweep_samples},
     }
 
 
@@ -226,53 +213,52 @@ def _format_report(payload: dict, fmt: str) -> str:
     raise InstanceError(f"unsupported report format {fmt!r}")
 
 
-def run_check(theorem: str, instance: Instance, config: RunConfig, edge_index: int = 1) -> theorems.CheckReport:
-    """Dispatch a theorem checker with the configured tolerances;
-    ``edge_index`` is the 1-based hull edge for edge-preimage."""
+def run_check(args, instance: Instance) -> theorems.CheckReport:
+    """Dispatch the checker named by the parsed ``check`` arguments, with
+    their tolerances and sample count; ``args.index`` is the 1-based hull
+    edge for edge-preimage."""
+    theorem, m = args.theorem, args.samples
     if theorem == "elliptical-range":
         matrix = _instance_quadratic(instance)
         if matrix is None:
             return theorems.preconditions_unmet(
-                "elliptical-range", "instance must be quadratic (2 roots or degree 2)", {"match": config.tol_match}
+                "elliptical-range", "instance must be quadratic (2 roots or degree 2)", {"match": args.tol_match}
             )
-        return theorems.check_elliptical_range(matrix, m=config.sweep_samples, tol=config.tol_match)
+        return theorems.check_elliptical_range(matrix, m=m, tol=args.tol_match)
     zeros = instance_zeros(instance)
     if theorem == "main":
-        return theorems.check_main_theorem(zeros, tol=config.tol_match)
+        return theorems.check_main_theorem(zeros, tol=args.tol_match)
     if theorem == "gauss-lucas":
-        return theorems.check_gauss_lucas(zeros, tol=config.tol_geometry)
+        return theorems.check_gauss_lucas(zeros, tol=args.tol_geom)
     if theorem == "interlacing":
-        return theorems.check_interlacing(zeros, tol=config.tol_linalg)
+        return theorems.check_interlacing(zeros, tol=args.tol_linalg)
     if theorem == "siebeck":
-        return theorems.check_poor_mans_siebeck(zeros, m=config.sweep_samples, tol=config.tol_geometry)
+        return theorems.check_poor_mans_siebeck(zeros, m=m, tol=args.tol_geom)
     if theorem == "bgm":
-        return theorems.check_bgm(zeros, tol=config.tol_geometry, m=config.sweep_samples)
+        return theorems.check_bgm(zeros, tol=args.tol_geom, m=m)
     if theorem == "edge-preimage":
-        return theorems.check_edge_preimage(zeros, edge_index, tol=config.tol_geometry, m=config.sweep_samples)
+        return theorems.check_edge_preimage(zeros, args.index, tol=args.tol_geom, m=m)
     raise InstanceError(f"unknown theorem {theorem!r}")
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        tol_match=args.tol_match if getattr(args, "tol_match", None) is not None else TOL.match,
-        tol_geometry=args.tol_geom if getattr(args, "tol_geom", None) is not None else TOL.geometry,
-        tol_linalg=args.tol_linalg if getattr(args, "tol_linalg", None) is not None else TOL.linalg,
-        sweep_samples=getattr(args, "samples", DEFAULT_SWEEP_SAMPLES),
-        output_format=getattr(args, "format", "json") or "json",
-    )
+def _load_swept(args) -> Instance:
+    """The instance of a command that sweeps ``args.samples`` angles, once
+    that count is known to be usable."""
+    instance = load_instance(args.instance)
+    if args.samples < 8:
+        raise InstanceError("sweep sample count must be at least 8")
+    return instance
 
 
 def _cmd_critical_points(args) -> int:
-    instance = load_instance(args.instance)
-    config = _config_from_args(args)
-    zeros = instance_zeros(instance)
+    zeros = instance_zeros(load_instance(args.instance))
     if args.method == "matricial":
         frame = theorems._frame(zeros, 2)  # the units of the zeros may overflow the DFT
         points = frame.points(matricial.critical_points_matricial(frame.u, args.index))
     else:
         points = theorems.critical_points_oracle(zeros)
     points = _sorted_points(points)
-    fmt = config.output_format
+    fmt = args.format
     if fmt == "json":
         payload = {
             "method": args.method,
@@ -292,11 +278,8 @@ def _cmd_critical_points(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    instance = load_instance(args.instance)
-    config = _config_from_args(args)
-    report = run_check(args.theorem, instance, config, edge_index=args.index)
-    payload = report_payload(report, config)
-    _emit(_format_report(payload, config.output_format), args.out)
+    report = run_check(args, _load_swept(args))
+    _emit(_format_report(report_payload(report, args.samples), args.format), args.out)
     return _VERDICT_EXIT[report.verdict]
 
 
@@ -325,15 +308,13 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    instance = load_instance(args.instance)
-    config = _config_from_args(args)
-    zeros = instance_zeros(instance)
+    zeros = instance_zeros(_load_swept(args))
     try:
-        layers = figures.figure_layers(zeros, args.which, config.sweep_samples)
+        layers = figures.figure_layers(zeros, args.which, args.samples)
     except PreconditionsUnmet as exc:
         print(f"preconditions unmet: {exc}", file=sys.stderr)
         return EXIT_PRECONDITIONS
-    fmt = config.output_format
+    fmt = args.format
     if fmt == "svg":
         _emit(figures.render_svg(layers), args.out)
     elif fmt == "json":
@@ -371,9 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--theorem", choices=THEOREMS, required=True)
     p_check.add_argument("--index", type=int, default=1, help="1-based hull edge (edge-preimage)")
     p_check.add_argument("--samples", type=int, default=DEFAULT_SWEEP_SAMPLES)
-    p_check.add_argument("--tol-match", type=float, default=None, dest="tol_match")
-    p_check.add_argument("--tol-geom", type=float, default=None, dest="tol_geom")
-    p_check.add_argument("--tol-linalg", type=float, default=None, dest="tol_linalg")
+    p_check.add_argument("--tol-match", type=float, default=TOL.match, dest="tol_match")
+    p_check.add_argument("--tol-geom", type=float, default=TOL.geometry, dest="tol_geom")
+    p_check.add_argument("--tol-linalg", type=float, default=TOL.linalg, dest="tol_linalg")
     add_common(p_check, ("json", "text", "csv"))
     p_check.set_defaults(handler=_cmd_check)
 

@@ -11,10 +11,10 @@ eigenvalue of
 with H1 = (a + a*)/2 and H2 = (a - a*)/(2i). A top eigenvector x gives
 the boundary point x* a x, whose projection Re(exp(-i*theta) x* a x)
 equals the support value. ``support_point`` and ``boundary_polyline``
-share one kernel, ``_boundary``: one batched eigensolve over their
-angles, with the flat-segment rule relative to the matrix's power of
-two. ``sweep_supports`` takes the support values alone from the
-eigenvalues.
+share one kernel, ``_boundary``: batched eigensolves over their angles,
+in chunks of bounded memory, with the flat-segment rule relative to the
+matrix's power of two. ``sweep_supports`` takes the support values alone
+from the eigenvalues.
 
 When a = A_(1) compresses a normal A with eigenvalues z_k by a vector
 whose entries all have modulus 1/sqrt(n), as the DFT construction of
@@ -35,9 +35,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_SWEEP_SAMPLES, TOL
+from .config import DEFAULT_SWEEP_SAMPLES
 from .errors import NumericalError
 from .numlin import adjoint, as_square, binary_exponent, ldexp
+
+# A top eigenspace of H(theta) whose two largest eigenvalues differ by less
+# than this many units of the matrix's power of two (``numlin.binary_exponent``)
+# is degenerate: its sample lies on a flat boundary segment.
+_DEGENERATE_GAP = 1e-10
+# A dense sweep solves at most this many entries of H(theta) at once, so its
+# memory is bounded at every order and angle count.
+_SWEEP_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -109,7 +117,7 @@ def _tangential_extreme(a: np.ndarray, theta: float, w: np.ndarray, v: np.ndarra
     with eigenpairs ``(w, v)``: the point of the flat boundary segment
     extreme in the forward tangential direction, so sweeps traverse flat
     edges monotonically."""
-    sub = v[:, w >= w[-1] - TOL.degenerate_gap]
+    sub = v[:, w >= w[-1] - _DEGENERATE_GAP]
     phase = cmath.exp(-1j * theta)
     k = (phase * a - np.conj(phase) * adjoint(a)) / 2.0j
     kv = sub.conj().T @ k @ sub
@@ -124,13 +132,29 @@ def _direction_stack(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return (phase[:, None, None] * a[None, :, :] + np.conj(phase)[:, None, None] * adjoint(a)[None, :, :]) / 2.0
 
 
+def _direction_solves(a: np.ndarray, thetas: np.ndarray, solve):
+    """``solve`` (``np.linalg.eigh`` or ``eigvalsh``) of H(theta) over
+    ``thetas``, in consecutive chunks of angles whose stack holds at most
+    ``_SWEEP_ENTRIES`` entries (one angle at least): yields each chunk's
+    angles and result. The batched solve treats each matrix on its own, so
+    the chunks change no bit of the result."""
+    step = max(1, _SWEEP_ENTRIES // a.size)
+    for start in range(0, thetas.size, step):
+        chunk = thetas[start : start + step]
+        try:
+            result = solve(_direction_stack(a, chunk))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"support eigensolver failed: {exc}") from exc
+        yield chunk, result
+
+
 def _boundary(a: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Support values, boundary points and flat flags of F(a) at
-    ``thetas``, from one batched eigensolve of H(theta).
+    ``thetas``, from batched eigensolves of H(theta) (``_direction_solves``).
 
     The sweep runs on a scaled by the power of two of its largest real or
     imaginary part, exactly, and its values are scaled back: the results
-    on 2**k * a are 2**k times those on a, and ``TOL.degenerate_gap`` is
+    on 2**k * a are 2**k times those on a, and ``_DEGENERATE_GAP`` is
     relative to that power of two. A sample is flat when the top two
     eigenvalues differ by less than the gap; its boundary point is then
     ``_tangential_extreme``'s. A boundary point x* a x whose projection
@@ -138,16 +162,15 @@ def _boundary(a: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray
     1e-9 * (1 + |support|), in the scaled units, raises NumericalError."""
     shift = binary_exponent(a)
     a = ldexp(a, -shift)
-    try:
-        w, v = np.linalg.eigh(_direction_stack(a, thetas))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"support eigensolver failed: {exc}") from exc
-    supports = w[:, -1]
-    flats = supports - w[:, -2] < TOL.degenerate_gap if a.shape[0] > 1 else np.zeros(thetas.size, dtype=bool)
-    x = v[:, :, -1]
-    points = np.einsum("ki,ij,kj->k", x.conj(), a, x)
-    for k in np.flatnonzero(flats):
-        points[k] = _tangential_extreme(a, float(thetas[k]), w[k], v[k])
+    parts = []
+    for chunk, (w, v) in _direction_solves(a, thetas, np.linalg.eigh):
+        flats = w[:, -1] - w[:, -2] < _DEGENERATE_GAP if a.shape[0] > 1 else np.zeros(chunk.size, dtype=bool)
+        x = v[:, :, -1]
+        points = np.einsum("ki,ij,kj->k", x.conj(), a, x)
+        for k in np.flatnonzero(flats):
+            points[k] = _tangential_extreme(a, float(chunk[k]), w[k], v[k])
+        parts.append((w[:, -1], points, flats))
+    supports, points, flats = (np.concatenate(column) for column in zip(*parts))
     residual = np.abs(np.real(np.exp(-1j * thetas) * points) - supports)
     if np.any(residual > 1e-9 * (1.0 + np.abs(supports))):
         raise NumericalError("boundary points inconsistent with support values")
@@ -182,14 +205,10 @@ class BoundaryPolyline:
 
 
 def sweep_supports(a, thetas) -> np.ndarray:
-    """Support values at many angles (batched eigenvalue solve)."""
+    """Support values at many angles (batched eigenvalue solves)."""
     m = as_square(a)
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    try:
-        w = np.linalg.eigvalsh(_direction_stack(m, th))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"support eigensolver failed: {exc}") from exc
-    return w[:, -1]
+    return np.concatenate([w[:, -1] for _, w in _direction_solves(m, th, np.linalg.eigvalsh)])
 
 
 # A secular solve stops once its step is at most this many units of

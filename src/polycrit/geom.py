@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL
 from .errors import PreconditionsUnmet
 from .fov import EllipseParams, ellipse_from_foci
 
@@ -23,7 +22,7 @@ from .fov import EllipseParams, ellipse_from_foci
 # filter costs more than the pairwise work it saves.
 _FILTER_FROM = 64
 # The depth, relative to the diagonal of the bounding box, past which a
-# point counts as deep. It is 1e4 times ``TOL.dedup``: a chain of merges at
+# point counts as deep. It is 1e4 times ``_DEDUP``: a chain of merges at
 # the dedup radius from a dropped point to the hull would need 1e4 points.
 _FILTER_DEPTH = 1e-6
 # conjugates of 1, 1 + i, i and -1 + i: projections on them are exact on the axes
@@ -31,6 +30,12 @@ _DIRECTIONS = np.array([1, 1 - 1j, -1j, -1 - 1j])[:, None]
 _NEXT_CORNER = np.roll(np.arange(8), -1)
 # ``convex_hull`` drops a vertex within this many spreads of the chord of its neighbors.
 _SLIVER = 1e-12
+# Points within this many spreads of each other are one point (``convex_hull``,
+# ``ConvexPolygon``).
+_DEDUP = 1e-10
+# ``steiner_inellipse`` rejects a triangle whose doubled area is at most this
+# many squared spreads.
+_COLLINEAR = 1e-10
 
 
 def _hull_candidates(p: np.ndarray) -> np.ndarray:
@@ -103,30 +108,25 @@ class ConvexPolygon:
         scale = point_spread(v)
         n = v.size
         for k in range(n):
-            if abs(v[k] - v[(k + 1) % n]) <= TOL.dedup * scale:
+            if abs(v[k] - v[(k + 1) % n]) <= _DEDUP * scale:
                 raise ValueError("vertices must be distinct")
             if _cross(v[k], v[(k + 1) % n], v[(k + 2) % n]) < -1e-12 * scale**2:
                 raise ValueError("vertices must turn counterclockwise")
 
 
-def _chord_distance(z: complex, a: complex, b: complex) -> float:
-    """Distance from z to the segment ab, a != b."""
+def _segment_distance(z, a, b):
+    """Distance from z to the segment [a, b], elementwise over all three."""
     d = b - a
-    t = min(max(((z - a) * d.conjugate()).real / (d.real * d.real + d.imag * d.imag), 0.0), 1.0)
-    return abs(z - a - t * d)
-
-
-def _segment_distance(z: np.ndarray, a: complex, b: complex) -> np.ndarray:
-    d = b - a
-    if d == 0:
-        return np.abs(z - a)
-    t = np.clip(((z - a) * np.conj(d)).real / abs(d) ** 2, 0.0, 1.0)
+    # d = 0 gives t = 0, the distance to a; on a complex scalar d, Python's
+    # abs, which np.abs does not match in the last bit
+    norm2 = np.where(d == 0, 1.0, abs(d) ** 2)
+    t = np.clip(((z - a) * np.conj(d)).real / norm2, 0.0, 1.0)
     return np.abs(z - (a + t * d))
 
 
 def _merge_coincident(pts: np.ndarray) -> tuple[np.ndarray, float]:
     """The points in lexsort order, each dropped when an earlier kept point
-    lies within ``TOL.dedup`` times their spread, and that spread.
+    lies within ``_DEDUP`` times their spread, and that spread.
 
     A point with no neighbor within the merge radius is always kept, so
     the greedy rule runs only over the points that have one.
@@ -134,7 +134,7 @@ def _merge_coincident(pts: np.ndarray) -> tuple[np.ndarray, float]:
     p = pts[np.lexsort((pts.imag, pts.real))]
     dist = np.abs(p[:, None] - p[None, :])
     scale = float(np.max(dist))
-    near = dist <= TOL.dedup * scale
+    near = dist <= _DEDUP * scale
     np.fill_diagonal(near, False)
     keep = ~np.any(near, axis=1)
     for k in np.flatnonzero(~keep):
@@ -145,7 +145,7 @@ def _merge_coincident(pts: np.ndarray) -> tuple[np.ndarray, float]:
 def convex_hull(points) -> ConvexPolygon:
     """Counterclockwise convex hull by monotone chain.
 
-    Coincident inputs are merged at ``TOL.dedup * spread`` and vertices
+    Coincident inputs are merged at ``_DEDUP * spread`` and vertices
     within ``_SLIVER * spread`` of the chord of their neighbors are dropped,
     so near-collinear triples do not produce sliver vertices. The distance
     is to the chord as a segment, not to its line: on a sliver hull of
@@ -181,18 +181,15 @@ def convex_hull(points) -> ConvexPolygon:
     if len(hull) < 3:
         return ConvexPolygon(np.array([kept[0], kept[-1]]))
 
-    # drop vertices within _SLIVER * scale of the chord of their neighbors
-    changed = True
-    while changed and len(hull) > 2:
-        changed = False
-        for k in range(len(hull)):
-            prev = hull[k - 1]
-            nxt = hull[(k + 1) % len(hull)]
-            if _chord_distance(hull[k], prev, nxt) <= _SLIVER * scale:
-                del hull[k]
-                changed = True
-                break
-    return ConvexPolygon(np.array(hull))
+    # drop vertices within _SLIVER * scale of the chord of their neighbors, the first one at a time
+    hull = np.array(hull)
+    while hull.size > 2:
+        k = np.arange(hull.size)
+        sliver = np.flatnonzero(_segment_distance(hull, hull[k - 1], hull[(k + 1) % hull.size]) <= _SLIVER * scale)
+        if sliver.size == 0:
+            break
+        hull = np.delete(hull, sliver[0])
+    return ConvexPolygon(hull)
 
 
 def edge_midpoints(p: ConvexPolygon) -> np.ndarray:
@@ -253,7 +250,7 @@ def steiner_inellipse(v1: complex, v2: complex, v3: complex) -> EllipseParams:
     """
     a, b, c = complex(v1), complex(v2), complex(v3)
     scale = point_spread([a, b, c])
-    if abs(((b - a) * np.conj(c - a)).imag) <= TOL.collinear * scale**2:
+    if abs(((b - a) * np.conj(c - a)).imag) <= _COLLINEAR * scale**2:
         raise PreconditionsUnmet("vertices are collinear")
     centroid = (a + b + c) / 3.0
     w = np.exp(2j * np.pi / 3.0)

@@ -20,8 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numlin, poly
-from .config import TOL
 from .errors import NumericalError
+
+# ``build_construction`` accepts a DFT round trip within this many times the
+# largest modulus of the zeros.
+_UNITARITY = 1e-10
+# Default bounds of the predicates, on the matrix ``_centred`` makes (Frobenius
+# norm near 1): ``is_trace_vector``'s is absolute, ``is_differentiator``'s is
+# relative to the largest coefficient of p_B' / n.
+_TRACE_DEFECT = 1e-8
+_DIFFERENTIATOR = 1e-7
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -43,7 +51,7 @@ def build_construction(zeros) -> np.ndarray:
     A is the circulant matrix A[j, k] = c[(j - k) mod n] of
     c = fft(zeros) / n, formed in O(n log n + n^2) with no matrix product.
     The construction is verified by the round trip n * ifft(c) = zeros
-    within ``TOL.unitarity * max|zeros|``. Every A_(i) is then A_(1) with
+    within ``_UNITARITY * max|zeros|``. Every A_(i) is then A_(1) with
     its indices relabelled cyclically.
     """
     z = np.atleast_1d(np.asarray(zeros, dtype=complex))
@@ -55,7 +63,7 @@ def build_construction(zeros) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the round trip
         c = np.fft.fft(z) / n
         roundtrip = np.max(np.abs(n * np.fft.ifft(c) - z))
-    if not roundtrip <= TOL.unitarity * np.max(np.abs(z)):
+    if not roundtrip <= _UNITARITY * np.max(np.abs(z)):
         raise NumericalError("DFT round trip does not return the zeros within tolerance")
     idx = np.arange(n)
     return c[np.subtract.outer(idx, idx) % n]
@@ -93,7 +101,7 @@ def _unit_vector(z, n: int) -> np.ndarray:
     return zz
 
 
-def is_trace_vector(a, z, tol: float = TOL.trace_defect) -> TraceVectorReport:
+def is_trace_vector(a, z, tol: float = _TRACE_DEFECT) -> TraceVectorReport:
     """Check z* B^k z == normalized trace of B^k for k = 0..n-1, within
     ``tol``, on B = ``_centred(a)``; ``max_defect`` is the largest gap.
 
@@ -143,7 +151,7 @@ def compression(a, z) -> np.ndarray:
     return q.conj().T @ m @ q
 
 
-def is_differentiator(a, z, tol: float = TOL.geometry) -> bool:
+def is_differentiator(a, z, tol: float = _DIFFERENTIATOR) -> bool:
     """True iff the compression of B = ``_centred(a)`` along ``z`` has
     characteristic polynomial p_B' / n, coefficientwise within ``tol``
     times the largest coefficient of p_B' / n.

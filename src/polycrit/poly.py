@@ -19,8 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL
 from .errors import NumericalError
+
+# ``_newton_polish`` stops once its step is below this many times 1 + |z|.
+_NEWTON_STEP = 1e-14
+# An absolute bound: a leading coefficient of smaller modulus is not divided by.
+_MIN_LEADING = 1e-300
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +92,7 @@ def _newton_polish(coeffs: np.ndarray, dcoeffs: np.ndarray, z: complex) -> compl
     """Up to 20 damped Newton steps on a monic coefficient array.
 
     The step is halved while |p| does not decrease; iteration stops once
-    the accepted step falls below ``TOL.newton_step * (1 + |z|)``.
+    the accepted step falls below ``_NEWTON_STEP * (1 + |z|)``.
     """
     pz = _horner(coeffs, z)
     for _ in range(20):
@@ -107,14 +111,14 @@ def _newton_polish(coeffs: np.ndarray, dcoeffs: np.ndarray, z: complex) -> compl
         if abs(ptrial) >= abs(pz):
             break
         z, pz = trial, ptrial
-        if abs(step) < TOL.newton_step * (1.0 + abs(z)):
+        if abs(step) < _NEWTON_STEP * (1.0 + abs(z)):
             break
     return z
 
 
 def _monic_coeffs(p: Polynomial) -> np.ndarray:
     lead = p.coeffs[-1]
-    if abs(lead) < TOL.min_leading:
+    if abs(lead) < _MIN_LEADING:
         raise NumericalError("leading coefficient too small to normalize")
     return p.coeffs / lead
 
@@ -238,7 +242,7 @@ def _nearest_pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return assign
 
 
-def multiset_match(a, b, tol: float = TOL.match) -> MatchReport:
+def multiset_match(a, b, tol: float) -> MatchReport:
     """True iff both multisets have equal size and a minimum-total-cost
     perfect matching under |a_i - b_j| pairs every point within ``tol``.
 

@@ -338,7 +338,7 @@ class TestCheckExitCodes:
         assert swept == [16 + 97] * 3  # the grid and each side's fan
         report = theorems.check_bgm([complex(*z) for z in roots], m=16)
         assert code == 0
-        assert json.loads(out) == cli.report_payload(report, cli.RunConfig(sweep_samples=16))
+        assert json.loads(out) == cli.report_payload(report, 16)
 
     def test_tolerances_echoed(self, cube_roots, capsys):
         code, out, _ = run_main(

@@ -104,6 +104,26 @@ class TestBoundaryPolyline:
         assert shapes[0] == (360, 3, 3)
         assert len(shapes) == 4 and all(len(s) == 2 and s[0] < 3 for s in shapes[1:])
 
+    def test_chunks_change_no_bit(self, monkeypatch):
+        # one solve of all 360 angles against chunks of 7 (and a remainder),
+        # on a triangle's normal matrix (flat samples in three chunks) and a
+        # general matrix
+        omega = np.exp(2j * np.pi / 3)
+        rng = np.random.default_rng(5)
+        general = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        for a, flats in ((matricial.build_construction([1, omega, omega**2]), 3), (general, 0)):
+            assert 360 * a.size <= fov._SWEEP_ENTRIES
+            whole = fov.boundary_polyline(a, 360)
+            supports = fov.sweep_supports(a, whole.thetas)
+            with monkeypatch.context() as patch:
+                patch.setattr(fov, "_SWEEP_ENTRIES", 7 * a.size)
+                chunked = fov.boundary_polyline(a, 360)
+                np.testing.assert_array_equal(fov.sweep_supports(a, whole.thetas), supports)
+            np.testing.assert_array_equal(chunked.support_values, whole.support_values)
+            np.testing.assert_array_equal(chunked.boundary_points, whole.boundary_points)
+            np.testing.assert_array_equal(chunked.flat_flags, whole.flat_flags)
+            assert int(np.count_nonzero(whole.flat_flags)) == flats
+
 
 def sweep_margin(a, z):
     """Outer membership margin of z in F(a) over the 720-angle grid."""
@@ -314,9 +334,7 @@ class TestSecularSupports:
     @staticmethod
     def assert_routes_agree(zeros, thetas):
         sub = numlin.principal_submatrix(matricial.build_construction(zeros), 1)
-        chunks = np.array_split(thetas, -(-thetas.size // 32))  # bounded memory at n=200
-        dense = np.concatenate([fov.sweep_supports(sub, chunk) for chunk in chunks])
-        gap = np.max(np.abs(fov.secular_supports(zeros, thetas) - dense))
+        gap = np.max(np.abs(fov.secular_supports(zeros, thetas) - fov.sweep_supports(sub, thetas)))
         assert gap <= 1e-14 * geom.point_spread(zeros), gap
 
     @pytest.mark.parametrize("constraint", ["siebeck-ok", "none"])

@@ -89,7 +89,7 @@ class TestConvexHull:
             kept = []
             for idx in np.lexsort((pts.imag, pts.real)):
                 z = complex(pts[idx])
-                if all(abs(z - w) > TOL.dedup * scale for w in kept):
+                if all(abs(z - w) > geom._DEDUP * scale for w in kept):
                     kept.append(z)
             return np.array(kept), scale
 
@@ -97,7 +97,7 @@ class TestConvexHull:
         cases = [random_zeros(rng, n) for n in (2, 3, 7, 50, 200)]
         for trial in range(40):
             base = random_zeros(rng, 4 + trial % 9)
-            radius = TOL.dedup * 2.0  # the spread of unit-disk points is about 2
+            radius = geom._DEDUP * 2.0  # the spread of unit-disk points is about 2
             # clusters around each point whose members sit near the merge
             # radius of each other, and chains where only the greedy order
             # decides which members stay

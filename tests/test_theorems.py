@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -805,6 +806,24 @@ class TestPreconditionsUnmet:
         assert report.verdict == theorems.PRECONDITIONS_UNMET
         assert report.details == details
         assert math.isnan(report.max_violation)
+
+
+def test_tolerances_used_are_the_verification_bounds():
+    # every TOL field is a bound some checker applies and echoes, and every
+    # echoed bound but the hypotheses' radius is a TOL field
+    triangle = [0, 2, 2j]
+    reports = [
+        theorems.check_main_theorem(triangle),
+        theorems.check_gauss_lucas(triangle),
+        theorems.check_interlacing([0, 1, 3]),
+        theorems.check_poor_mans_siebeck(triangle),
+        theorems.check_bgm(triangle),
+        theorems.check_elliptical_range(np.array([[0, 1], [0, 0]])),
+        theorems.check_edge_preimage(triangle, 1),
+    ]
+    assert all(report.verdict == theorems.PASS for report in reports)
+    used = set().union(*(report.tolerances_used for report in reports))
+    assert used - {"hypotheses"} == {field.name for field in dataclasses.fields(TOL)}
 
 
 class TestVerdictInvariants:

@@ -3,8 +3,9 @@
 Every instance of the corpus is written to a temporary directory, and
 ``cli.main`` runs in-process on each command line over it. One line is
 printed per run: the command line, the exit code and the sha256 of
-stdout followed by stderr. Two versions of polycrit give the same reports,
-figures and errors on the corpus when their outputs are identical::
+stdout followed by stderr (and, for ``random``, by the files it wrote).
+Two versions of polycrit give the same reports, figures, instance files
+and errors on the corpus when their outputs are identical::
 
     PYTHONPATH=src python3 tools/report_corpus.py > after.txt
     PYTHONPATH=/path/to/other/src python3 tools/report_corpus.py > before.txt
@@ -24,19 +25,25 @@ import math
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 
 from polycrit import cli
-from polycrit.generate import generate_zeros
+from polycrit.generate import CONSTRAINTS, generate_zeros
 from polycrit.rng import Xoshiro256StarStar
 
-FORMATS = {"check": ("json", "csv", "text"), "figure": ("json", "csv", "svg")}
+FORMATS = {"check": ("json", "csv", "text"), "critical-points": ("json", "csv", "text"), "figure": ("json", "csv", "svg")}
 EDGE_INDICES = (1, 2, 3, 9)
 
 
 def _roots(zeros) -> dict:
     return {"roots": [[float(z.real), float(z.imag)] for z in np.asarray(zeros, dtype=complex)]}
+
+
+def _coeffs(coeffs) -> dict:
+    """A coefficient instance, in ascending degree order."""
+    return {"coeffs": [[float(c.real), float(c.imag)] for c in np.asarray(coeffs, dtype=complex)]}
 
 
 def _wide_range(s: int, n: int) -> np.ndarray:
@@ -72,6 +79,11 @@ def instances() -> dict[str, str]:
         "quadrilateral-1e160": _roots([1e160, 1e160 + 1e160j, -1e160, -1e160j]),
         "sum-past-max": _roots([1e308, 1e308, -1e308]),
         "sliver": _roots(np.array([0.0, 0.3 + 1e-14j, 0.7 - 1e-14j, 1.0]) * (1 + 2j)),
+        "coeffs-2": _coeffs([1 + 1j, -2, 1]),
+        "coeffs-5": _coeffs([-1, 0.5j, 2, -1 + 0.5j, 0.3, 1]),
+        "coeffs-constant": _coeffs([3]),
+        "coeffs-tiny-leading": _coeffs([1, 2, 1e-305]),
+        "coeffs-zero-leading": _coeffs([1, 2, 0]),
     }
     files = {f"{name}.json": json.dumps(doc) for name, doc in docs.items()}
     files |= {
@@ -91,12 +103,18 @@ def commands(name: str) -> list[list[str]]:
             for index in indices:
                 extra = [] if index is None else ["--index", str(index)]
                 runs.append(["check", name, "--theorem", theorem, "--format", fmt, *extra])
-    runs += [["critical-points", name, "--method", method] for method in ("matricial", "companion")]
+    runs += [
+        ["critical-points", name, "--method", method, "--format", fmt]
+        for method in ("matricial", "companion")
+        for fmt in FORMATS["critical-points"]
+    ]
     runs += [["figure", name, "--which", which, "--format", fmt] for which in ("siebeck", "bgm") for fmt in FORMATS["figure"]]
     return runs
 
 
 def run(argv: list[str]) -> str:
+    """The fingerprint line of one run; a ``random`` run also hashes the
+    instance files it wrote."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("always")
@@ -104,7 +122,9 @@ def run(argv: list[str]) -> str:
             code = str(cli.main(argv))
         except Exception as exc:  # a run that escapes the exit-code contract
             code = f"raised {type(exc).__name__}: {exc}"
-    digest = hashlib.sha256((out.getvalue() + err.getvalue()).encode("utf-8")).hexdigest()
+    written = sorted(Path(argv[argv.index("--out") + 1]).glob("*")) if argv[0] == "random" else []
+    text = out.getvalue() + err.getvalue() + "".join(path.read_text(encoding="utf-8") for path in written)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return f"{' '.join(argv)}\t{code}\t{digest}"
 
 
@@ -116,6 +136,12 @@ def main() -> int:
                 handle.write(text)
         argvs = [argv for name in files for argv in commands(name)]
         argvs += [["check", "triangle.json", "--theorem", "siebeck", "--samples", "7"], ["check", "triangle.json", "--bogus"]]
+        argvs += [["figure", "triangle.json", "--which", "siebeck", "--samples", "0"]]
+        argvs += [
+            ["random", "--n", str(n), "--count", "3", "--seed", str(seed), "--constraint", constraint, "--out", f"random-{constraint}-{n}"]
+            for constraint in CONSTRAINTS
+            for n, seed in ((3, 7), (12, 8))
+        ]
         for argv in argvs:
             print(run(argv))
     return 0
