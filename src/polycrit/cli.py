@@ -36,15 +36,19 @@ _VERDICT_EXIT = {
     theorems.PRECONDITIONS_UNMET: EXIT_PRECONDITIONS,
 }
 
-THEOREMS = (
-    "main",
-    "gauss-lucas",
-    "interlacing",
-    "siebeck",
-    "bgm",
-    "elliptical-range",
-    "edge-preimage",
-)
+# Each theorem's checker, called with the parsed ``check`` arguments and the zeros (elliptical-range:
+# the 2x2 companion matrix). It is looked up on ``theorems`` at call time, so a rebound one runs.
+_CHECKERS = {
+    "main": lambda args, z: theorems.check_main_theorem(z, tol=args.tol_match),
+    "gauss-lucas": lambda args, z: theorems.check_gauss_lucas(z, tol=args.tol_geom),
+    "interlacing": lambda args, z: theorems.check_interlacing(z, tol=args.tol_linalg),
+    "siebeck": lambda args, z: theorems.check_poor_mans_siebeck(z, m=args.samples, tol=args.tol_geom),
+    "bgm": lambda args, z: theorems.check_bgm(z, tol=args.tol_geom, m=args.samples),
+    "elliptical-range": lambda args, a: theorems.check_elliptical_range(a, m=args.samples, tol=args.tol_match),
+    "edge-preimage": lambda args, z: theorems.check_edge_preimage(z, args.index, tol=args.tol_geom, m=args.samples),
+}
+
+THEOREMS = tuple(_CHECKERS)
 
 
 class InstanceError(ValueError):
@@ -126,16 +130,15 @@ def _instance_quadratic(instance: Instance) -> np.ndarray | None:
     the instance is not quadratic. Finite roots whose coefficients
     overflow are a numerical failure, not malformed input."""
     if instance.coefficients is not None:
-        if instance.coefficients.degree != 2:
-            return None
-        return poly.companion_matrix(instance.coefficients)
-    if instance.roots.size != 2:
+        quadratic = instance.coefficients
+    elif instance.roots.size == 2:
+        try:
+            quadratic = poly.from_roots(instance.roots)
+        except ValueError as exc:
+            raise NumericalError(f"coefficients of the roots overflow: {exc}") from exc
+    else:
         return None
-    try:
-        quadratic = poly.from_roots(instance.roots)
-    except ValueError as exc:
-        raise NumericalError(f"coefficients of the roots overflow: {exc}") from exc
-    return poly.companion_matrix(quadratic)
+    return poly.companion_matrix(quadratic) if quadratic.degree == 2 else None
 
 
 def canonical_json(payload) -> str:
@@ -185,60 +188,37 @@ def _format_report(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return canonical_json(payload)
     if fmt == "csv":
-        rows = ["key,value"]
-        rows.append(f"theorem,{payload['theorem']}")
-        rows.append(f"verdict,{payload['verdict']}")
-        rows.append(f"max_violation,{payload['max_violation']}")
-        for key, value in payload["details"]:
-            rows.append(f"detail.{key},{value}")
-        for key, value in sorted(payload["tolerances_used"].items()):
-            rows.append(f"tolerance.{key},{value}")
-        rows.append(f"meta.rng,{payload['meta']['rng']}")
-        rows.append(f"meta.sweep_samples,{payload['meta']['sweep_samples']}")
+        rows = ["key,value"] + [f"{key},{payload[key]}" for key in ("theorem", "verdict", "max_violation")]
+        rows += [f"detail.{key},{value}" for key, value in payload["details"]]
+        rows += [f"tolerance.{key},{value}" for key, value in sorted(payload["tolerances_used"].items())]
+        rows += [f"meta.{key},{payload['meta'][key]}" for key in ("rng", "sweep_samples")]
         return "\n".join(rows) + "\n"
-    if fmt == "text":
-        lines = [
-            f"theorem: {payload['theorem']}",
-            f"verdict: {payload['verdict']}",
-            f"max_violation: {payload['max_violation']}",
-            "details:",
-        ]
-        lines += [f"  {key}: {value}" for key, value in payload["details"]]
-        lines.append(
-            "tolerances: "
-            + " ".join(f"{key}={value}" for key, value in sorted(payload["tolerances_used"].items()))
-        )
-        lines.append(f"rng: {payload['meta']['rng']}")
-        return "\n".join(lines) + "\n"
-    raise InstanceError(f"unsupported report format {fmt!r}")
+    lines = [
+        f"theorem: {payload['theorem']}",
+        f"verdict: {payload['verdict']}",
+        f"max_violation: {payload['max_violation']}",
+        "details:",
+    ]
+    lines += [f"  {key}: {value}" for key, value in payload["details"]]
+    tolerances = sorted(payload["tolerances_used"].items())
+    lines.append("tolerances: " + " ".join(f"{key}={value}" for key, value in tolerances))
+    lines.append(f"rng: {payload['meta']['rng']}")
+    return "\n".join(lines) + "\n"
 
 
 def run_check(args, instance: Instance) -> theorems.CheckReport:
-    """Dispatch the checker named by the parsed ``check`` arguments, with
-    their tolerances and sample count; ``args.index`` is the 1-based hull
-    edge for edge-preimage."""
-    theorem, m = args.theorem, args.samples
-    if theorem == "elliptical-range":
-        matrix = _instance_quadratic(instance)
-        if matrix is None:
+    """Run the checker named by the parsed ``check`` arguments, with their
+    tolerances and sample count; ``args.index`` is the 1-based hull edge
+    for edge-preimage."""
+    if args.theorem == "elliptical-range":
+        subject = _instance_quadratic(instance)
+        if subject is None:
             return theorems.preconditions_unmet(
                 "elliptical-range", "instance must be quadratic (2 roots or degree 2)", {"match": args.tol_match}
             )
-        return theorems.check_elliptical_range(matrix, m=m, tol=args.tol_match)
-    zeros = instance_zeros(instance)
-    if theorem == "main":
-        return theorems.check_main_theorem(zeros, tol=args.tol_match)
-    if theorem == "gauss-lucas":
-        return theorems.check_gauss_lucas(zeros, tol=args.tol_geom)
-    if theorem == "interlacing":
-        return theorems.check_interlacing(zeros, tol=args.tol_linalg)
-    if theorem == "siebeck":
-        return theorems.check_poor_mans_siebeck(zeros, m=m, tol=args.tol_geom)
-    if theorem == "bgm":
-        return theorems.check_bgm(zeros, tol=args.tol_geom, m=m)
-    if theorem == "edge-preimage":
-        return theorems.check_edge_preimage(zeros, args.index, tol=args.tol_geom, m=m)
-    raise InstanceError(f"unknown theorem {theorem!r}")
+    else:
+        subject = instance_zeros(instance)
+    return _CHECKERS[args.theorem](args, subject)
 
 
 def _load_swept(args) -> Instance:
@@ -258,22 +238,19 @@ def _cmd_critical_points(args) -> int:
     else:
         points = theorems.critical_points_oracle(zeros)
     points = _sorted_points(points)
-    fmt = args.format
-    if fmt == "json":
+    if args.format == "json":
         payload = {
             "method": args.method,
             "critical_points": [[z.real, z.imag] for z in points],
             "meta": {"rng": RNG_ID},
         }
         _emit(canonical_json(payload), args.out)
-    elif fmt == "csv":
+    elif args.format == "csv":
         rows = ["re,im"] + [f"{float(z.real)!r},{float(z.imag)!r}" for z in points]
         _emit("\n".join(rows) + "\n", args.out)
-    elif fmt == "text":
+    else:
         rows = [f"{float(z.real)!r} {float(z.imag)!r}" for z in points]
         _emit("\n".join(rows) + "\n", args.out)
-    else:
-        raise InstanceError(f"unsupported format {fmt!r} for critical-points")
     return EXIT_PASS
 
 
@@ -314,17 +291,25 @@ def _cmd_figure(args) -> int:
     except PreconditionsUnmet as exc:
         print(f"preconditions unmet: {exc}", file=sys.stderr)
         return EXIT_PRECONDITIONS
-    fmt = args.format
-    if fmt == "svg":
+    if args.format == "svg":
         _emit(figures.render_svg(layers), args.out)
-    elif fmt == "json":
+    elif args.format == "json":
         payload = {"layers": figures.layers_to_jsonable(layers), "meta": {"rng": RNG_ID}}
         _emit(canonical_json(payload), args.out)
-    elif fmt == "csv":
-        _emit(figures.layers_to_csv(layers), args.out)
     else:
-        raise InstanceError(f"unsupported format {fmt!r} for figure")
+        _emit(figures.layers_to_csv(layers), args.out)
     return EXIT_PASS
+
+
+def _bound(text: str) -> float:
+    """A finite verification bound; a negative one asks for a margin."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"bound must be finite: {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -352,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--theorem", choices=THEOREMS, required=True)
     p_check.add_argument("--index", type=int, default=1, help="1-based hull edge (edge-preimage)")
     p_check.add_argument("--samples", type=int, default=DEFAULT_SWEEP_SAMPLES)
-    p_check.add_argument("--tol-match", type=float, default=TOL.match, dest="tol_match")
-    p_check.add_argument("--tol-geom", type=float, default=TOL.geometry, dest="tol_geom")
-    p_check.add_argument("--tol-linalg", type=float, default=TOL.linalg, dest="tol_linalg")
+    p_check.add_argument("--tol-match", type=_bound, default=TOL.match, dest="tol_match")
+    p_check.add_argument("--tol-geom", type=_bound, default=TOL.geometry, dest="tol_geom")
+    p_check.add_argument("--tol-linalg", type=_bound, default=TOL.linalg, dest="tol_linalg")
     add_common(p_check, ("json", "text", "csv"))
     p_check.set_defaults(handler=_cmd_check)
 
@@ -388,6 +373,6 @@ def main(argv=None) -> int:
     except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # an unwritable --out included
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

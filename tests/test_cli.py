@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polycrit import cli, figures, fov, generate, theorems
+from polycrit import cli, figures, fov, generate, poly, theorems
 from polycrit.errors import PreconditionsUnmet
 from polycrit.figures import LAYERS
 from polycrit.rng import Xoshiro256StarStar
@@ -346,6 +346,86 @@ class TestCheckExitCodes:
         )
         assert code == 0
         assert json.loads(out)["tolerances_used"]["geometry"] == 1e-5
+
+
+class TestTheoremTable:
+    FLAGS = ["--tol-match", "2e-6", "--tol-geom", "3e-7", "--tol-linalg", "4e-8", "--samples", "16", "--index", "2"]
+    # theorem -> (checker, positional arguments after the subject, keyword arguments)
+    CALLS = {
+        "main": ("check_main_theorem", (), {"tol": 2e-6}),
+        "gauss-lucas": ("check_gauss_lucas", (), {"tol": 3e-7}),
+        "interlacing": ("check_interlacing", (), {"tol": 4e-8}),
+        "siebeck": ("check_poor_mans_siebeck", (), {"m": 16, "tol": 3e-7}),
+        "bgm": ("check_bgm", (), {"m": 16, "tol": 3e-7}),
+        "elliptical-range": ("check_elliptical_range", (), {"m": 16, "tol": 2e-6}),
+        "edge-preimage": ("check_edge_preimage", (2,), {"m": 16, "tol": 3e-7}),
+    }
+
+    def test_theorems_in_order(self):
+        assert cli.THEOREMS == tuple(self.CALLS)
+
+    @pytest.mark.parametrize("theorem", cli.THEOREMS)
+    def test_the_checker_bound_on_theorems_runs_with_the_flags(self, theorem, tmp_path, capsys, monkeypatch):
+        # the benchmark's tracer wraps theorems.check_* in place; the CLI must
+        # call whatever is bound there when it runs
+        calls = []
+
+        def recorder(name):
+            def record(subject, *args, **kwargs):
+                calls.append((name, subject, args, kwargs))
+                return theorems.CheckReport(theorem, theorems.PASS, 0.0, (), {})
+
+            return record
+
+        for name in dir(theorems):
+            if name.startswith("check_"):
+                monkeypatch.setattr(theorems, name, recorder(name))
+        roots = [[1, 0], [-1, 0]] if theorem == "elliptical-range" else [[0, 0], [2, 0], [0, 2]]
+        inst = write_instance(tmp_path / "inst.json", {"roots": roots})
+        code, out, _ = run_main(["check", inst, "--theorem", theorem, *self.FLAGS], capsys)
+        assert code == 0 and json.loads(out)["theorem"] == theorem
+        [(name, subject, args, kwargs)] = calls
+        assert (name, args, kwargs) == self.CALLS[theorem]
+        if theorem == "elliptical-range":
+            np.testing.assert_array_equal(subject, poly.companion_matrix(poly.from_roots([1, -1])))
+        else:
+            np.testing.assert_array_equal(subject, [0, 2, 2j])
+
+
+class TestBoundaryInput:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--tol-match", "--tol-geom", "--tol-linalg"])
+    def test_non_finite_bound_is_one(self, triangle, capsys, flag, value):
+        # NaN fails every comparison and inf passes anything: neither is a bound
+        code, out, err = run_main(["check", triangle, "--theorem", "main", f"{flag}={value}"], capsys)
+        assert code == 1 and out == ""
+        assert err == f"input error: argument {flag}: bound must be finite: {value!r}\n"
+
+    def test_negative_bound_asks_for_a_margin(self, triangle, capsys):
+        code, out, _ = run_main(["check", triangle, "--theorem", "gauss-lucas", "--tol-geom=-1e-9"], capsys)
+        assert code == 0
+        assert json.loads(out)["tolerances_used"]["geometry"] == -1e-9
+
+    def test_non_numeric_bound_is_one(self, triangle, capsys):
+        code, out, err = run_main(["check", triangle, "--theorem", "main", "--tol-match", "tight"], capsys)
+        assert code == 1 and out == ""
+        assert err == "input error: argument --tol-match: invalid float value: 'tight'\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{inst}", "--theorem", "main", "--out", "{missing}/x.json"],
+            ["critical-points", "{inst}", "--out", "{missing}/x.json"],
+            ["figure", "{inst}", "--which", "siebeck", "--out", "{missing}/x.svg"],
+            ["random", "--n", "3", "--out", "{inst}"],
+        ],
+    )
+    def test_unwritable_output_is_one(self, triangle, tmp_path, argv):
+        argv = [arg.format(inst=triangle, missing=tmp_path / "missing") for arg in argv]
+        proc = subprocess.run([sys.executable, "-m", "polycrit", *argv], capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("input error: ") and "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
 
 
 class TestOutputFormats:

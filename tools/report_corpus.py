@@ -35,6 +35,9 @@ from polycrit.rng import Xoshiro256StarStar
 
 FORMATS = {"check": ("json", "csv", "text"), "critical-points": ("json", "csv", "text"), "figure": ("json", "csv", "svg")}
 EDGE_INDICES = (1, 2, 3, 9)
+# Instances that every theorem also runs on with loose bounds and 16 samples.
+FLAGGED = ("triangle", "siebeck-ok-8", "real-6", "disk-2")
+LOOSE = ["--tol-match", "1e-3", "--tol-geom", "1e-3", "--tol-linalg", "1e-3", "--samples", "16"]
 
 
 def _roots(zeros) -> dict:
@@ -79,6 +82,7 @@ def instances() -> dict[str, str]:
         "quadrilateral-1e160": _roots([1e160, 1e160 + 1e160j, -1e160, -1e160j]),
         "sum-past-max": _roots([1e308, 1e308, -1e308]),
         "sliver": _roots(np.array([0.0, 0.3 + 1e-14j, 0.7 - 1e-14j, 1.0]) * (1 + 2j)),
+        "quadrilateral-interior": _roots([0, 1, 1j, 0.3 + 0.2j]),
         "coeffs-2": _coeffs([1 + 1j, -2, 1]),
         "coeffs-5": _coeffs([-1, 0.5j, 2, -1 + 0.5j, 0.3, 1]),
         "coeffs-constant": _coeffs([3]),
@@ -109,6 +113,33 @@ def commands(name: str) -> list[list[str]]:
         for fmt in FORMATS["critical-points"]
     ]
     runs += [["figure", name, "--which", which, "--format", fmt] for which in ("siebeck", "bgm") for fmt in FORMATS["figure"]]
+    if name.removesuffix(".json") in FLAGGED:
+        runs += [["check", name, "--theorem", theorem, *LOOSE] for theorem in cli.THEOREMS]
+    return runs
+
+
+def boundary_commands() -> list[list[str]]:
+    """Runs at the edge of the accepted input: bounds that are not finite
+    (and a finite negative one, which asks for a margin), a second
+    submatrix index, and outputs that cannot be written."""
+    runs = [
+        ["check", name, "--theorem", theorem, f"--tol-{flag}={value}"]
+        for name, theorem, flag in (
+            ("coeffs-2.json", "main", "match"),
+            ("quadrilateral-interior.json", "siebeck", "geom"),
+            ("quadrilateral-interior.json", "edge-preimage", "geom"),
+            ("real-6.json", "interlacing", "linalg"),
+        )
+        for value in ("nan", "inf", "-inf")
+    ]
+    runs += [["check", "triangle.json", "--theorem", "gauss-lucas", "--tol-geom=-1e-9"]]
+    runs += [["critical-points", name, "--method", "matricial", "--index", "2"] for name in ("disk-5.json", "coeffs-5.json")]
+    runs += [
+        ["check", "triangle.json", "--theorem", "main", "--out", "missing/x.json"],
+        ["critical-points", "triangle.json", "--out", "missing/x.json"],
+        ["figure", "triangle.json", "--which", "siebeck", "--out", "missing/x.svg"],
+        ["random", "--n", "3", "--out", "triangle.json"],
+    ]
     return runs
 
 
@@ -137,6 +168,7 @@ def main() -> int:
         argvs = [argv for name in files for argv in commands(name)]
         argvs += [["check", "triangle.json", "--theorem", "siebeck", "--samples", "7"], ["check", "triangle.json", "--bogus"]]
         argvs += [["figure", "triangle.json", "--which", "siebeck", "--samples", "0"]]
+        argvs += boundary_commands()
         argvs += [
             ["random", "--n", str(n), "--count", "3", "--seed", str(seed), "--constraint", constraint, "--out", f"random-{constraint}-{n}"]
             for constraint in CONSTRAINTS
