@@ -22,9 +22,12 @@ whose entries all have modulus 1/sqrt(n), as the DFT construction of
 Re(exp(-i*theta) z_k), so the support is the largest root mu of the
 secular equation sum_k 1/(mu - x_k) = 0: the largest critical point of
 prod_k (mu - x_k). ``secular_supports`` solves it from the zeros in O(n)
-per angle and Newton step, and the tangency checkers sweep with it; a
-dense ``sweep_supports`` of the constructed A_(1) at a few angles is
-their runtime cross-check.
+per angle and Newton step, and the tangency checkers sweep with it.
+Their runtime cross-check is ``certify_supports``, at a few angles,
+without an eigensolve: a Rayleigh quotient of H(theta) of the constructed
+A_(1) bounds its largest eigenvalue from below, and a Cholesky
+factorisation of (s + delta) I - H(theta) from above, so each support s
+is bracketed within delta.
 """
 
 from __future__ import annotations
@@ -132,20 +135,27 @@ def _direction_stack(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return (phase[:, None, None] * a[None, :, :] + np.conj(phase)[:, None, None] * adjoint(a)[None, :, :]) / 2.0
 
 
-def _direction_solves(a: np.ndarray, thetas: np.ndarray, solve):
-    """``solve`` (``np.linalg.eigh`` or ``eigvalsh``) of H(theta) over
-    ``thetas``, in consecutive chunks of angles whose stack holds at most
-    ``_SWEEP_ENTRIES`` entries (one angle at least): yields each chunk's
-    angles and result. The batched solve treats each matrix on its own, so
-    the chunks change no bit of the result."""
+def _direction_chunks(a: np.ndarray, thetas: np.ndarray):
+    """H(theta) over ``thetas``, in consecutive chunks of angles whose stack
+    holds at most ``_SWEEP_ENTRIES`` entries (one angle at least): yields
+    each chunk's slice of ``thetas`` and its stack."""
     step = max(1, _SWEEP_ENTRIES // a.size)
     for start in range(0, thetas.size, step):
-        chunk = thetas[start : start + step]
+        part = slice(start, start + step)
+        yield part, _direction_stack(a, thetas[part])
+
+
+def _direction_solves(a: np.ndarray, thetas: np.ndarray, solve):
+    """``solve`` (``np.linalg.eigh`` or ``eigvalsh``) of H(theta) over
+    ``thetas``, in the chunks of ``_direction_chunks``: yields each chunk's
+    angles and result. The batched solve treats each matrix on its own, so
+    the chunks change no bit of the result."""
+    for part, stack in _direction_chunks(a, thetas):
         try:
-            result = solve(_direction_stack(a, chunk))
+            result = solve(stack)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"support eigensolver failed: {exc}") from exc
-        yield chunk, result
+        yield thetas[part], result
 
 
 def _boundary(a: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -322,6 +332,69 @@ def secular_supports(zeros, thetas) -> np.ndarray:
                 idx, lo, hi, tol, new = idx[keep], lo[keep], hi[keep], tol[keep], new[keep]
             sa = new
     raise NumericalError("secular equation did not converge")
+
+
+def certify_supports(a, zeros, thetas, supports, delta: float) -> np.ndarray:
+    """Certify secular supports ``s`` of F(a) at ``thetas`` from both sides,
+    where ``a`` is A_(1) of ``matricial.build_construction(zeros)`` (A = F
+    diag(zeros) F* / n, F the DFT matrix): returns Rayleigh quotients rho of
+    H(theta) with s - delta <= rho <= lambda_max < s + delta, or raises
+    NumericalError naming the side that failed, the angle and by how much.
+
+    Upper side: a Cholesky factorisation of (s + delta) I - H(theta)
+    succeeds only if lambda_max < s + delta, up to Cholesky's backward error
+    of order n * eps * ||H|| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 10.1). Lower side: every quotient y* H y / y* y is at most
+    lambda_max (Parlett, The Symmetric Eigenvalue Problem), up to its own
+    roundoff of the same order. Both test vectors are valid, and the larger
+    quotient counts:
+
+    - the secular eigenvector y = fft(1/(x - s))[1:], x = Re(exp(-i theta)
+      zeros): the top eigenvector when s is the largest root of
+      sum 1/(mu - x_k) = 0;
+    - the difference of the two top modes fft(e_a - e_b)[1:], whose quotient
+      is (x_a + x_b) / 2: the top eigenvector where the top projection is
+      attained twice (at an edge normal), where the resolvent divides by
+      zero and the secular vector means nothing.
+
+    H(theta) is formed from ``a`` in the chunks of ``_direction_chunks``."""
+    mat = as_square(a)
+    th = np.atleast_1d(np.asarray(thetas, dtype=float))
+    s = np.atleast_1d(np.asarray(supports, dtype=float))
+    x = np.real(np.exp(-1j * th)[:, None] * np.asarray(zeros, dtype=complex))
+    top = np.argsort(x, axis=1)[:, -2:]
+    probes = np.zeros((th.size, 2, x.shape[1]))
+    rows = np.arange(th.size)
+    probes[rows, 1, top[:, 1]], probes[rows, 1, top[:, 0]] = 1.0, -1.0  # e_a - e_b
+    rho = np.empty(th.size)
+    diagonal = np.arange(mat.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):  # at an exact top tie the mode difference certifies
+        probes[:, 0] = 1.0 / (x - s[:, None])
+        vectors = np.fft.fft(probes, axis=-1)[:, :, 1:]
+        for part, stack in _direction_chunks(mat, th):
+            y = vectors[part]
+            quotients = np.einsum("kvi,kvi->kv", y.conj() @ stack, y).real / np.einsum("kvi,kvi->kv", y.conj(), y).real
+            rho[part] = np.fmax(quotients[:, 0], quotients[:, 1])
+            short = s[part] - rho[part]
+            if not (short <= delta).all():
+                k = int(np.argmax(short))  # a NaN first
+                raise NumericalError(
+                    f"support certificate, lower side: at theta = {th[part][k]:.6g} the Rayleigh quotient of "
+                    f"H(theta) falls short of the secular support by {short[k] / delta:.3g} delta (delta = {delta:.3g})"
+                )
+            shifted = np.multiply(stack, -1.0, out=stack)  # faster than np.negative on complex
+            shifted[:, diagonal, diagonal] += (s[part] + delta)[:, None]
+            try:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                lowest = np.linalg.eigvalsh(shifted)[:, 0]  # the failure's size, on this path only
+                k = int(np.argmin(lowest))
+                raise NumericalError(
+                    f"support certificate, upper side: at theta = {th[part][k]:.6g} the largest eigenvalue of "
+                    f"H(theta) exceeds the secular support by {(delta - lowest[k]) / delta:.3g} delta "
+                    f"(delta = {delta:.3g}): (s + delta) I - H(theta) has no Cholesky factor"
+                ) from None
+    return rho
 
 
 def boundary_polyline(a, m: int = DEFAULT_SWEEP_SAMPLES) -> BoundaryPolyline:

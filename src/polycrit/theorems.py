@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fov, geom, matricial, numlin, poly
 from .config import DEFAULT_SWEEP_SAMPLES, TOL
-from .errors import NumericalError, PreconditionsUnmet
+from .errors import PreconditionsUnmet
 
 PASS = "pass"
 FAIL = "fail"
@@ -495,8 +495,13 @@ class _Tangency:
     (``_edge_normals``), the supports of ``A_(1)`` of the zeros in the frame
     on the uniform angle grid and on the fans (``_fans``) of the edges the
     check probes (0-based positions ``probed``, one row of ``fans`` each),
-    from the secular equation (``fov.secular_supports``), and the dense
-    supports of ``A_(1)`` at the cross-check angles ``dense_thetas``."""
+    from the secular equation (``fov.secular_supports``), and at the
+    cross-check angles ``certified_thetas`` the Rayleigh quotients ``rayleigh``
+    of H(theta) of the constructed ``A_(1)`` that certify them
+    (``fov.certify_supports``): with s the secular support and delta
+    ``TOL.membership_slack`` times the spread, s - delta <= rayleigh <=
+    lambda_max < s + delta, the upper side by a Cholesky factorisation of
+    (s + delta) I - H(theta), up to its backward error of order n eps ||H||."""
 
     frame: _Frame
     hyp: SiebeckHypotheses
@@ -506,8 +511,8 @@ class _Tangency:
     probed: list[int]
     fans: np.ndarray
     fan_supports: np.ndarray
-    dense_thetas: np.ndarray
-    dense: np.ndarray
+    certified_thetas: np.ndarray
+    rayleigh: np.ndarray
 
     def margins(self, row: int, points: np.ndarray) -> np.ndarray:
         """Outer membership margins of points on the edge ``probed[row]``
@@ -525,10 +530,14 @@ def _tangency_setup(zeros, m: int, edge: int | tuple[int, int] | None = None) ->
 
     The fans are those of every edge, or of ``edge`` alone (as
     ``check_edge_preimage`` takes it). One secular solve gives the supports
-    on the grid, at the edge normals and on the fans. They are checked
-    against a dense eigensolve of the constructed ``A_(1)`` at every edge
-    normal and at 8 evenly spaced grid angles; a gap above
-    ``TOL.membership_slack`` times the spread raises NumericalError."""
+    on the grid, at the edge normals and on the fans. At every edge normal
+    and at 8 evenly spaced grid angles they are certified against H(theta)
+    of the constructed ``A_(1)`` within delta = ``TOL.membership_slack``
+    times the spread, from both sides (``fov.certify_supports``): below by a
+    Rayleigh quotient of at least s - delta, above by a Cholesky
+    factorisation of (s + delta) I - H(theta), which holds up to its
+    backward error of order n eps ||H||. A side that fails raises
+    NumericalError."""
     frame = _frame(zeros, 3)
     hyp = _hypotheses(frame)
     if not hyp.holds:
@@ -541,12 +550,9 @@ def _tangency_setup(zeros, m: int, edge: int | tuple[int, int] | None = None) ->
     angles = np.concatenate([2.0 * np.pi * np.arange(m) / m, normals, fans.ravel()])
     supports = fov.secular_supports(frame.u, angles)
     probe = np.concatenate([np.arange(m, m + normals.size), np.arange(8) * m // 8])  # the normals, then 8 grid angles
-    dense = fov.sweep_supports(sub, angles[probe])
-    gap = float(np.max(np.abs(supports[probe] - dense)))
-    if not gap <= TOL.membership_slack * frame.spread:
-        raise NumericalError(f"secular and dense supports of A_(1) differ by {gap / frame.spread:.3g} of the spread")
+    rayleigh = fov.certify_supports(sub, frame.u, angles[probe], supports[probe], TOL.membership_slack * frame.spread)
     fan_supports = supports[m + normals.size :].reshape(fans.shape)
-    return _Tangency(frame, hyp, lines, angles[:m], supports[:m], probed, fans, fan_supports, angles[probe], dense)
+    return _Tangency(frame, hyp, lines, angles[:m], supports[:m], probed, fans, fan_supports, angles[probe], rayleigh)
 
 
 def _edge_position(pairs, edge: int | tuple[int, int]) -> int:
@@ -571,17 +577,21 @@ def check_poor_mans_siebeck(zeros, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = 
     the membership rule of ``check_edge_preimage``.
 
     The secular supports meet the hull and the edge lines by construction,
-    so containment and tangency are measured on the dense supports of the
-    cross-check; the midpoint's margin completes the rule of ``check_bgm``."""
+    so containment and tangency are measured on the Rayleigh quotients rho
+    of the cross-check (``_Tangency``). Below, s - delta <= rho <=
+    lambda_max of H(theta), with delta ``TOL.membership_slack`` times the
+    spread; above, a Cholesky factorisation certifies lambda_max < s +
+    delta up to its backward error of order n eps ||H||. The midpoint's
+    margin completes the rule of ``check_bgm``."""
     tols = {"geometry": tol, "hypotheses": TOL.geometry, "membership_slack": TOL.membership_slack}
     try:
         setup = _tangency_setup(zeros, m)
     except PreconditionsUnmet as exc:
         return preconditions_unmet("siebeck", str(exc), tols, exc.evidence)
     frame, edges = setup.frame, setup.hyp.edges
-    hull = np.max(np.real(np.exp(-1j * setup.dense_thetas)[:, None] * frame.u[None, :]), axis=1)
-    containment_excess = float(np.max(setup.dense - hull))
-    tangency_gap = float(np.max(np.abs(setup.dense[: len(edges)] - setup.lines)))
+    hull = np.max(np.real(np.exp(-1j * setup.certified_thetas)[:, None] * frame.u[None, :]), axis=1)
+    containment_excess = float(np.max(setup.rayleigh - hull))
+    tangency_gap = float(np.max(np.abs(setup.rayleigh[: len(edges)] - setup.lines)))
 
     params = np.arange(41) / 40
     params = params[np.abs(params - 0.5) > 0.05]  # probes off the midpoint

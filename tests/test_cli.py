@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import moved_secular_supports
 from polycrit import cli, figures, fov, generate, poly, theorems
 from polycrit.errors import PreconditionsUnmet
 from polycrit.figures import LAYERS
@@ -263,6 +264,17 @@ class TestCheckExitCodes:
             code, out, err = run_main(["check", inst, "--theorem", theorem], capsys)
             assert code == 4, out
             assert out == "" and "numerical failure" in err
+
+    @pytest.mark.parametrize("sign, side", [(2.0, "lower side"), (-2.0, "upper side")])
+    def test_certificate_side_failure_is_four(self, tmp_path, capsys, monkeypatch, sign, side):
+        # one secular support moved by 2 delta at the first edge normal: the
+        # side that catches it is named on the one stderr line
+        monkeypatch.setattr(fov, "secular_supports", moved_secular_supports(sign, "normal"))
+        inst = write_instance(tmp_path / "sq.json", {"roots": [[1, 0], [0, 1], [-1, 0], [0, -1], [0.2, 0.1]]})
+        for theorem in ("siebeck", "edge-preimage"):
+            code, out, err = run_main(["check", inst, "--theorem", theorem], capsys)
+            assert code == 4, out
+            assert out == "" and err.startswith("numerical failure: support certificate, " + side)
 
     @pytest.mark.parametrize("which, target", [("siebeck", "boundary_polyline"), ("bgm", "steiner_inellipse")])
     def test_figure_linalg_error_is_four(self, cube_roots, capsys, monkeypatch, which, target):

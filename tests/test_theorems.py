@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_rng
+from conftest import make_rng, moved_secular_supports
 from polycrit import figures, fov, geom, matricial, numlin, poly, theorems
 from polycrit.config import TOL
 from polycrit.errors import NumericalError, PreconditionsUnmet
@@ -523,14 +523,20 @@ class TestPoorMansSiebeck:
         assert report.max_violation == frame.length(TOL.membership_slack * frame.spread) > 0.0
 
     def test_containment_and_tangency_come_from_the_dense_route(self, monkeypatch):
-        # a dense route off by 5e-13 of the spread, inside the cross-check's
-        # 1e-12, moves both by that much; the secular route holds both by
-        # construction and cannot show it
+        # H(theta) of the constructed A_(1) moved by 5e-13 of the spread
+        # times I, inside the certificate's delta of 1e-12, moves the
+        # Rayleigh quotients and so both fields by that much; the secular
+        # route holds both by construction and cannot show it
         zeros = generate_zeros(make_rng(115), 6, "siebeck-ok")
         before = dict(theorems.check_poor_mans_siebeck(zeros).details)
         frame = theorems._frame(zeros, 3)
-        original = fov.sweep_supports
-        monkeypatch.setattr(fov, "sweep_supports", lambda a, t: original(a, t) + 5e-13 * frame.spread)
+        original = fov._direction_stack
+        shift = 5e-13 * frame.spread
+
+        def shifted(a, thetas):
+            return original(a, thetas) + shift * np.eye(a.shape[0])
+
+        monkeypatch.setattr(fov, "_direction_stack", shifted)
         report = theorems.check_poor_mans_siebeck(zeros)
         assert report.verdict == theorems.PASS
         after, spread = dict(report.details), geom.point_spread(zeros)
@@ -706,8 +712,9 @@ class TestEdgePreimage:
 
 
 class TestSecularTangencyRoute:
-    """The tangency checkers take F(A_(1)) from the secular equation; a dense
-    eigensolve of A_(1) at a few angles is the runtime cross-check."""
+    """The tangency checkers take F(A_(1)) from the secular equation; a
+    two-sided certificate on H(theta) of the constructed A_(1) at the edge
+    normals and 8 grid angles is the runtime cross-check."""
 
     @staticmethod
     def count(monkeypatch, name, calls):
@@ -724,15 +731,19 @@ class TestSecularTangencyRoute:
         zeros = generate_zeros(make_rng(127), n, "siebeck-ok")
         edges = len(theorems.check_siebeck_hypotheses(zeros).vertex_indices)
         calls = {}
-        self.count(monkeypatch, "sweep_supports", calls)
-        self.count(monkeypatch, "point_margin", calls)
+        for name in ("certify_supports", "sweep_supports", "point_margin"):
+            self.count(monkeypatch, name, calls)
         assert theorems.check_poor_mans_siebeck(zeros).verdict == theorems.PASS
-        [(_, angles)] = calls["sweep_supports"]
-        assert np.size(angles) <= edges + 8
+        [(_, _, angles, _, _)] = calls["certify_supports"]
+        assert np.size(angles) == edges + 8
         assert len(calls["point_margin"]) == edges
+        assert "sweep_supports" not in calls
         calls.clear()
         assert theorems.check_edge_preimage(zeros, 2).verdict == theorems.PASS
-        assert len(calls["sweep_supports"]) == len(calls["point_margin"]) == 1
+        [(_, _, angles, _, _)] = calls["certify_supports"]
+        assert np.size(angles) == edges + 8
+        assert len(calls["point_margin"]) == 1
+        assert "sweep_supports" not in calls
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_one_secular_solve_per_check(self, n, monkeypatch):
@@ -741,15 +752,15 @@ class TestSecularTangencyRoute:
         zeros = generate_zeros(make_rng(127), n, "siebeck-ok")
         edges = len(theorems.check_siebeck_hypotheses(zeros).vertex_indices)
         calls = {}
-        self.count(monkeypatch, "secular_supports", calls)
-        self.count(monkeypatch, "sweep_supports", calls)
+        for name in ("secular_supports", "certify_supports", "sweep_supports"):
+            self.count(monkeypatch, name, calls)
         assert theorems.check_poor_mans_siebeck(zeros).verdict == theorems.PASS
-        assert {name: len(args) for name, args in calls.items()} == {"secular_supports": 1, "sweep_supports": 1}
+        assert {name: len(args) for name, args in calls.items()} == {"secular_supports": 1, "certify_supports": 1}
         [(_, angles)] = calls["secular_supports"]
         assert np.size(angles) == 720 + edges + edges * theorems._FAN_OFFSETS.size
         calls.clear()
         assert theorems.check_edge_preimage(zeros, 2).verdict == theorems.PASS
-        assert {name: len(args) for name, args in calls.items()} == {"secular_supports": 1, "sweep_supports": 1}
+        assert {name: len(args) for name, args in calls.items()} == {"secular_supports": 1, "certify_supports": 1}
         [(_, angles)] = calls["secular_supports"]
         assert np.size(angles) == 720 + edges + theorems._FAN_OFFSETS.size
 
@@ -762,6 +773,70 @@ class TestSecularTangencyRoute:
             theorems.check_poor_mans_siebeck(zeros)
         with pytest.raises(NumericalError):
             theorems.check_edge_preimage(zeros, 1)
+
+    @pytest.mark.parametrize("position", ["normal", "grid"])
+    @pytest.mark.parametrize("sign, side", [(2.0, "lower side"), (-2.0, "upper side")])
+    @pytest.mark.parametrize(
+        "check", [theorems.check_poor_mans_siebeck, lambda z: theorems.check_edge_preimage(z, 2)], ids=["siebeck", "edge-preimage"]
+    )
+    def test_each_side_trips_on_one_moved_support(self, position, sign, side, check, monkeypatch):
+        # a secular support moved by 2 delta at one cross-check angle (the
+        # first edge normal, or the fourth of the 8 grid angles): above the
+        # top eigenvalue the Rayleigh quotient falls short, below it
+        # (s + delta) I - H(theta) has no Cholesky factor
+        zeros = generate_zeros(make_rng(127), 8, "siebeck-ok")
+        assert check(zeros).verdict == theorems.PASS
+        monkeypatch.setattr(fov, "secular_supports", moved_secular_supports(sign, position))
+        with pytest.raises(NumericalError, match=side):
+            check(zeros)
+
+
+# a triangle, a square and a heptagon: at every edge normal the top
+# projection is attained twice, where the secular vector is meaningless and
+# the difference of the two top modes certifies
+TIE_INSTANCES = {
+    "triangle": np.array([0, 2, 2j]),
+    "square": np.array([0, 1, 1 + 1j, 1j]),
+    "heptagon": np.exp(2j * np.pi * np.arange(7) / 7),
+}
+
+
+class TestCertificateBracket:
+    """At every cross-check angle the dense top eigenvalue of H(theta) of
+    A_(1) (``fov.sweep_supports``, an oracle of the tests only) lies in
+    [rho, s + delta]: rho the certifying Rayleigh quotient, s the secular
+    support and delta ``TOL.membership_slack`` times the spread. rho is a
+    quotient in floating point, so it may exceed the top eigenvalue by the
+    roundoff n eps ||H|| that both sides carry (||H|| <= spread here)."""
+
+    @staticmethod
+    def assert_bracketed(zeros):
+        setup = theorems._tangency_setup(zeros, 720)
+        frame, thetas = setup.frame, setup.certified_thetas
+        sub = numlin.principal_submatrix(matricial.build_construction(frame.u), 1)
+        dense = fov.sweep_supports(sub, thetas)
+        secular = fov.secular_supports(frame.u, thetas)
+        delta = TOL.membership_slack * frame.spread
+        roundoff = frame.u.size * np.finfo(float).eps * frame.spread
+        assert np.all(setup.rayleigh - roundoff <= dense), (setup.rayleigh - dense) / frame.spread
+        assert np.all(dense < secular + delta), (dense - secular) / frame.spread
+        assert np.all(setup.rayleigh >= secular - delta)
+        return setup
+
+    @pytest.mark.parametrize("n", [3, 8, 32, 64])
+    def test_siebeck_ok_draws(self, n):
+        for seed in range(3):
+            self.assert_bracketed(generate_zeros(make_rng(130 + seed), n, "siebeck-ok"))
+
+    @pytest.mark.parametrize("name", sorted(TIE_INSTANCES))
+    def test_exact_ties(self, name):
+        setup = self.assert_bracketed(TIE_INSTANCES[name])
+        edges = len(setup.hyp.edges)
+        x = np.sort(np.real(np.exp(-1j * setup.certified_thetas[:edges])[:, None] * setup.frame.u), axis=1)
+        assert np.all(x[:, -1] - x[:, -2] <= 4 * np.finfo(float).eps)  # the ties this instance is here for
+
+    def test_degree_200(self):
+        self.assert_bracketed(generate_zeros(make_rng(133), 200, "none"))
 
 
 FLAGS_UNMET = (("unmet_hypothesis", "hypothesis flags not satisfied"),
