@@ -4,12 +4,10 @@ Coefficients are stored in ascending degree order with a nonzero leading
 coefficient. Root sets are plain complex ndarrays with multiset
 semantics: multiplicities are carried by repetition, never by a count.
 
-Two multisets are compared under a minimum-total-cost pairing. When
-pairing each point with its nearest point on the other side is a
-bijection (equal points, such as the copies of a cluster's mean, taken
-as groups), its total is the sum of the row minima, a lower bound of
-every pairing, so it is optimal: that costs O(n^2) in numpy. Otherwise
-the Hungarian method, ``min_cost_assignment``, decides in O(n^3).
+Two multisets are compared under a bottleneck pairing, one whose largest
+distance is the least possible: the nearest-point pairing when it is a
+bijection, else a binary search over the distances with an
+augmenting-path perfect matching at each bound.
 """
 
 from __future__ import annotations
@@ -153,60 +151,10 @@ def roots(p: Polynomial) -> np.ndarray:
     return np.array([_newton_polish(monic, dmonic, z) for z in raw])
 
 
-def min_cost_assignment(cost: np.ndarray) -> list[int]:
-    """Assignment minimizing total cost on a square matrix of finite costs
-    (O(n^3), potentials formulation). Returns the column paired with each
-    row. Each step scans the free columns in one pass and takes the first
-    of equal minima."""
-    cost = np.asarray(cost, dtype=float)
-    n = cost.shape[0]
-    if cost.shape != (n, n):
-        raise ValueError("cost matrix must be square")
-    if n == 0:
-        return []
-    # rows and columns are 1-based; row 0 and column 0 are the sentinel
-    padded = np.zeros((n + 1, n + 1))
-    padded[1:, 1:] = cost
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    match = np.zeros(n + 1, dtype=int)  # match[j] = row assigned to column j
-    way = np.zeros(n + 1, dtype=int)
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = np.full(n + 1, math.inf)  # stays inf at the used columns
-        free = np.ones(n + 1, dtype=bool)
-        rows = np.zeros(n + 1, dtype=bool)  # the rows of the used columns
-        while True:
-            free[j0], minv[j0] = False, math.inf
-            i0 = match[j0]
-            rows[i0] = True
-            cur = padded[i0] - u[i0] - v
-            better = (cur < minv) & free
-            np.copyto(minv, cur, where=better)
-            np.copyto(way, j0, where=better)
-            j1 = int(np.argmin(minv))
-            delta = minv[j1]
-            np.add(u, delta, out=u, where=rows)
-            np.subtract(v, delta, out=v, where=~free)
-            minv -= delta
-            j0 = j1
-            if match[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    assign = [0] * n
-    for j in range(1, n + 1):
-        if match[j]:
-            assign[match[j] - 1] = j - 1
-    return assign
-
-
 @dataclass(frozen=True)
 class MatchReport:
-    """Outcome of a multiset comparison under optimal pairing."""
+    """Outcome of a multiset comparison under a bottleneck pairing:
+    ``max_distance`` is the bottleneck value."""
 
     matched: bool
     max_distance: float
@@ -216,48 +164,84 @@ class MatchReport:
         return self.matched
 
 
-def _nearest_pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """The index in ``b`` paired with each point of ``a`` when pairing
-    every point with a nearest point of ``b`` uses each point of ``b``
-    once, else None.
+def _nearest_pairing(cost: np.ndarray) -> np.ndarray | None:
+    """The column of each row's minimum of ``cost`` when those columns are
+    all distinct, else None. No pairing gives a row less than its minimum,
+    so this one, when it exists, is a bottleneck pairing."""
+    near = np.argmin(cost, axis=1)
+    return near if np.all(np.bincount(near, minlength=near.size) == 1) else None
 
-    Every point then sits on a minimum of its row of the cost matrix
-    |a_i - b_j|, in distinct columns, so the total cost is the sum of the
-    row minima, a lower bound of every assignment: the pairing is a
-    minimum-total-cost assignment. Equal points, such as the copies of a
-    cluster's mean, share their nearest point; so when the plain pairing
-    fails, equal points are grouped on both sides and each group of ``b``
-    must receive as many points as it holds, paired in index order.
-    """
-    near = np.argmin(np.abs(a[:, None] - b[None, :]), axis=1)
-    if np.all(np.bincount(near, minlength=b.size) == 1):
-        return near
-    ua, ia = np.unique(a, return_inverse=True)
-    ub, ib, kb = np.unique(b, return_inverse=True, return_counts=True)
-    near = np.argmin(np.abs(ua[:, None] - ub[None, :]), axis=1)[ia]
-    if not np.array_equal(np.bincount(near, minlength=ub.size), kb):
-        return None
-    assign = np.empty(a.size, dtype=int)
-    assign[np.argsort(near, kind="stable")] = np.argsort(ib, kind="stable")
-    return assign
+
+def _perfect_matching(adj: np.ndarray, near: np.ndarray) -> np.ndarray | None:
+    """The column matched to each row by a perfect matching of the
+    bipartite graph with square biadjacency ``adj``, or None if there is
+    none. The first row to name a column in ``near`` (a neighbour of each
+    row) starts matched to it; each other row joins by an augmenting path
+    found breadth-first (Hopcroft & Karp, SIAM J. Comput. 2, 1973), so no
+    recursion deepens with the size."""
+    n = adj.shape[0]
+    col_of = np.full(n, -1)
+    row_of = np.full(n, -1)
+    named, first = np.unique(near, return_index=True)
+    col_of[first], row_of[named] = named, first
+    for root in np.flatnonzero(col_of < 0):
+        seen = np.zeros(n, dtype=bool)
+        parent = np.empty(n, dtype=int)  # the row from which each seen column was reached
+        queue = [root]
+        for row in queue:
+            cols = np.flatnonzero(adj[row] & ~seen)
+            seen[cols] = True
+            parent[cols] = row
+            free = cols[row_of[cols] < 0]
+            if free.size:
+                break
+            queue.extend(row_of[cols].tolist())
+        else:
+            return None
+        col = int(free[0])
+        while col >= 0:  # flip the path back to the root, whose column is -1
+            row = parent[col]
+            col_of[row], row_of[col], col = col, row, col_of[row]
+    return col_of
+
+
+def _bottleneck_pairing(cost: np.ndarray) -> np.ndarray:
+    """The column paired with each row by a pairing whose largest cost,
+    the bottleneck value, is the least possible (Gabow & Tarjan, J.
+    Algorithms 9, 1988): the least bound whose threshold graph
+    {cost <= bound} has a perfect matching, binary searched over the
+    distinct costs from the largest row or column minimum, below which no
+    pairing goes. There each row's nearest column is a neighbour; at the
+    largest cost any pairing will do."""
+    near = np.argmin(cost, axis=1)
+    floor = max(np.max(np.min(cost, axis=1)), np.max(np.min(cost, axis=0)))
+    bounds = np.unique(cost[cost >= floor])
+    best, lo, hi = np.arange(near.size), 0, bounds.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        assign = _perfect_matching(cost <= bounds[mid], near)
+        if assign is None:
+            lo = mid + 1
+        else:
+            best, hi = assign, mid
+    return best
 
 
 def multiset_match(a, b, tol: float) -> MatchReport:
-    """True iff both multisets have equal size and a minimum-total-cost
-    perfect matching under |a_i - b_j| pairs every point within ``tol``.
-
-    The matching is the nearest-point pairing when that is certified
-    optimal (``_nearest_pairing``), in O(n^2) numpy; otherwise it comes
-    from ``min_cost_assignment``."""
+    """True iff both multisets have equal size and some pairing under
+    |a_i - b_j| keeps every point within ``tol``. The pairing reported is a
+    bottleneck pairing: ``_nearest_pairing`` in O(n^2) numpy, or, where
+    that fails (as for copies of a cluster's mean), ``_bottleneck_pairing``."""
     aa = np.atleast_1d(np.asarray(a, dtype=complex))
     bb = np.atleast_1d(np.asarray(b, dtype=complex))
     if aa.size != bb.size:
         return MatchReport(False, math.inf, None)
     if aa.size == 0:
         return MatchReport(True, 0.0, ())
-    assign = _nearest_pairing(aa, bb)
+    cost = np.abs(aa[:, None] - bb[None, :])
+    assign = _nearest_pairing(cost)
     if assign is None:
-        assign = np.array(min_cost_assignment(np.abs(aa[:, None] - bb[None, :])))
+        assign = _bottleneck_pairing(cost)
     pairs = tuple(enumerate(assign.tolist()))
-    dmax = float(np.max(np.abs(aa - bb[assign])))
+    dmax = float(np.max(cost[np.arange(aa.size), assign]))
     return MatchReport(dmax <= tol, dmax, pairs)

@@ -372,8 +372,9 @@ def check_main_theorem(zeros, tol: float = TOL.match) -> CheckReport:
     so neither loses accuracy to an offset of the zeros from the origin.
 
     A is circulant by construction, so every A_(i) is a permutation
-    similarity of A_(1): one eigensolve and one matching decide all n
-    submatrices.
+    similarity of A_(1): one eigensolve and one bottleneck matching
+    (``poly.multiset_match``) decide all n submatrices, and the reported
+    distance is the least largest distance of any pairing.
 
     A multiple critical point is a cluster of eigenvalues, spread by
     roundoff far more than its mean is (Kato): each cluster whose inclusion

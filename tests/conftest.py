@@ -51,3 +51,21 @@ def moved_secular_supports(sign: float, position: str):
         return supports
 
     return moved
+
+
+def scipy_bottleneck(cost):
+    """Reference for ``poly._bottleneck_pairing``: scipy's maximum
+    bipartite matching on the threshold graph {cost <= bound}, binary
+    searched over the sorted distinct costs."""
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sparse = pytest.importorskip("scipy.sparse")
+    bounds = np.unique(cost)
+    lo, hi = 0, bounds.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        rows = csgraph.maximum_bipartite_matching(sparse.csr_array(cost <= bounds[mid]), perm_type="column")
+        if np.all(rows >= 0):
+            hi = mid
+        else:
+            lo = mid + 1
+    return bounds[lo]

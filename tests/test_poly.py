@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scipy_bottleneck
 from polycrit import poly
 from polycrit.errors import NumericalError
 from polycrit.rng import Xoshiro256StarStar, random_zeros
@@ -133,96 +134,6 @@ class TestRoots:
         assert np.max(np.abs(crit - lam)) <= tol
 
 
-def brute_force_min_total(cost):
-    n = cost.shape[0]
-    return min(
-        sum(cost[i, pi[i]] for i in range(n)) for pi in itertools.permutations(range(n))
-    )
-
-
-def scalar_assignment(cost):
-    """Reference for ``poly.min_cost_assignment``: the same potentials
-    method with a column scan in Python."""
-    n = cost.shape[0]
-    u, v = [0.0] * (n + 1), [0.0] * (n + 1)
-    match, way = [0] * (n + 1), [0] * (n + 1)
-    for i in range(1, n + 1):
-        match[0], j0 = i, 0
-        minv, used = [math.inf] * (n + 1), [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0, delta, j1 = match[j0], math.inf, 0
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j], way[j] = cur, j0
-                    if minv[j] < delta:
-                        delta, j1 = minv[j], j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
-                break
-        while j0:
-            match[j0] = match[way[j0]]
-            j0 = way[j0]
-    assign = [0] * n
-    for j in range(1, n + 1):
-        assign[match[j] - 1] = j - 1
-    return assign
-
-
-class TestAssignment:
-    @pytest.mark.parametrize("n", [1, 2, 5, 12, 40, 99])
-    def test_same_assignment_as_the_scalar_scan(self, n):
-        rng = np.random.default_rng(59 + n)
-        points = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        near = points[rng.permutation(n)] + 1e-15 * rng.standard_normal(n)
-        for cost in (
-            rng.uniform(0, 1, (n, n)),
-            rng.integers(0, 3, (n, n)).astype(float),  # ties
-            np.abs(points[:, None] - near[None, :]),
-        ):
-            assert poly.min_cost_assignment(cost) == scalar_assignment(cost)
-
-    def test_matches_brute_force_totals(self):
-        rng = Xoshiro256StarStar(55)
-        for n in range(1, 8):
-            cost = np.array([[rng.uniform() for _ in range(n)] for _ in range(n)])
-            assign = poly.min_cost_assignment(cost)
-            assert sorted(assign) == list(range(n))
-            total = sum(cost[i, assign[i]] for i in range(n))
-            assert abs(total - brute_force_min_total(cost)) <= 1e-12
-
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_ties_match_brute_force_totals(self, n):
-        rng = np.random.default_rng(57 + n)
-        for _ in range(5):
-            cost = rng.integers(0, 3, (n, n)).astype(float)  # many optimal assignments
-            assign = poly.min_cost_assignment(cost)
-            assert sorted(assign) == list(range(n))
-            assert cost[np.arange(n), assign].sum() == brute_force_min_total(cost)
-
-    @pytest.mark.parametrize("n", [10, 50, 200])
-    @pytest.mark.parametrize("ties", [False, True])
-    def test_total_matches_scipy(self, n, ties):
-        optimize = pytest.importorskip("scipy.optimize")
-        rng = np.random.default_rng(58 + n)
-        cost = rng.integers(0, 4, (n, n)).astype(float) if ties else rng.uniform(0, 1, (n, n))
-        assign = poly.min_cost_assignment(cost)
-        assert sorted(assign) == list(range(n))
-        rows, cols = optimize.linear_sum_assignment(cost)
-        assert cost[np.arange(n), assign].sum() == pytest.approx(cost[rows, cols].sum(), rel=1e-12, abs=0.0)
-
-    def test_empty(self):
-        assert poly.min_cost_assignment(np.zeros((0, 0))) == []
-
-
 class TestMultisetMatch:
     def test_permutation(self):
         assert poly.multiset_match([1, 2], [2, 1], 1e-9).matched
@@ -250,12 +161,18 @@ class TestMultisetMatch:
         a = random_zeros(rng, n)
         b = random_zeros(rng, n)
         t = 0.5
-        assert poly.multiset_match(a, b, t).matched == poly.multiset_match(b, a, t).matched
+        forth, back = poly.multiset_match(a, b, t), poly.multiset_match(b, a, t)
+        assert forth.matched == back.matched
+        assert forth.max_distance == back.max_distance
+
+    def test_empty(self):
+        assert poly.multiset_match([], [], 0.0) == poly.MatchReport(True, 0.0, ())
 
 
-def brute_force_min_totals(cost):
+def brute_force_bottleneck(cost):
+    """The least largest cost over all pairings, by enumeration."""
     perms = np.array(list(itertools.permutations(range(cost.shape[0]))))
-    return cost[np.arange(cost.shape[0]), perms].sum(axis=1).min()
+    return cost[np.arange(cost.shape[0]), perms].max(axis=1).min()
 
 
 # points on a coarse grid, so that equal points and equal distances occur
@@ -265,7 +182,7 @@ grid_points = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_si
 class TestMatchOptimality:
     @settings(max_examples=200, derandomize=True)
     @given(grid_points, st.randoms(use_true_random=False), st.booleans())
-    def test_total_is_the_brute_force_minimum(self, points, shuffle, fast_path):
+    def test_max_distance_is_the_brute_force_bottleneck(self, points, shuffle, fast_path):
         a = np.array([complex(x, y) for x, y in points])
         b = a.copy()
         shuffle.shuffle(b)
@@ -273,26 +190,95 @@ class TestMatchOptimality:
         b[: shuffle.randint(0, b.size)] = b[0]  # duplicates on one side
         with pytest.MonkeyPatch.context() as mp:
             if not fast_path:
-                mp.setattr(poly, "_nearest_pairing", lambda a, b: None)
+                mp.setattr(poly, "_nearest_pairing", lambda cost: None)
             match = poly.multiset_match(a, b, math.inf)
         rows, cols = np.array(match.pairs).T
         assert sorted(cols) == list(range(a.size))
         cost = np.abs(a[:, None] - b[None, :])
-        assert cost[rows, cols].sum() == pytest.approx(brute_force_min_totals(cost), rel=1e-12, abs=1e-12)
+        assert match.max_distance == brute_force_bottleneck(cost)
         assert match.max_distance == np.max(cost[rows, cols])
 
-    def test_nearest_pairing_is_the_hungarian_pairing(self):
-        rng = Xoshiro256StarStar(56)
-        for n in (1, 2, 5, 30):
-            a = random_zeros(rng, n)
-            b = a + 1e-3 * random_zeros(rng, n)
-            cost = np.abs(a[:, None] - b[None, :])
-            assert poly._nearest_pairing(a, b).tolist() == poly.min_cost_assignment(cost)
+    @pytest.mark.parametrize("n", [10, 50, 200])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_max_distance_matches_scipy(self, n, ties):
+        rng = np.random.default_rng(58 + n)
+        cost = rng.integers(0, 4, (n, n)).astype(float) if ties else rng.uniform(0, 1, (n, n))
+        assign = poly._bottleneck_pairing(cost)
+        assert sorted(assign) == list(range(n))
+        assert np.max(cost[np.arange(n), assign]) == scipy_bottleneck(cost)
 
-    def test_groups_of_equal_points_pair_in_index_order(self):
-        assert poly._nearest_pairing(np.array([1, 0, 1, 0j]), np.array([0, 1, 0, 1 + 0j])).tolist() == [1, 0, 3, 2]
-        # two copies cannot both take the single nearest point
-        assert poly._nearest_pairing(np.array([0, 0j]), np.array([1e-9, 1 + 0j])) is None
+    def test_random_pairs_match_at_their_bottleneck(self):
+        # 2,000 sets of 3-5 points and their displaced copies: on 347 of
+        # them the pairing of least total distance exceeds the bottleneck
+        # value
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            n = int(rng.integers(3, 6))
+            a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            b = a + 0.6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            bound = brute_force_bottleneck(np.abs(a[:, None] - b[None, :]))
+            assert poly.multiset_match(a, b, bound).matched
+
+    def test_copies_of_a_mean_pair_with_copies(self):
+        # copies of a cluster's mean share one nearest point on the other side
+        match = poly.multiset_match([1, 0, 1, 0j], [0, 1, 0, 1 + 0j], 0.0)
+        assert match.matched and match.max_distance == 0.0
+        assert not poly.multiset_match([0, 0j], [1e-9, 1 + 0j], 0.5).matched
+
+    def test_a_long_augmenting_path_needs_no_recursion(self):
+        # row i reaches columns i and i + 1 and the last row only column 0:
+        # the last row's augmenting path runs through every other row
+        n = 1200
+        cost = np.full((n, n), 2.0)
+        cost[np.arange(n - 1), np.arange(n - 1)] = cost[np.arange(n - 1), np.arange(1, n)] = 1.0
+        cost[n - 1, 0] = 1.0
+        assert poly._nearest_pairing(cost) is None
+        assign = poly._bottleneck_pairing(cost)
+        assert assign.tolist() == [*range(1, n), 0]
+
+    def test_no_perfect_matching(self):
+        # two rows that reach only column 0 cannot both be matched; a row that
+        # also reaches column 1 moves there to free column 0
+        assert poly._perfect_matching(np.array([[True, False], [True, False]]), np.array([0, 0])) is None
+        adj = np.array([[True, True, False], [True, False, False], [True, False, False]])
+        assert poly._perfect_matching(adj, np.array([0, 0, 0])) is None
+        assert poly._perfect_matching(adj[:2, :2], np.array([0, 0])).tolist() == [1, 0]
+
+
+def assert_bottleneck_pairing(cost, value):
+    """``poly._bottleneck_pairing`` pairs every row with its own column
+    and its largest cost is ``value``."""
+    n = cost.shape[0]
+    assign = poly._bottleneck_pairing(cost)
+    assert sorted(assign.tolist()) == list(range(n))
+    assert np.max(cost[np.arange(n), assign]) == value
+
+
+class TestBottleneckPairing:
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 40, 99])
+    def test_same_bottleneck_as_scipy(self, n):
+        rng = np.random.default_rng(59 + n)
+        points = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        near = points[rng.permutation(n)] + 1e-15 * rng.standard_normal(n)
+        for cost in (
+            rng.uniform(0, 1, (n, n)),
+            rng.integers(0, 3, (n, n)).astype(float),  # ties
+            np.abs(points[:, None] - near[None, :]),
+        ):
+            assert_bottleneck_pairing(cost, scipy_bottleneck(cost))
+
+    def test_matches_brute_force(self):
+        rng = Xoshiro256StarStar(55)
+        for n in range(1, 8):
+            cost = np.array([[rng.uniform() for _ in range(n)] for _ in range(n)])
+            assert_bottleneck_pairing(cost, brute_force_bottleneck(cost))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_ties_match_brute_force(self, n):
+        rng = np.random.default_rng(57 + n)
+        for _ in range(5):
+            cost = rng.integers(0, 3, (n, n)).astype(float)  # many bottleneck pairings
+            assert_bottleneck_pairing(cost, brute_force_bottleneck(cost))
 
 
 class TestInvariants:

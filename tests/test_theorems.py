@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_rng, moved_secular_supports
+from conftest import make_rng, moved_secular_supports, scipy_bottleneck
 from polycrit import figures, fov, geom, matricial, numlin, poly, theorems
 from polycrit.config import TOL
 from polycrit.errors import NumericalError, PreconditionsUnmet
@@ -52,6 +52,16 @@ FOV_SEED_21 = [
     (-0.15059111327240493+0.7241417543525055j), (-0.31416240634939707-0.16935642463262646j),
     (0.2337733951807035+0.7486492669927074j), (0.4396362588894325+0.6760535990130085j),
 ]
+
+
+def k11_zeros() -> np.ndarray:
+    """The ROADMAP's K11 instance: 12 disk zeros, the first three within
+    4e-15 of each other."""
+    rng = np.random.default_rng(3)
+    zeros = rng.uniform(-1, 1, 12) + 1j * rng.uniform(-1, 1, 12)
+    zeros[1] = zeros[0] + 3.3e-15
+    zeros[2] = zeros[0] + 3.7e-15j
+    return zeros
 
 
 def three_close_real_zeros(seed: int, n: int) -> np.ndarray:
@@ -133,6 +143,20 @@ class TestMainTheorem:
         assert dict(report.details)["submatrices_checked"] == n
         assert calls == {"build_construction": 1, "general_eigvals": 1, "multiset_match": 1}
 
+    def test_reports_the_bottleneck_distance(self, monkeypatch):
+        # on K11 the routes' points need the fallback, and the pairing of
+        # least total distance reaches 0.632, above the bottleneck value
+        routes = []
+        match = poly.multiset_match
+        monkeypatch.setattr(poly, "multiset_match", lambda a, b, tol: routes.append((a, b)) or match(a, b, tol))
+        zeros = k11_zeros()
+        report = theorems.check_main_theorem(zeros)
+        [(eigvals, crit)] = routes
+        bottleneck = theorems._frame(zeros, 2).length(scipy_bottleneck(np.abs(eigvals[:, None] - crit[None, :])))
+        assert report.verdict == theorems.FAIL
+        assert dict(report.details)["max_matched_distance"] == report.max_violation == bottleneck
+        assert bottleneck == pytest.approx(0.458, abs=5e-4)
+
 
 def roots_of_unity(n):
     return np.exp(2j * np.pi * np.arange(n) / n)
@@ -205,10 +229,10 @@ class TestClusters:
         assert report.max_violation > 1e-4 * geom.point_spread(zeros)
 
     @pytest.mark.parametrize("n", [16, 48, 100])
-    def test_drawn_zeros_never_reach_the_hungarian(self, n, monkeypatch):
+    def test_drawn_zeros_stay_on_the_nearest_pairing(self, n, monkeypatch):
         calls = []
-        hungarian = poly.min_cost_assignment
-        monkeypatch.setattr(poly, "min_cost_assignment", lambda cost: calls.append(cost) or hungarian(cost))
+        bottleneck = poly._bottleneck_pairing
+        monkeypatch.setattr(poly, "_bottleneck_pairing", lambda cost: calls.append(cost) or bottleneck(cost))
         for seed in range(3):
             assert theorems.check_main_theorem(generate_zeros(make_rng(133 + seed), n)).verdict == theorems.PASS
         assert calls == []
@@ -1076,11 +1100,7 @@ class TestOpenDefects:
 
     @pytest.mark.xfail(strict=True, reason="K11: a tight cluster of complex zeros takes a critical point from elsewhere")
     def test_k11_disk_cluster_of_three(self):
-        rng = np.random.default_rng(3)
-        zeros = rng.uniform(-1, 1, 12) + 1j * rng.uniform(-1, 1, 12)
-        zeros[1] = zeros[0] + 3.3e-15
-        zeros[2] = zeros[0] + 3.7e-15j
-        assert holds_verdict_contract(theorems.check_main_theorem, zeros)
+        assert holds_verdict_contract(theorems.check_main_theorem, k11_zeros())
 
     @pytest.mark.xfail(strict=True, reason="K13: three points start at the 1e-6 circle, which holds two critical points")
     def test_k13_two_circles(self):

@@ -56,6 +56,16 @@ def _wide_range(s: int, n: int) -> np.ndarray:
     return re + 1j * rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
 
 
+def _k11_cluster(n: int) -> np.ndarray:
+    """Disk zeros, the first three within 4e-15 of each other (the
+    ROADMAP's K11 draw); the matcher's fallback pairs its routes."""
+    rng = np.random.default_rng(3)
+    zeros = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    zeros[1] = zeros[0] + 3.3e-15
+    zeros[2] = zeros[0] + 3.7e-15j
+    return zeros
+
+
 def instances() -> dict[str, str]:
     """The file name and the JSON text of every instance of the corpus."""
     docs: dict[str, object] = {}
@@ -78,6 +88,7 @@ def instances() -> dict[str, str]:
         "triangle": _roots([0, 2, 2j]),
         "one-zero": _roots([1.5]),
         "coincident": _roots([2, 2, 2]),
+        "k11-cluster-12": _roots(_k11_cluster(12)),
         "k4": _roots(1e-8 * quadrilateral),
         "quadrilateral-1e160": _roots([1e160, 1e160 + 1e160j, -1e160, -1e160j]),
         "sum-past-max": _roots([1e308, 1e308, -1e308]),
