@@ -135,14 +135,34 @@ def _direction_stack(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return (phase[:, None, None] * a[None, :, :] + np.conj(phase)[:, None, None] * adjoint(a)[None, :, :]) / 2.0
 
 
-def _direction_chunks(a: np.ndarray, thetas: np.ndarray):
-    """H(theta) over ``thetas``, in consecutive chunks of angles whose stack
-    holds at most ``_SWEEP_ENTRIES`` entries (one angle at least): yields
-    each chunk's slice of ``thetas`` and its stack."""
+def _toeplitz_stack(a: np.ndarray):
+    """The H(theta) stack of a Toeplitz ``a``, as a function of the angles
+    like ``_direction_stack``, with every entry from the same operands, so
+    the same bits: the symbol h[d] = (exp(-i theta) t[d] + exp(i theta)
+    conj(t[-d])) / 2 of the diagonals t[i - j] = a[i, j] of its first row
+    and column, gathered at i - j. ValueError when ``a`` is not Toeplitz."""
+    n = a.shape[0]
+    diagonals = np.concatenate([a[0, :0:-1], a[:, 0]])  # t[d] at d + n - 1
+    offsets = np.subtract.outer(np.arange(n), np.arange(n)) + (n - 1)
+    if not np.array_equal(diagonals[offsets], a):
+        raise ValueError("matrix is not Toeplitz")
+    reflected = np.conj(diagonals[::-1])  # conj(t[-d]) at d + n - 1
+
+    def stack(_, thetas: np.ndarray) -> np.ndarray:
+        phase = np.exp(-1j * thetas)
+        return np.take((phase[:, None] * diagonals + np.conj(phase)[:, None] * reflected) / 2.0, offsets, axis=1)
+
+    return stack
+
+
+def _direction_chunks(a: np.ndarray, thetas: np.ndarray, stack=_direction_stack):
+    """H(theta) over ``thetas``, formed by ``stack``, in consecutive chunks
+    of angles whose stack holds at most ``_SWEEP_ENTRIES`` entries (one
+    angle at least): yields each chunk's slice of ``thetas`` and its stack."""
     step = max(1, _SWEEP_ENTRIES // a.size)
     for start in range(0, thetas.size, step):
         part = slice(start, start + step)
-        yield part, _direction_stack(a, thetas[part])
+        yield part, stack(a, thetas[part])
 
 
 def _direction_solves(a: np.ndarray, thetas: np.ndarray, solve):
@@ -357,8 +377,12 @@ def certify_supports(a, zeros, thetas, supports, delta: float) -> np.ndarray:
       attained twice (at an edge normal), where the resolvent divides by
       zero and the secular vector means nothing.
 
-    H(theta) is formed from ``a`` in the chunks of ``_direction_chunks``."""
+    A_(1) is Toeplitz, as a principal submatrix of the circulant A, so
+    H(theta) is gathered from its symbol (``_toeplitz_stack``), in the
+    chunks of ``_direction_chunks``; ValueError when ``a`` is not Toeplitz,
+    so the certificate never describes a matrix it was not given."""
     mat = as_square(a)
+    toeplitz = _toeplitz_stack(mat)
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
     s = np.atleast_1d(np.asarray(supports, dtype=float))
     x = np.real(np.exp(-1j * th)[:, None] * np.asarray(zeros, dtype=complex))
@@ -371,7 +395,7 @@ def certify_supports(a, zeros, thetas, supports, delta: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):  # at an exact top tie the mode difference certifies
         probes[:, 0] = 1.0 / (x - s[:, None])
         vectors = np.fft.fft(probes, axis=-1)[:, :, 1:]
-        for part, stack in _direction_chunks(mat, th):
+        for part, stack in _direction_chunks(mat, th, toeplitz):
             y = vectors[part]
             quotients = np.einsum("kvi,kvi->kv", y.conj() @ stack, y).real / np.einsum("kvi,kvi->kv", y.conj(), y).real
             rho[part] = np.fmax(quotients[:, 0], quotients[:, 1])
@@ -409,7 +433,9 @@ def boundary_polyline(a, m: int = DEFAULT_SWEEP_SAMPLES) -> BoundaryPolyline:
 def point_margin(thetas, supports, z):
     """Largest violation of the sampled supporting half-planes by ``z``:
     a float for one point, an array for an array of points, reduced over
-    the angles in one pass.
+    the angles in one pass. Leading axes broadcast: angles and supports of
+    shape (..., 1, angles) give each row of points of shape (..., points)
+    its own angles.
 
     Nonpositive means the point satisfies all sampled constraints; the
     sampled test is an outer approximation of membership in the convex

@@ -485,7 +485,9 @@ _FAN_OFFSETS = np.concatenate([-_FAN_STEPS[::-1], [0.0], _FAN_STEPS])
 def _fans(normals: np.ndarray) -> np.ndarray:
     """Angles about each edge normal, one row per edge, centred on it.
     Margins near a tangency peak close to the normal, and geometric spacing
-    resolves them however flat the boundary is."""
+    resolves them however flat the boundary is. A probe's margin over its
+    edge's fan alone is a lower bound of its margin over the grid and the
+    fan, so the tangency checkers take the fans first (``_Tangency``)."""
     return normals[:, None] + _FAN_OFFSETS
 
 
@@ -502,7 +504,13 @@ class _Tangency:
     (``fov.certify_supports``): with s the secular support and delta
     ``TOL.membership_slack`` times the spread, s - delta <= rayleigh <=
     lambda_max < s + delta, the upper side by a Cholesky factorisation of
-    (s + delta) I - H(theta), up to its backward error of order n eps ||H||."""
+    (s + delta) I - H(theta), up to its backward error of order n eps ||H||.
+
+    A probe's outer membership margin (positive outside F(A_(1))) is the
+    larger of its margins over its edge's fan (``fan_margins``) and over the
+    grid (``grid_margins``). Both are maxima, so the fan margin is a lower
+    bound of the full margin, bit for bit, and a checker takes the grid
+    only for the probes whose fan margin leaves its answer open."""
 
     frame: _Frame
     hyp: SiebeckHypotheses
@@ -515,12 +523,14 @@ class _Tangency:
     certified_thetas: np.ndarray
     rayleigh: np.ndarray
 
-    def margins(self, row: int, points: np.ndarray) -> np.ndarray:
-        """Outer membership margins of points on the edge ``probed[row]``
-        (positive outside F(A_(1))), over the uniform grid and the edge's
-        fan together."""
-        angles = np.concatenate([self.thetas, self.fans[row]])
-        return fov.point_margin(angles, np.concatenate([self.supports, self.fan_supports[row]]), points)
+    def fan_margins(self, points: np.ndarray) -> np.ndarray:
+        """Margins of points over their edge's fan, in one pass: row k of
+        ``points`` lies on the edge ``probed[k]``."""
+        return fov.point_margin(self.fans[:, None, :], self.fan_supports[:, None, :], points)
+
+    def grid_margins(self, points: np.ndarray) -> np.ndarray:
+        """Margins of points over the uniform grid."""
+        return fov.point_margin(self.thetas, self.supports, points)
 
 
 def _tangency_setup(zeros, m: int, edge: int | tuple[int, int] | None = None) -> _Tangency:
@@ -569,6 +579,19 @@ def _edge_position(pairs, edge: int | tuple[int, int]) -> int:
     return pairs.index(pair if pair in pairs else pair[::-1])
 
 
+def _least_margin(setup: _Tangency, points: np.ndarray, fan: np.ndarray) -> float:
+    """The least full margin of ``points``, whose fan margins are ``fan``.
+    The points are visited in the order of their fan margins, and the grid
+    is taken for each until the next fan margin, a lower bound of its full
+    margin, is no less than the least full margin found."""
+    least = math.inf
+    for k in np.argsort(fan, kind="stable"):
+        if fan[k] >= least:
+            break
+        least = min(least, float(max(fan[k], setup.grid_margins(points[k]))))
+    return least
+
+
 def check_poor_mans_siebeck(zeros, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = TOL.geometry) -> CheckReport:
     """The field of values of the first principal submatrix is contained
     in the hull of the zeros and touches every hull edge at its midpoint,
@@ -596,11 +619,10 @@ def check_poor_mans_siebeck(zeros, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = 
 
     params = np.arange(41) / 40
     params = params[np.abs(params - 0.5) > 0.05]  # probes off the midpoint
-    midpoint_excess, uniqueness_margin = -math.inf, math.inf
-    for k, (a, b, _) in enumerate(edges):
-        margins = setup.margins(k, np.concatenate([[(a + b) / 2.0], a + params * (b - a)]))
-        midpoint_excess = max(midpoint_excess, float(margins[0]))
-        uniqueness_margin = min(uniqueness_margin, float(np.min(margins[1:])))
+    probes = np.array([np.concatenate([[(a + b) / 2.0], a + params * (b - a)]) for a, b, _ in edges])
+    fan = setup.fan_margins(probes)
+    midpoint_excess = float(np.max(np.maximum(fan[:, 0], setup.grid_margins(probes[:, 0]))))
+    uniqueness_margin = _least_margin(setup, probes[:, 1:].ravel(), fan[:, 1:].ravel())
 
     worst = max(containment_excess, tangency_gap, midpoint_excess)
     slack = TOL.membership_slack * frame.spread
@@ -699,7 +721,10 @@ def check_edge_preimage(
     [k] = setup.probed
     a, b, _ = setup.hyp.edges[k]
     params = np.arange(101) / 100
-    members = setup.margins(0, a + params * (b - a)) <= TOL.membership_slack * setup.frame.spread
+    points = a + params * (b - a)
+    slack = TOL.membership_slack * setup.frame.spread
+    [members] = setup.fan_margins(points[None, :]) <= slack  # beyond the slack on the fan, beyond it in full
+    members[members] = setup.grid_margins(points[members]) <= slack
     target = np.abs(params - 0.5) <= tol
     agree = bool(np.array_equal(members, target))
     worst = float(np.max(np.abs(params - 0.5)[members])) if np.any(members) else 0.0

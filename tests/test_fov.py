@@ -411,3 +411,49 @@ class TestPointMargin:
         for z, margin in zip(points, margins):
             single = fov.point_margin(thetas, supports, z)
             assert isinstance(single, float) and single == margin
+
+    def test_leading_axes_give_each_row_its_own_angles(self):
+        # one call over rows of points, each with its own angles and
+        # supports, gives each row's margins bit for bit
+        rng = np.random.default_rng(404)
+        thetas = rng.uniform(-np.pi, np.pi, (3, 17))
+        supports = rng.standard_normal((3, 17))
+        points = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        margins = fov.point_margin(thetas[:, None, :], supports[:, None, :], points)
+        assert margins.shape == (3, 5)
+        for row in range(3):
+            np.testing.assert_array_equal(margins[row], fov.point_margin(thetas[row], supports[row], points[row]))
+
+
+class TestToeplitzStack:
+    """``certify_supports`` gathers H(theta) of A_(1) from its symbol."""
+
+    @staticmethod
+    def construction(n):
+        """Zeros and their A_(1)."""
+        u = generate_zeros(make_rng(410 + n), n)
+        return u, numlin.principal_submatrix(matricial.build_construction(u), 1)
+
+    @pytest.mark.parametrize("n", [4, 8, 32, 200])
+    def test_bit_for_bit_the_dense_stack(self, n):
+        # the same operands in every entry, so the same bits, signs of zeros too
+        _, a = self.construction(n)
+        thetas = np.concatenate([2 * np.pi * np.arange(16) / 16, [-0.0, np.pi / 2, -np.pi]])
+        dense = np.ascontiguousarray(fov._direction_stack(a, thetas))
+        gathered = fov._toeplitz_stack(a)(a, thetas)
+        np.testing.assert_array_equal(gathered.view(np.uint64), dense.view(np.uint64))
+
+    def test_chunks_change_no_bit(self, monkeypatch):
+        u, a = self.construction(8)
+        thetas = 2 * np.pi * np.arange(16) / 16
+        supports = fov.secular_supports(u, thetas)
+        whole = fov.certify_supports(a, u, thetas, supports, 1e-12)
+        monkeypatch.setattr(fov, "_SWEEP_ENTRIES", 3 * a.size)
+        np.testing.assert_array_equal(fov.certify_supports(a, u, thetas, supports, 1e-12), whole)
+
+    def test_a_matrix_that_is_not_toeplitz_is_refused(self):
+        u, a = self.construction(8)
+        thetas = 2 * np.pi * np.arange(4) / 4
+        a[3, 1] += 1e-3
+        with pytest.raises(ValueError, match="not Toeplitz"):
+            fov.certify_supports(a, u, thetas, fov.secular_supports(u, thetas), 1e-12)

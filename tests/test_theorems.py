@@ -535,8 +535,9 @@ class TestPoorMansSiebeck:
         # every probe off the midpoint reads as a member (margin 0), and
         # nothing else is wrong: max_violation is the slack the margin misses
         zeros = generate_zeros(make_rng(115), 5, "siebeck-ok")
-        original = theorems._Tangency.margins
-        monkeypatch.setattr(theorems._Tangency, "margins", lambda *args: np.minimum(original(*args), 0.0))
+        for name in ("fan_margins", "grid_margins"):
+            original = getattr(theorems._Tangency, name)
+            monkeypatch.setattr(theorems._Tangency, name, lambda *args, f=original: np.minimum(f(*args), 0.0))
         report = theorems.check_poor_mans_siebeck(zeros)
         details = dict(report.details)
         assert report.verdict == theorems.FAIL
@@ -554,13 +555,14 @@ class TestPoorMansSiebeck:
         zeros = generate_zeros(make_rng(115), 6, "siebeck-ok")
         before = dict(theorems.check_poor_mans_siebeck(zeros).details)
         frame = theorems._frame(zeros, 3)
-        original = fov._direction_stack
+        original = fov._toeplitz_stack
         shift = 5e-13 * frame.spread
 
-        def shifted(a, thetas):
-            return original(a, thetas) + shift * np.eye(a.shape[0])
+        def shifted(a):
+            stack = original(a)
+            return lambda m, thetas: stack(m, thetas) + shift * np.eye(a.shape[0])
 
-        monkeypatch.setattr(fov, "_direction_stack", shifted)
+        monkeypatch.setattr(fov, "_toeplitz_stack", shifted)
         report = theorems.check_poor_mans_siebeck(zeros)
         assert report.verdict == theorems.PASS
         after, spread = dict(report.details), geom.point_spread(zeros)
@@ -752,6 +754,10 @@ class TestSecularTangencyRoute:
 
     @pytest.mark.parametrize("n", [8, 32])
     def test_one_dense_cross_check_and_one_margin_pass_per_edge(self, n, monkeypatch):
+        # one fan pass over the probes of every probed edge; the grid then
+        # sees siebeck's midpoints and the off-midpoint probes whose fan
+        # margin is below the least full margin found (at most 2 here), and
+        # edge-preimage's probes whose fan margin is within the slack
         zeros = generate_zeros(make_rng(127), n, "siebeck-ok")
         edges = len(theorems.check_siebeck_hypotheses(zeros).vertex_indices)
         calls = {}
@@ -760,13 +766,22 @@ class TestSecularTangencyRoute:
         assert theorems.check_poor_mans_siebeck(zeros).verdict == theorems.PASS
         [(_, _, angles, _, _)] = calls["certify_supports"]
         assert np.size(angles) == edges + 8
-        assert len(calls["point_margin"]) == edges
+        (fans, _, probes), (_, _, midpoints), *visits = calls["point_margin"]
+        # each edge's midpoint, then its 37 probes off the midpoint
+        assert np.shape(fans) == (edges, 1, theorems._FAN_OFFSETS.size) and np.shape(probes) == (edges, 1 + 37)
+        assert np.array_equal(midpoints, probes[:, 0])
+        assert 1 <= len(visits) <= 2 and all(np.ndim(points) == 0 for _, _, points in visits)
         assert "sweep_supports" not in calls
         calls.clear()
         assert theorems.check_edge_preimage(zeros, 2).verdict == theorems.PASS
         [(_, _, angles, _, _)] = calls["certify_supports"]
         assert np.size(angles) == edges + 8
-        assert len(calls["point_margin"]) == 1
+        fan_call, (_, _, candidates) = calls["point_margin"]
+        fans, _, probes = fan_call
+        assert np.shape(fans) == (1, 1, theorems._FAN_OFFSETS.size) and np.shape(probes) == (1, 101)
+        [fan] = fov.point_margin(*fan_call)
+        slack = TOL.membership_slack * theorems._frame(zeros, 3).spread
+        assert np.array_equal(candidates, probes[0][fan <= slack]) and 1 <= np.size(candidates) < 101
         assert "sweep_supports" not in calls
 
     @pytest.mark.parametrize("n", [8, 16])
@@ -813,6 +828,73 @@ class TestSecularTangencyRoute:
         monkeypatch.setattr(fov, "secular_supports", moved_secular_supports(sign, position))
         with pytest.raises(NumericalError, match=side):
             check(zeros)
+
+
+def full_margins(setup, row, points):
+    """Margins of points on the edge ``probed[row]`` over the grid and the
+    edge's fan in one pass, as the tangency checkers took them before they
+    took the fans first."""
+    angles = np.concatenate([setup.thetas, setup.fans[row]])
+    return fov.point_margin(angles, np.concatenate([setup.supports, setup.fan_supports[row]]), points)
+
+
+class TestFanFirstMargins:
+    """The tangency checkers take each probe's margin over its edge's fan
+    first, a lower bound of its full margin, and the grid only where it can
+    still decide; every reported number is that of the full margins over
+    grid and fan, compared with ==."""
+
+    @staticmethod
+    def assert_exact(zeros) -> bool:
+        """Both checkers on every edge against the full margins; False when
+        the set-up does not run (unmet hypotheses or exit 4)."""
+        try:
+            setup = theorems._tangency_setup(zeros, 720)
+        except (PreconditionsUnmet, NumericalError):
+            return False
+        frame, edges = setup.frame, setup.hyp.edges
+        params = np.arange(41) / 40
+        off = params[np.abs(params - 0.5) > 0.05]
+        probes = [np.concatenate([[(a + b) / 2.0], a + off * (b - a)]) for a, b, _ in edges]
+        full = np.array([full_margins(setup, k, points) for k, points in enumerate(probes)])
+        details = dict(theorems.check_poor_mans_siebeck(zeros).details)
+        assert details["midpoint_excess"] == frame.length(float(np.max(full[:, 0])))
+        assert details["uniqueness_min_margin"] == frame.length(float(np.min(full[:, 1:])))
+        params = np.arange(101) / 100
+        for k, (a, b, _) in enumerate(edges, start=1):
+            members = full_margins(theorems._tangency_setup(zeros, 720, k), 0, a + params * (b - a))
+            members = members <= TOL.membership_slack * frame.spread
+            details = dict(theorems.check_edge_preimage(zeros, k).details)
+            assert details["member_count"] == np.count_nonzero(members)
+            worst = float(np.max(np.abs(params - 0.5)[members])) if members.any() else 0.0
+            assert details["worst_member_offset"] == worst
+        return True
+
+    def test_siebeck_ok_draws(self):
+        for n in range(3, 33):
+            assert self.assert_exact(generate_zeros(make_rng(150 + n), n, "siebeck-ok"))
+
+    def test_k4(self):
+        assert self.assert_exact(1e-8 * np.array([0, 1, 1j, -1 + 0.5j]))
+
+    def test_k14_draws(self):
+        # zeros of widely varying size, where F(A_(1)) can be nearly a
+        # segment and many probes carry margins at roundoff
+        ran = [self.assert_exact(TestOpenDefects.k14_zeros(s, n)) for s in range(10) for n in (3, 4, 6, 10, 20)]
+        assert sum(ran) >= 30
+
+    def test_the_least_fan_margin_need_not_be_the_least_margin(self):
+        # the probe with the least fan margin has a large grid margin, so
+        # the visits go on to the minimiser and stop at the next fan margin
+        grid, visited = [1.0, 0.6, 0.1], []
+
+        class Setup:
+            def grid_margins(self, k):
+                visited.append(int(k))
+                return grid[k]
+
+        assert theorems._least_margin(Setup(), np.arange(3), np.array([0.0, 0.5, 2.0])) == 0.6
+        assert visited == [0, 1]
 
 
 # a triangle, a square and a heptagon: at every edge normal the top

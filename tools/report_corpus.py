@@ -71,7 +71,7 @@ def instances() -> dict[str, str]:
     docs: dict[str, object] = {}
     for n in range(2, 41):
         docs[f"disk-{n}"] = _roots(generate_zeros(Xoshiro256StarStar(n), n))
-    for n in range(3, 33):
+    for n in (*range(3, 33), 40, 48, 64):  # the largest ones probe the most edges
         docs[f"siebeck-ok-{n}"] = _roots(generate_zeros(Xoshiro256StarStar(100 + n), n, "siebeck-ok"))
     for n in range(2, 13):
         docs[f"real-{n}"] = _roots(generate_zeros(Xoshiro256StarStar(200 + n), n, "real"))
