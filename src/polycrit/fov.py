@@ -24,8 +24,8 @@ secular equation sum_k 1/(mu - x_k) = 0: the largest critical point of
 prod_k (mu - x_k). ``secular_supports`` solves it from the zeros in O(n)
 per angle and Newton step, and the tangency checkers sweep with it.
 Their runtime cross-check is ``certify_supports``, at a few angles,
-without an eigensolve: a Rayleigh quotient of H(theta) of the constructed
-A_(1) bounds its largest eigenvalue from below, and a Cholesky
+from the zeros and without an eigensolve: a Rayleigh quotient of H(theta)
+of A_(1) bounds its largest eigenvalue from below, and a Cholesky
 factorisation of (s + delta) I - H(theta) from above, so each support s
 is bracketed within delta.
 """
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import matricial
 from .config import DEFAULT_SWEEP_SAMPLES
 from .errors import NumericalError
 from .numlin import adjoint, as_square, binary_exponent, ldexp
@@ -135,34 +136,34 @@ def _direction_stack(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return (phase[:, None, None] * a[None, :, :] + np.conj(phase)[:, None, None] * adjoint(a)[None, :, :]) / 2.0
 
 
-def _toeplitz_stack(a: np.ndarray):
-    """The H(theta) stack of a Toeplitz ``a``, as a function of the angles
-    like ``_direction_stack``, with every entry from the same operands, so
-    the same bits: the symbol h[d] = (exp(-i theta) t[d] + exp(i theta)
-    conj(t[-d])) / 2 of the diagonals t[i - j] = a[i, j] of its first row
-    and column, gathered at i - j. ValueError when ``a`` is not Toeplitz."""
-    n = a.shape[0]
-    diagonals = np.concatenate([a[0, :0:-1], a[:, 0]])  # t[d] at d + n - 1
-    offsets = np.subtract.outer(np.arange(n), np.arange(n)) + (n - 1)
-    if not np.array_equal(diagonals[offsets], a):
-        raise ValueError("matrix is not Toeplitz")
-    reflected = np.conj(diagonals[::-1])  # conj(t[-d]) at d + n - 1
+def _toeplitz_stack(zeros):
+    """The H(theta) stack of A_(1) of ``matricial.build_construction(zeros)``
+    as a function of the angles, from the operands of ``_direction_stack`` on
+    that A_(1), so the same bits: A_(1) is Toeplitz with diagonals t[d] =
+    c[d mod n] of A's column c (``matricial.circulant_column``), and H(theta)
+    is its symbol h[d] = (exp(-i theta) t[d] + exp(i theta) conj(t[-d])) / 2
+    gathered at i - j, with no A formed."""
+    c = matricial.circulant_column(zeros)
+    n = c.size
+    diagonals = c[np.arange(2 - n, n - 1) % n]  # t[d] at d + n - 2
+    offsets = np.subtract.outer(np.arange(n - 1), np.arange(n - 1)) + (n - 2)
+    reflected = np.conj(diagonals[::-1])  # conj(t[-d]) at d + n - 2
 
-    def stack(_, thetas: np.ndarray) -> np.ndarray:
+    def stack(thetas: np.ndarray) -> np.ndarray:
         phase = np.exp(-1j * thetas)
         return np.take((phase[:, None] * diagonals + np.conj(phase)[:, None] * reflected) / 2.0, offsets, axis=1)
 
     return stack
 
 
-def _direction_chunks(a: np.ndarray, thetas: np.ndarray, stack=_direction_stack):
-    """H(theta) over ``thetas``, formed by ``stack``, in consecutive chunks
-    of angles whose stack holds at most ``_SWEEP_ENTRIES`` entries (one
-    angle at least): yields each chunk's slice of ``thetas`` and its stack."""
-    step = max(1, _SWEEP_ENTRIES // a.size)
+def _direction_chunks(order: int, thetas: np.ndarray, stack):
+    """H(theta) of order ``order``, ``stack(angles)``, over ``thetas`` in
+    consecutive chunks of at most ``_SWEEP_ENTRIES`` entries (one angle at
+    least): yields each chunk's slice of ``thetas`` and its stack."""
+    step = max(1, _SWEEP_ENTRIES // order**2)
     for start in range(0, thetas.size, step):
         part = slice(start, start + step)
-        yield part, stack(a, thetas[part])
+        yield part, stack(thetas[part])
 
 
 def _direction_solves(a: np.ndarray, thetas: np.ndarray, solve):
@@ -170,7 +171,7 @@ def _direction_solves(a: np.ndarray, thetas: np.ndarray, solve):
     ``thetas``, in the chunks of ``_direction_chunks``: yields each chunk's
     angles and result. The batched solve treats each matrix on its own, so
     the chunks change no bit of the result."""
-    for part, stack in _direction_chunks(a, thetas):
+    for part, stack in _direction_chunks(a.shape[0], thetas, lambda angles: _direction_stack(a, angles)):
         try:
             result = solve(stack)
         except np.linalg.LinAlgError as exc:
@@ -354,11 +355,11 @@ def secular_supports(zeros, thetas) -> np.ndarray:
     raise NumericalError("secular equation did not converge")
 
 
-def certify_supports(a, zeros, thetas, supports, delta: float) -> np.ndarray:
-    """Certify secular supports ``s`` of F(a) at ``thetas`` from both sides,
-    where ``a`` is A_(1) of ``matricial.build_construction(zeros)`` (A = F
-    diag(zeros) F* / n, F the DFT matrix): returns Rayleigh quotients rho of
-    H(theta) with s - delta <= rho <= lambda_max < s + delta, or raises
+def certify_supports(zeros, thetas, supports, delta: float) -> np.ndarray:
+    """Certify secular supports ``s`` of F(A_(1)) at ``thetas`` from both
+    sides, where A_(1) is that of ``matricial.build_construction(zeros)`` (A
+    = F diag(zeros) F* / n, F the DFT matrix): returns Rayleigh quotients rho
+    of H(theta) with s - delta <= rho <= lambda_max < s + delta, or raises
     NumericalError naming the side that failed, the angle and by how much.
 
     Upper side: a Cholesky factorisation of (s + delta) I - H(theta)
@@ -377,25 +378,22 @@ def certify_supports(a, zeros, thetas, supports, delta: float) -> np.ndarray:
       attained twice (at an edge normal), where the resolvent divides by
       zero and the secular vector means nothing.
 
-    A_(1) is Toeplitz, as a principal submatrix of the circulant A, so
-    H(theta) is gathered from its symbol (``_toeplitz_stack``), in the
-    chunks of ``_direction_chunks``; ValueError when ``a`` is not Toeplitz,
-    so the certificate never describes a matrix it was not given."""
-    mat = as_square(a)
-    toeplitz = _toeplitz_stack(mat)
+    H(theta) is gathered from the zeros (``_toeplitz_stack``), in the
+    chunks of ``_direction_chunks``, and no A_(1) is formed."""
+    z = np.asarray(zeros, dtype=complex)
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
     s = np.atleast_1d(np.asarray(supports, dtype=float))
-    x = np.real(np.exp(-1j * th)[:, None] * np.asarray(zeros, dtype=complex))
+    x = np.real(np.exp(-1j * th)[:, None] * z)
     top = np.argsort(x, axis=1)[:, -2:]
     probes = np.zeros((th.size, 2, x.shape[1]))
     rows = np.arange(th.size)
     probes[rows, 1, top[:, 1]], probes[rows, 1, top[:, 0]] = 1.0, -1.0  # e_a - e_b
     rho = np.empty(th.size)
-    diagonal = np.arange(mat.shape[0])
+    diagonal = np.arange(z.size - 1)
     with np.errstate(divide="ignore", invalid="ignore"):  # at an exact top tie the mode difference certifies
         probes[:, 0] = 1.0 / (x - s[:, None])
         vectors = np.fft.fft(probes, axis=-1)[:, :, 1:]
-        for part, stack in _direction_chunks(mat, th, toeplitz):
+        for part, stack in _direction_chunks(z.size - 1, th, _toeplitz_stack(z)):
             y = vectors[part]
             quotients = np.einsum("kvi,kvi->kv", y.conj() @ stack, y).real / np.einsum("kvi,kvi->kv", y.conj(), y).real
             rho[part] = np.fmax(quotients[:, 0], quotients[:, 1])

@@ -22,7 +22,7 @@ import numpy as np
 from . import numlin, poly
 from .errors import NumericalError
 
-# ``build_construction`` accepts a DFT round trip within this many times the
+# ``circulant_column`` accepts a DFT round trip within this many times the
 # largest modulus of the zeros.
 _UNITARITY = 1e-10
 # Default bounds of the predicates, on the matrix ``_centred`` makes (Frobenius
@@ -44,16 +44,10 @@ def dft_matrix(n: int) -> np.ndarray:
     return table[np.outer(idx, idx) % n]
 
 
-def build_construction(zeros) -> np.ndarray:
-    """The normal matrix A = U D U* with D = diag(zeros) and U = F/sqrt(n),
-    F the DFT matrix (``dft_matrix``).
-
-    A is the circulant matrix A[j, k] = c[(j - k) mod n] of
-    c = fft(zeros) / n, formed in O(n log n + n^2) with no matrix product.
-    The construction is verified by the round trip n * ifft(c) = zeros
-    within ``_UNITARITY * max|zeros|``. Every A_(i) is then A_(1) with
-    its indices relabelled cyclically.
-    """
+def circulant_column(zeros) -> np.ndarray:
+    """The column c = fft(zeros) / n of A = ``build_construction(zeros)``,
+    in O(n log n), verified by the round trip n * ifft(c) = zeros within
+    ``_UNITARITY * max|zeros|``."""
     z = np.atleast_1d(np.asarray(zeros, dtype=complex))
     n = z.size
     if n < 2:
@@ -65,8 +59,18 @@ def build_construction(zeros) -> np.ndarray:
         roundtrip = np.max(np.abs(n * np.fft.ifft(c) - z))
     if not roundtrip <= _UNITARITY * np.max(np.abs(z)):
         raise NumericalError("DFT round trip does not return the zeros within tolerance")
-    idx = np.arange(n)
-    return c[np.subtract.outer(idx, idx) % n]
+    return c
+
+
+def build_construction(zeros) -> np.ndarray:
+    """The normal matrix A = U D U* with D = diag(zeros) and U = F/sqrt(n),
+    F the DFT matrix (``dft_matrix``): the circulant A[j, k] = c[(j - k) mod
+    n] of c = ``circulant_column(zeros)``, with no matrix product. Every
+    A_(i) is then A_(1) with its indices relabelled cyclically.
+    """
+    c = circulant_column(zeros)
+    idx = np.arange(c.size)
+    return c[np.subtract.outer(idx, idx) % c.size]
 
 
 @dataclass(frozen=True)

@@ -500,7 +500,7 @@ class _Tangency:
     check probes (0-based positions ``probed``, one row of ``fans`` each),
     from the secular equation (``fov.secular_supports``), and at the
     cross-check angles ``certified_thetas`` the Rayleigh quotients ``rayleigh``
-    of H(theta) of the constructed ``A_(1)`` that certify them
+    of H(theta) of ``A_(1)``, from the zeros, that certify them
     (``fov.certify_supports``): with s the secular support and delta
     ``TOL.membership_slack`` times the spread, s - delta <= rayleigh <=
     lambda_max < s + delta, the upper side by a Cholesky factorisation of
@@ -542,26 +542,22 @@ def _tangency_setup(zeros, m: int, edge: int | tuple[int, int] | None = None) ->
     The fans are those of every edge, or of ``edge`` alone (as
     ``check_edge_preimage`` takes it). One secular solve gives the supports
     on the grid, at the edge normals and on the fans. At every edge normal
-    and at 8 evenly spaced grid angles they are certified against H(theta)
-    of the constructed ``A_(1)`` within delta = ``TOL.membership_slack``
-    times the spread, from both sides (``fov.certify_supports``): below by a
-    Rayleigh quotient of at least s - delta, above by a Cholesky
-    factorisation of (s + delta) I - H(theta), which holds up to its
-    backward error of order n eps ||H||. A side that fails raises
-    NumericalError."""
+    and at 8 evenly spaced grid angles they are certified from both sides
+    within delta = ``TOL.membership_slack`` times the spread, from the
+    zeros and with no ``A_(1)`` formed (``fov.certify_supports``); a side
+    that fails raises NumericalError."""
     frame = _frame(zeros, 3)
     hyp = _hypotheses(frame)
     if not hyp.holds:
         flags = tuple((name, getattr(hyp, name)) for name in ("simple_vertex_eigenvalues", "strict_half_plane"))
         raise PreconditionsUnmet("hypothesis flags not satisfied", flags)
     probed = list(range(len(hyp.edges))) if edge is None else [_edge_position(hyp.vertex_indices, edge)]
-    sub = numlin.principal_submatrix(matricial.build_construction(frame.u), 1)
     normals, lines = _edge_normals(hyp.edges)
     fans = _fans(normals[probed])
     angles = np.concatenate([2.0 * np.pi * np.arange(m) / m, normals, fans.ravel()])
     supports = fov.secular_supports(frame.u, angles)
     probe = np.concatenate([np.arange(m, m + normals.size), np.arange(8) * m // 8])  # the normals, then 8 grid angles
-    rayleigh = fov.certify_supports(sub, frame.u, angles[probe], supports[probe], TOL.membership_slack * frame.spread)
+    rayleigh = fov.certify_supports(frame.u, angles[probe], supports[probe], TOL.membership_slack * frame.spread)
     fan_supports = supports[m + normals.size :].reshape(fans.shape)
     return _Tangency(frame, hyp, lines, angles[:m], supports[:m], probed, fans, fan_supports, angles[probe], rayleigh)
 
@@ -617,8 +613,8 @@ def check_poor_mans_siebeck(zeros, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = 
     containment_excess = float(np.max(setup.rayleigh - hull))
     tangency_gap = float(np.max(np.abs(setup.rayleigh[: len(edges)] - setup.lines)))
 
-    params = np.arange(41) / 40
-    params = params[np.abs(params - 0.5) > 0.05]  # probes off the midpoint
+    k = np.arange(41)
+    params = k[np.abs(k - 20) / 40 > 0.05] / 40  # off the midpoint, by index: |t - 0.5| rounds 0.45 and 0.55 unequally
     probes = np.array([np.concatenate([[(a + b) / 2.0], a + params * (b - a)]) for a, b, _ in edges])
     fan = setup.fan_margins(probes)
     midpoint_excess = float(np.max(np.maximum(fan[:, 0], setup.grid_margins(probes[:, 0]))))
@@ -725,7 +721,7 @@ def check_edge_preimage(
     slack = TOL.membership_slack * setup.frame.spread
     [members] = setup.fan_margins(points[None, :]) <= slack  # beyond the slack on the fan, beyond it in full
     members[members] = setup.grid_margins(points[members]) <= slack
-    target = np.abs(params - 0.5) <= tol
+    target = np.abs(np.arange(101) - 50) / 100 <= tol  # by index: k / 100 rounds as the decimal, params - 0.5 does not
     agree = bool(np.array_equal(members, target))
     worst = float(np.max(np.abs(params - 0.5)[members])) if np.any(members) else 0.0
     details = (

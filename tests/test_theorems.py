@@ -531,6 +531,20 @@ class TestPoorMansSiebeck:
             report = theorems.check_poor_mans_siebeck(zeros)
             assert report.verdict == theorems.PASS, report
 
+    def test_a_mirror_image_probes_the_mirrored_points(self):
+        # t = 0.55 is 0.050000000000000044 from the midpoint and t = 0.45 is
+        # 0.04999999999999999, so a window decided on t kept one and dropped
+        # the other, and conj(zeros) probed a different point (up to 26% apart)
+        rng = make_rng(3)
+        for n in (3, 4, 5, 6, 8, 12, 16):
+            for _ in range(3):
+                zeros = generate_zeros(rng, n, "siebeck-ok")
+                margins = [
+                    dict(theorems.check_poor_mans_siebeck(z).details)["uniqueness_min_margin"]
+                    for z in (zeros, np.conj(zeros))
+                ]
+                assert abs(margins[1] - margins[0]) <= 1e-9 * margins[0], (n, margins)
+
     def test_uniqueness_alone_fails_with_a_positive_violation(self, monkeypatch):
         # every probe off the midpoint reads as a member (margin 0), and
         # nothing else is wrong: max_violation is the slack the margin misses
@@ -558,9 +572,9 @@ class TestPoorMansSiebeck:
         original = fov._toeplitz_stack
         shift = 5e-13 * frame.spread
 
-        def shifted(a):
-            stack = original(a)
-            return lambda m, thetas: stack(m, thetas) + shift * np.eye(a.shape[0])
+        def shifted(u):
+            stack = original(u)
+            return lambda thetas: stack(thetas) + shift * np.eye(u.size - 1)
 
         monkeypatch.setattr(fov, "_toeplitz_stack", shifted)
         report = theorems.check_poor_mans_siebeck(zeros)
@@ -727,6 +741,13 @@ class TestEdgePreimage:
         assert report.verdict == theorems.PASS, report.details
         assert dict(report.details)["member_count"] == 1
 
+    @pytest.mark.parametrize("tol, expected", [(0.05, 11), (0.29, 59)])
+    def test_midpoint_neighbourhood_is_symmetric(self, tol, expected):
+        # 0.45 and 0.55 are both within 0.05 of the midpoint, though 0.55 - 0.5
+        # rounds to 0.050000000000000044; 100 * 0.29 rounds to 28.999999999999996
+        report = theorems.check_edge_preimage(CUBE_ROOTS, 1, tol=tol)
+        assert dict(report.details)["expected_count"] == expected
+
     def test_repeated_vertex_precondition(self):
         report = theorems.check_edge_preimage([0, 0, 1, 1j], (1, 3))
         assert report.verdict == theorems.PRECONDITIONS_UNMET
@@ -763,18 +784,19 @@ class TestSecularTangencyRoute:
         calls = {}
         for name in ("certify_supports", "sweep_supports", "point_margin"):
             self.count(monkeypatch, name, calls)
+        monkeypatch.setattr(matricial, "build_construction", None)  # the certificate forms no A
         assert theorems.check_poor_mans_siebeck(zeros).verdict == theorems.PASS
-        [(_, _, angles, _, _)] = calls["certify_supports"]
+        [(_, angles, _, _)] = calls["certify_supports"]
         assert np.size(angles) == edges + 8
         (fans, _, probes), (_, _, midpoints), *visits = calls["point_margin"]
-        # each edge's midpoint, then its 37 probes off the midpoint
-        assert np.shape(fans) == (edges, 1, theorems._FAN_OFFSETS.size) and np.shape(probes) == (edges, 1 + 37)
+        # each edge's midpoint, then its 36 probes off the midpoint
+        assert np.shape(fans) == (edges, 1, theorems._FAN_OFFSETS.size) and np.shape(probes) == (edges, 1 + 36)
         assert np.array_equal(midpoints, probes[:, 0])
         assert 1 <= len(visits) <= 2 and all(np.ndim(points) == 0 for _, _, points in visits)
         assert "sweep_supports" not in calls
         calls.clear()
         assert theorems.check_edge_preimage(zeros, 2).verdict == theorems.PASS
-        [(_, _, angles, _, _)] = calls["certify_supports"]
+        [(_, angles, _, _)] = calls["certify_supports"]
         assert np.size(angles) == edges + 8
         fan_call, (_, _, candidates) = calls["point_margin"]
         fans, _, probes = fan_call
@@ -853,8 +875,8 @@ class TestFanFirstMargins:
         except (PreconditionsUnmet, NumericalError):
             return False
         frame, edges = setup.frame, setup.hyp.edges
-        params = np.arange(41) / 40
-        off = params[np.abs(params - 0.5) > 0.05]
+        index = np.arange(41)
+        off = index[np.abs(index - 20) > 2] / 40  # t = 0.45 and 0.55 are both inside the 5% neighborhood
         probes = [np.concatenate([[(a + b) / 2.0], a + off * (b - a)]) for a, b, _ in edges]
         full = np.array([full_margins(setup, k, points) for k, points in enumerate(probes)])
         details = dict(theorems.check_poor_mans_siebeck(zeros).details)
@@ -1164,6 +1186,53 @@ class TestKnownDefectRegressions:
         zeros = generate_zeros(make_rng(124), n, "real")
         report = theorems.check_interlacing(zeros)
         assert report.verdict == theorems.PASS, report.details
+
+
+def _square(rng, n):
+    return rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+
+
+# Zeros the CLI accepts, each family a function of a numpy generator and n.
+CONTRACT_FAMILIES = {
+    "square": _square,
+    "real": lambda rng, n: rng.uniform(-1, 1, n) + 0j,
+    "equal-pairs": lambda rng, n: np.repeat(_square(rng, (n + 1) // 2), 2)[:n],
+    "slanted-collinear": lambda rng, n: (0.3 + 0.4j) + (1 + 2j) * rng.uniform(-1, 1, n),
+    "offset-1e8": lambda rng, n: 1e8 + _square(rng, n),
+    "scaled-1e-200": lambda rng, n: 1e-200 * _square(rng, n),
+    "scaled-1e200": lambda rng, n: 1e200 * _square(rng, n),
+    "all-equal": lambda rng, n: np.full(n, _square(rng, 1)[0]),
+    "axes": lambda rng, n: rng.permutation(np.concatenate([[1, -1, 1j, -1j], np.zeros(max(n - 4, 0))])[:n]),
+}
+CONTRACT_CHECKS = {
+    "main": theorems.check_main_theorem,
+    "gauss-lucas": theorems.check_gauss_lucas,
+    "interlacing": theorems.check_interlacing,
+    "siebeck": theorems.check_poor_mans_siebeck,
+    "edge-preimage": lambda zeros: theorems.check_edge_preimage(zeros, 1),
+    "bgm": theorems.check_bgm,
+}
+
+
+def test_verdict_contract_sweep():
+    # three draws of every family at every degree, through six checkers:
+    # each gives a report that passes or names an unmet hypothesis, never a
+    # fail or an exception (the open K-numbers are in TestOpenDefects)
+    rng = np.random.default_rng(5)
+    broken = []
+    for n in (2, 3, 4, 5, 8, 13):
+        for family, draw in CONTRACT_FAMILIES.items():
+            for _ in range(3):
+                zeros = draw(rng, n)
+                for name, check in CONTRACT_CHECKS.items():
+                    try:
+                        report = check(zeros)
+                    except Exception as exc:  # the contract admits none
+                        broken.append((n, family, name, repr(exc)))
+                        continue
+                    if not (isinstance(report, theorems.CheckReport) and report.verdict in (theorems.PASS, theorems.PRECONDITIONS_UNMET)):
+                        broken.append((n, family, name, report))
+    assert not broken, broken
 
 
 def holds_verdict_contract(checker, zeros, *args) -> bool:
