@@ -10,11 +10,11 @@ eigenvalue of
 
 with H1 = (a + a*)/2 and H2 = (a - a*)/(2i). A top eigenvector x gives
 the boundary point x* a x, whose projection Re(exp(-i*theta) x* a x)
-equals the support value. ``support_point`` and ``boundary_polyline``
-share one kernel, ``_boundary``: batched eigensolves over their angles,
-in chunks of bounded memory, with the flat-segment rule relative to the
-matrix's power of two. ``sweep_supports`` takes the support values alone
-from the eigenvalues.
+equals the support value. ``support_point``, ``boundary_polyline`` and
+``sweep_supports`` share one kernel, ``_boundary``: batched eigensolves
+over their angles, in chunks of bounded memory, with the flat-segment rule
+relative to the matrix's power of two. ``sweep_supports`` is its column of
+support values.
 
 When a = A_(1) compresses a normal A with eigenvalues z_k by a vector
 whose entries all have modulus 1/sqrt(n), as the DFT construction of
@@ -111,11 +111,6 @@ def ellipse_points(e: EllipseParams) -> np.ndarray:
     return e.center + phase * (e.major_semi_axis * np.cos(t) + 1j * e.minor_semi_axis * np.sin(t))
 
 
-def hermitian_parts(a) -> tuple[np.ndarray, np.ndarray]:
-    m = as_square(a)
-    return (m + adjoint(m)) / 2.0, (m - adjoint(m)) / 2.0j
-
-
 def _tangential_extreme(a: np.ndarray, theta: float, w: np.ndarray, v: np.ndarray) -> complex:
     """The boundary point for a degenerate top eigenspace of H(theta),
     with eigenpairs ``(w, v)``: the point of the flat boundary segment
@@ -156,32 +151,19 @@ def _toeplitz_stack(zeros):
     return stack
 
 
-def _direction_chunks(order: int, thetas: np.ndarray, stack):
-    """H(theta) of order ``order``, ``stack(angles)``, over ``thetas`` in
-    consecutive chunks of at most ``_SWEEP_ENTRIES`` entries (one angle at
-    least): yields each chunk's slice of ``thetas`` and its stack."""
+def _direction_chunks(order: int, thetas: np.ndarray):
+    """Consecutive slices of ``thetas`` whose H(theta) of order ``order``
+    hold at most ``_SWEEP_ENTRIES`` entries (one angle at least). A batched
+    solve treats each matrix on its own, so the chunks change no bit."""
     step = max(1, _SWEEP_ENTRIES // order**2)
     for start in range(0, thetas.size, step):
-        part = slice(start, start + step)
-        yield part, stack(thetas[part])
-
-
-def _direction_solves(a: np.ndarray, thetas: np.ndarray, solve):
-    """``solve`` (``np.linalg.eigh`` or ``eigvalsh``) of H(theta) over
-    ``thetas``, in the chunks of ``_direction_chunks``: yields each chunk's
-    angles and result. The batched solve treats each matrix on its own, so
-    the chunks change no bit of the result."""
-    for part, stack in _direction_chunks(a.shape[0], thetas, lambda angles: _direction_stack(a, angles)):
-        try:
-            result = solve(stack)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"support eigensolver failed: {exc}") from exc
-        yield thetas[part], result
+        yield slice(start, start + step)
 
 
 def _boundary(a: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Support values, boundary points and flat flags of F(a) at
-    ``thetas``, from batched eigensolves of H(theta) (``_direction_solves``).
+    ``thetas``, from one batched ``eigh`` of H(theta) per chunk of
+    ``_direction_chunks``; a failed solve raises NumericalError.
 
     The sweep runs on a scaled by the power of two of its largest real or
     imaginary part, exactly, and its values are scaled back: the results
@@ -194,7 +176,12 @@ def _boundary(a: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray
     shift = binary_exponent(a)
     a = ldexp(a, -shift)
     parts = []
-    for chunk, (w, v) in _direction_solves(a, thetas, np.linalg.eigh):
+    for part in _direction_chunks(a.shape[0], thetas):
+        chunk = thetas[part]
+        try:
+            w, v = np.linalg.eigh(_direction_stack(a, chunk))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"support eigensolver failed: {exc}") from exc
         flats = w[:, -1] - w[:, -2] < _DEGENERATE_GAP if a.shape[0] > 1 else np.zeros(chunk.size, dtype=bool)
         x = v[:, :, -1]
         points = np.einsum("ki,ij,kj->k", x.conj(), a, x)
@@ -236,10 +223,9 @@ class BoundaryPolyline:
 
 
 def sweep_supports(a, thetas) -> np.ndarray:
-    """Support values at many angles (batched eigenvalue solves)."""
-    m = as_square(a)
-    th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    return np.concatenate([w[:, -1] for _, w in _direction_solves(m, th, np.linalg.eigvalsh)])
+    """Support values of F(a) at many angles: the support column of
+    ``_boundary``."""
+    return _boundary(as_square(a), np.atleast_1d(np.asarray(thetas, dtype=float)))[0]
 
 
 # A secular solve stops once its step is at most this many units of
@@ -393,8 +379,9 @@ def certify_supports(zeros, thetas, supports, delta: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):  # at an exact top tie the mode difference certifies
         probes[:, 0] = 1.0 / (x - s[:, None])
         vectors = np.fft.fft(probes, axis=-1)[:, :, 1:]
-        for part, stack in _direction_chunks(z.size - 1, th, _toeplitz_stack(z)):
-            y = vectors[part]
+        gather = _toeplitz_stack(z)
+        for part in _direction_chunks(z.size - 1, th):
+            stack, y = gather(th[part]), vectors[part]
             quotients = np.einsum("kvi,kvi->kv", y.conj() @ stack, y).real / np.einsum("kvi,kvi->kv", y.conj(), y).real
             rho[part] = np.fmax(quotients[:, 0], quotients[:, 1])
             short = s[part] - rho[part]
@@ -449,12 +436,12 @@ def kippenhahn_eval(a, u: float, v: float, w: float) -> complex:
     tangent lines: it vanishes when u x + v y + w = 0 supports F(a).
 
     Computed by LU factorization with partial pivoting; the result is
-    real up to roundoff for real (u, v, w) since the matrix is Hermitian.
+    real up to roundoff for real (u, v, w) since the matrix is Hermitian:
+    with q = u + iv, H1 u + H2 v = (conj(q) a + q a*) / 2.
     """
     m = as_square(a)
-    h1, h2 = hermitian_parts(m)
-    stack = h1 * u + h2 * v + w * np.eye(m.shape[0])
-    return complex(np.linalg.det(stack))
+    q = complex(u, v)
+    return complex(np.linalg.det((q.conjugate() * m + q * adjoint(m)) / 2.0 + w * np.eye(m.shape[0])))
 
 
 def elliptical_range(a) -> EllipseParams:

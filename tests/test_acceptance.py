@@ -217,6 +217,16 @@ def _run_cli(*args):
     )
 
 
+# ``python -m polycrit`` with every draw failing the tangency hypotheses, so
+# that ``random --constraint siebeck-ok`` runs out of attempts
+_EXHAUSTED_CLI = (
+    "import sys; from polycrit import cli, generate, theorems; "
+    "unmet = theorems.SiebeckHypotheses(False, False, (), ()); "
+    "generate.check_siebeck_hypotheses = lambda zeros: unmet; "
+    "sys.exit(cli.main(sys.argv[1:]))"
+)
+
+
 def test_c11_cli_determinism_and_exit_codes(tmp_path):
     # byte-identical generation
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -246,8 +256,10 @@ def test_c11_cli_determinism_and_exit_codes(tmp_path):
         3: _run_cli("check", str(collinear), "--theorem", "bgm"),
         1: _run_cli("check", str(malformed), "--theorem", "main"),
         4: _run_cli("check", str(tiny_lead), "--theorem", "gauss-lucas"),
-        5: _run_cli(
-            "random", "--n", "2", "--constraint", "siebeck-ok", "--out", str(tmp_path / "cap")
+        5: subprocess.run(
+            [sys.executable, "-c", _EXHAUSTED_CLI, "random", "--n", "3", "--constraint", "siebeck-ok",
+             "--out", str(tmp_path / "cap")],
+            capture_output=True, text=True,
         ),
     }
     for expected, proc in outcomes.items():

@@ -509,13 +509,32 @@ class TestRandom:
         hyp = theorems.check_siebeck_hypotheses(zeros)
         assert hyp.simple_vertex_eigenvalues and hyp.strict_half_plane
 
-    def test_generation_cap_is_five(self, tmp_path, capsys):
-        # n=2 can never satisfy the hypotheses (hull is a segment)
-        code, _, err = run_main(
+    def test_generation_cap_is_five(self, tmp_path, capsys, monkeypatch):
+        # every draw fails the hypotheses, so the attempt budget runs out
+        unmet = theorems.SiebeckHypotheses(False, False, (), ())
+        monkeypatch.setattr(generate, "check_siebeck_hypotheses", lambda zeros: unmet)
+        code, out, err = run_main(
+            ["random", "--n", "3", "--constraint", "siebeck-ok", "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert (code, out) == (5, "")
+        assert err.startswith("generation cap exceeded: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_siebeck_ok_needs_three_zeros(self, tmp_path, capsys, monkeypatch):
+        # a hull of two zeros is a segment on every draw: refused before the
+        # first draw, not after the attempt budget
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew zeros")
+
+        monkeypatch.setattr(generate, "random_zeros", no_draw)
+        with pytest.raises(ValueError, match="needs n >= 3"):
+            generate.generate_zeros(Xoshiro256StarStar(0), 2, "siebeck-ok")
+        code, out, err = run_main(
             ["random", "--n", "2", "--constraint", "siebeck-ok", "--out", str(tmp_path / "x")],
             capsys,
         )
-        assert code == 5
+        assert (code, out, err) == (1, "", "input error: constraint 'siebeck-ok' needs n >= 3\n")
 
     def test_only_unmet_hypotheses_are_resampled(self, monkeypatch):
         calls = []

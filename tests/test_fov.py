@@ -86,6 +86,17 @@ class TestBoundaryPolyline:
             else:
                 assert np.max(np.abs(values - scaled)) <= 1e-13 * np.max(np.abs(scaled))
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
+    def test_sweep_supports_is_the_kernels_support_column(self, n):
+        # one dense path: the polyline's support values bit for bit, and
+        # exactly 2**k times them on 2**k * a
+        a = random_matrix(make_rng(7), n)
+        pl = fov.boundary_polyline(a, 720)
+        supports = fov.sweep_supports(a, pl.thetas)
+        np.testing.assert_array_equal(supports, pl.support_values)
+        for k in (-600, -60, 60, 600):
+            np.testing.assert_array_equal(fov.sweep_supports(numlin.ldexp(a, k), pl.thetas), np.ldexp(supports, k))
+
     def test_one_eigensolve_per_angle(self, monkeypatch):
         # one batched solve of H(theta), plus one small solve in each of the
         # three flat samples' top eigenspaces; no sample is solved again

@@ -649,6 +649,34 @@ class TestBgm:
         assert report.verdict == theorems.FAIL
         assert report.max_violation >= 0.9e-6 * geom.point_spread(zeros)
 
+    @staticmethod
+    def assert_steiner_range(zeros):
+        """F(A_(1)) of a triangle is its Steiner inellipse (the paper's
+        matricial Bocher-Grace-Marden): in the frame, the secular and the
+        dense supports of A_(1) both meet the inellipse's within 16 eps
+        times the spread on the 720-angle grid."""
+        frame = theorems._frame(zeros, 3, exact=True)
+        thetas = 2 * np.pi * np.arange(720) / 720
+        expected = fov.ellipse_support(geom.steiner_inellipse(*frame.u), thetas)
+        sub = numlin.principal_submatrix(matricial.build_construction(frame.u), 1)
+        for supports in (fov.secular_supports(frame.u, thetas), fov.sweep_supports(sub, thetas)):
+            assert np.max(np.abs(supports - expected)) <= 16 * np.finfo(float).eps * frame.spread
+
+    def test_field_of_values_is_the_steiner_inellipse(self):
+        rng = np.random.default_rng(0)
+        for zeros in rng.uniform(-1, 1, (200, 3)) + 1j * rng.uniform(-1, 1, (200, 3)):
+            self.assert_steiner_range(zeros)
+
+    def test_field_of_values_is_the_steiner_inellipse_on_k14_triangles(self):
+        accepted = 0
+        for s in range(100):
+            try:
+                self.assert_steiner_range(TestOpenDefects.k14_zeros(s, 3))
+            except PreconditionsUnmet:  # collinear to the inellipse's test
+                continue
+            accepted += 1
+        assert accepted == 95
+
     def test_k9_thin_triangles(self):
         # the third vertex lies 1e-7 (times a complex normal draw) from the
         # first; the normalised ellipse equation gave 97 preconditions_unmet
@@ -931,7 +959,8 @@ TIE_INSTANCES = {
 
 class TestCertificateBracket:
     """At every cross-check angle the dense top eigenvalue of H(theta) of
-    A_(1) (``fov.sweep_supports``, an oracle of the tests only) lies in
+    A_(1) (``fov.sweep_supports``: the dense kernel, which only
+    ``check_elliptical_range`` runs, and not the tangency checkers) lies in
     [rho, s + delta]: rho the certifying Rayleigh quotient, s the secular
     support and delta ``TOL.membership_slack`` times the spread. rho is a
     quotient in floating point, so it may exceed the top eigenvalue by the

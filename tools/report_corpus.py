@@ -94,7 +94,15 @@ def instances() -> dict[str, str]:
         "sum-past-max": _roots([1e308, 1e308, -1e308]),
         "sliver": _roots(np.array([0.0, 0.3 + 1e-14j, 0.7 - 1e-14j, 1.0]) * (1 + 2j)),
         "quadrilateral-interior": _roots([0, 1, 1j, 0.3 + 0.2j]),
+        "double-root-2": _roots([0.5 - 1j, 0.5 - 1j]),
+        "imaginary-pair-2": _roots([1j, -1j]),
+        "pair-1e150": _roots(1e150 * np.array([1 + 2j, -3 + 0.5j])),
+        "pair-1e-150": _roots(1e-150 * np.array([1 + 2j, -3 + 0.5j])),
+        "subnormal-pair": _roots([3e-310, -2e-310j]),
+        "sixteen-decades-2": _roots([1e-8, 1e8j]),
+        "unit-segment-2": _roots([0, 1]),
         "coeffs-2": _coeffs([1 + 1j, -2, 1]),
+        "coeffs-2-complex-leading": _coeffs([1 - 2j, 0.5j, 2 + 1j]),
         "coeffs-5": _coeffs([-1, 0.5j, 2, -1 + 0.5j, 0.3, 1]),
         "coeffs-constant": _coeffs([3]),
         "coeffs-tiny-leading": _coeffs([1, 2, 1e-305]),
