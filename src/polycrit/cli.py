@@ -42,10 +42,10 @@ _CHECKERS = {
     "main": lambda args, z: theorems.check_main_theorem(z, tol=args.tol_match),
     "gauss-lucas": lambda args, z: theorems.check_gauss_lucas(z, tol=args.tol_geom),
     "interlacing": lambda args, z: theorems.check_interlacing(z, tol=args.tol_linalg),
-    "siebeck": lambda args, z: theorems.check_poor_mans_siebeck(z, m=args.samples, tol=args.tol_geom),
-    "bgm": lambda args, z: theorems.check_bgm(z, tol=args.tol_geom, m=args.samples),
+    "siebeck": lambda args, z: theorems.check_poor_mans_siebeck(z, tol=args.tol_geom),
+    "bgm": lambda args, z: theorems.check_bgm(z, tol=args.tol_geom),
     "elliptical-range": lambda args, a: theorems.check_elliptical_range(a, m=args.samples, tol=args.tol_match),
-    "edge-preimage": lambda args, z: theorems.check_edge_preimage(z, args.index, tol=args.tol_geom, m=args.samples),
+    "edge-preimage": lambda args, z: theorems.check_edge_preimage(z, args.index, tol=args.tol_geom),
 }
 
 THEOREMS = tuple(_CHECKERS)
@@ -267,9 +267,10 @@ def _cmd_random(args) -> int:
         raise InstanceError("need count >= 1")
     rng = Xoshiro256StarStar(args.seed)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     for k in range(args.count):
         zeros = generate_zeros(rng, args.n, args.constraint)
+        if k == 0:  # a refused or exhausted draw leaves no directory behind
+            outdir.mkdir(parents=True, exist_ok=True)
         label = (
             f"random rng={RNG_ID} seed={args.seed} n={args.n} "
             f"constraint={args.constraint} index={k}"
@@ -336,7 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("instance")
     p_check.add_argument("--theorem", choices=THEOREMS, required=True)
     p_check.add_argument("--index", type=int, default=1, help="1-based hull edge (edge-preimage)")
-    p_check.add_argument("--samples", type=int, default=DEFAULT_SWEEP_SAMPLES)
+    p_check.add_argument(
+        "--samples",
+        type=int,
+        default=DEFAULT_SWEEP_SAMPLES,
+        help="support sweep density of elliptical-range (at least 8; the tangency checkers sweep no grid)",
+    )
     p_check.add_argument("--tol-match", type=_bound, default=TOL.match, dest="tol_match")
     p_check.add_argument("--tol-geom", type=_bound, default=TOL.geometry, dest="tol_geom")
     p_check.add_argument("--tol-linalg", type=_bound, default=TOL.linalg, dest="tol_linalg")

@@ -1,6 +1,6 @@
-"""Field of values (numerical range): support sweep, membership
-margins, the determinant form of the boundary curve, and the 2x2
-elliptical case.
+"""Field of values (numerical range): support sweep, certificates of
+supports and faces, the determinant form of the boundary curve, and the
+2x2 elliptical case.
 
 The support function of F(a) in direction exp(i*theta) is the largest
 eigenvalue of
@@ -22,12 +22,13 @@ whose entries all have modulus 1/sqrt(n), as the DFT construction of
 Re(exp(-i*theta) z_k), so the support is the largest root mu of the
 secular equation sum_k 1/(mu - x_k) = 0: the largest critical point of
 prod_k (mu - x_k). ``secular_supports`` solves it from the zeros in O(n)
-per angle and Newton step, and the tangency checkers sweep with it.
-Their runtime cross-check is ``certify_supports``, at a few angles,
-from the zeros and without an eigensolve: a Rayleigh quotient of H(theta)
-of A_(1) bounds its largest eigenvalue from below, and a Cholesky
-factorisation of (s + delta) I - H(theta) from above, so each support s
-is bracketed within delta.
+per angle and Newton step. Two certificates work from the zeros, on
+H(theta) of A_(1), without an eigensolve: ``certify_supports`` brackets
+secular supports between a Rayleigh quotient and a Cholesky factorisation
+of (s + delta) I - H(theta), and ``certify_faces`` shows that at the
+outward normal of a hull edge F(A_(1)) meets the edge's line in one point,
+within a stated radius of the edge's midpoint, from the edge's mode vector
+and one Cholesky factorisation.
 """
 
 from __future__ import annotations
@@ -102,6 +103,18 @@ def ellipse_support(e: EllipseParams, theta):
     base = np.real(np.exp(-1j * th) * e.center)
     out = base + radial
     return float(out) if out.ndim == 0 else out
+
+
+def ellipse_offset(e: EllipseParams, z) -> np.ndarray:
+    """Signed distance of the points ``z`` from the boundary of the
+    elliptical disk of positive minor semi-axis, positive outside, to first
+    order: (q - 1) / |grad q| with q = (X / A)^2 + (Y / B)^2, semi-axes A and
+    B, and X + iY = exp(-i rotation) (z - center). It is 0 on the boundary
+    and moves by eps times the size of the ellipse when its parameters do,
+    however thin it is."""
+    w = np.exp(-1j * e.rotation) * (np.asarray(z, dtype=complex) - e.center)
+    x, y = w.real / e.major_semi_axis, w.imag / e.minor_semi_axis
+    return (x * x + y * y - 1.0) / (2.0 * np.hypot(x / e.major_semi_axis, y / e.minor_semi_axis))
 
 
 def ellipse_points(e: EllipseParams) -> np.ndarray:
@@ -234,49 +247,6 @@ _SECULAR_STEP_ULPS = 4.0
 _SECULAR_MAX_STEPS = 100
 
 
-def _pole_order(n: int) -> np.ndarray:
-    """The order ``secular_supports`` keeps the zeros in: in each aligned
-    block of 8, the pairs last to first (6, 7, 4, 5, 2, 3, 0, 1), then the
-    rest as given. Summing the rows in this order repeats, bit for bit, the
-    sums of a row of n terms in numpy: ``_pairwise_rows`` its pairwise
-    ``sum`` (the pairs and blocks stay whole) and ``_lane_rows`` its
-    two-lane ``einsum`` (which adds each block's pairs last to first)."""
-    whole = n - n % 8
-    blocks = np.arange(0, whole, 8)[:, None] + np.array([6, 7, 4, 5, 2, 3, 0, 1])
-    return np.concatenate([blocks.ravel(), np.arange(whole, n)])
-
-
-def _pairwise_rows(a: np.ndarray) -> np.ndarray:
-    """The sum of the rows of ``a`` in numpy's pairwise order: below 8
-    rows one by one; up to 128, eight partial sums over the blocks of 8,
-    added in pairs, then the rest one by one; above that, the two halves
-    split at a multiple of 8."""
-    n = a.shape[0]
-    if n < 8:
-        return np.add.reduce(a, axis=0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_rows(a[:half]) + _pairwise_rows(a[half:])
-    whole = n - n % 8
-    r = a[:8] if whole == 8 else np.add.reduce(a[:whole].reshape(whole // 8, 8, -1), axis=0)
-    r = r[0::2] + r[1::2]
-    r = r[0::2] + r[1::2]
-    out = r[0] + r[1]
-    for row in a[whole:]:
-        out += row
-    return out
-
-
-def _lane_rows(a: np.ndarray) -> np.ndarray:
-    """The sum of the rows of ``a`` in numpy's two-lane ``einsum`` order:
-    the even and the odd rows each one by one, then the two lanes."""
-    n = a.shape[0]
-    lanes = np.add.reduce(a[: n - n % 2].reshape(n // 2, 2, -1), axis=0)
-    if n % 2:
-        lanes[0] += a[-1]
-    return lanes[0] + lanes[1]
-
-
 def secular_supports(zeros, thetas) -> np.ndarray:
     """Support values of F(A_(1)) at many angles, from the zeros alone,
     where A_(1) compresses the normal matrix with eigenvalues ``zeros`` by a
@@ -288,56 +258,40 @@ def secular_supports(zeros, thetas) -> np.ndarray:
     the largest root of sum 1/(mu - x_k) = 0. F increases and is concave
     there, so Newton from 0 converges; a bisection bracket guards each step.
     A top value that is attained twice gives s = 0. All angles are solved
-    together, each on its own until its step is below roundoff.
-
-    The layout is pole-major: one row per zero (in ``_pole_order``), one
-    column per angle, so every sum over the zeros is a pass over whole rows.
-    The sums take the order numpy's own sums take along one row per angle,
-    so the supports are bit for bit those of a solve with one row per angle.
-    The projections are formed one zero at a time, and the solve holds two
-    buffers of one value per zero and angle.
+    together, one row each, each until its step is below roundoff; numpy
+    sums each row on its own, so a support does not depend on the other
+    angles of the call.
     """
     z = np.atleast_1d(np.asarray(zeros, dtype=complex))
     if z.size < 2:
         raise ValueError("at least 2 zeros are required")
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    phase = np.exp(-1j * th)
-    x = np.empty((z.size, th.size))
-    for row, zk in zip(x, z[_pole_order(z.size)]):  # no (zeros x angles) complex array
-        row[:] = np.real(phase * zk)
-    top = np.argmax(x, axis=0)
-    x_top = np.max(x, axis=0)
-    tol = _SECULAR_STEP_ULPS * np.finfo(float).eps * (x_top - np.min(x, axis=0))
-    d = np.subtract(x, x_top, out=x)
-    d[top, np.arange(th.size)] = -np.inf  # 1/(s - d) = 0: the top zero leaves psi
-    lo = np.max(d, axis=0)
+    x = np.real(np.exp(-1j * th)[:, None] * z)
+    rows = np.arange(th.size)
+    top = np.argmax(x, axis=1)
+    x_top = x[rows, top]
+    tol = _SECULAR_STEP_ULPS * np.finfo(float).eps * (x_top - np.min(x, axis=1))
+    d = x - x_top[:, None]
+    d[rows, top] = -np.inf  # 1/(s - d) = 0: the top zero leaves psi
+    lo = np.max(d, axis=1)
     s = np.zeros(th.size)
-    # the columns still moving: their angles, d, bracket, tolerance and iterate
+    # the rows still moving: their angles, d, bracket, tolerance and iterate
     idx = np.flatnonzero(lo < 0.0)
-    d, lo, hi, tol, sa = d.take(idx, axis=1), lo[idx], np.zeros(idx.size), tol[idx], np.zeros(idx.size)
-    # two buffers take turns: d, and the Newton terms 1/(s - d_k) and their
-    # squares, into which the next d is compacted
-    terms = x.reshape(-1)
+    d, lo, hi, tol, sa = d[idx], lo[idx], np.zeros(idx.size), tol[idx], np.zeros(idx.size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(_SECULAR_MAX_STEPS):
             if idx.size == 0:
                 return x_top + s
-            inv = np.subtract(sa, d, out=terms[: d.size].reshape(d.shape))
-            np.reciprocal(inv, out=inv)
-            psi = _pairwise_rows(inv)
+            inv = np.reciprocal(sa[:, None] - d)
+            psi = inv.sum(axis=1)
             f = sa + 1.0 / psi
             below = f < 0.0
             lo, hi = np.where(below, sa, lo), np.where(below, hi, sa)
-            new = sa - f / (1.0 + _lane_rows(np.square(inv, out=inv)) / (psi * psi))
+            new = sa - f / (1.0 + np.einsum("ij,ij->i", inv, inv) / (psi * psi))
             new = np.where((new > lo) & (new <= hi), new, 0.5 * (lo + hi))
             s[idx] = new
             moving = (np.abs(new - sa) > tol) & (hi - lo > tol)
-            if not moving.all():
-                keep = np.flatnonzero(moving)
-                compact = terms[: z.size * keep.size].reshape(z.size, keep.size)
-                d, terms = np.take(d, keep, axis=1, out=compact, mode="clip"), d.reshape(-1)
-                idx, lo, hi, tol, new = idx[keep], lo[keep], hi[keep], tol[keep], new[keep]
-            sa = new
+            idx, d, lo, hi, tol, sa = idx[moving], d[moving], lo[moving], hi[moving], tol[moving], new[moving]
     raise NumericalError("secular equation did not converge")
 
 
@@ -404,6 +358,103 @@ def certify_supports(zeros, thetas, supports, delta: float) -> np.ndarray:
                     f"(delta = {delta:.3g}): (s + delta) I - H(theta) has no Cholesky factor"
                 ) from None
     return rho
+
+
+# ``certify_faces`` works in units of s, the largest |zero| (at least
+# ||H(theta)||): it adds c y y* to -H(theta) with c this many times s, twice
+# any gap it can certify; it counts one unit of roundoff of s into each
+# residual, so that a residual that rounds to 0 is not taken for an exact
+# one; and it asks for no gap below this many units of roundoff of s times
+# the order, where Cholesky's backward error on a matrix of norm at most
+# 8 s lies.
+_FACE_SHIFT = 4.0
+_FACE_GAP_ULPS = 64.0
+
+
+@dataclass(frozen=True)
+class FaceCertificate:
+    """What ``certify_faces`` proved at each edge normal: the Rayleigh
+    quotient rho of the edge's mode vector y, its residual ||H y - rho y||
+    (with the unit of roundoff it counts in), a gap below rho that holds every other eigenvalue of H(theta), and the
+    radius about the edge's midpoint within which F(A_(1)) meets the line
+    Re(exp(-i theta) w) = lambda_max(H(theta))."""
+
+    rayleigh: np.ndarray
+    residual: np.ndarray
+    gap: np.ndarray
+    radius: np.ndarray
+
+
+def certify_faces(zeros, thetas, pairs, radius: float) -> FaceCertificate:
+    """Certify that F(A_(1)), with A_(1) that of
+    ``matricial.build_construction(zeros)``, meets its supporting line at
+    each angle of ``thetas`` in one point within ``radius`` (positive) of
+    the midpoint of the two zeros that ``pairs`` names there (0-based): at
+    the outward normal of a hull edge, its two endpoints. Raises
+    NumericalError naming the edge and the gap it needed when the
+    factorisation fails.
+
+    At such an angle the top projection x_a = x_b of the zeros is attained
+    twice, and y = fft(e_a - e_b)[1:] / sqrt(2n) is an eigenvector of
+    H(theta) with eigenvalue x_a and y* A_(1) y = (z_a + z_b) / 2. The
+    face of F(A_(1)) there is the field of values of the top eigenspace
+    (Horn & Johnson, Topics in Matrix Analysis, 1.5), so it is one point
+    when lambda_max is simple. From one product H y: rho = y* H y and the
+    residual r = ||H y - rho y||, plus one unit of roundoff of the largest
+    |zero|. A Cholesky factorisation of (rho - gap) I - H + c y y* then
+    shows lambda_2(H) <= lambda_1(H - c y y*) < rho - gap (rank-one
+    interlacing, Horn & Johnson, Matrix Analysis, 4.3), up to its backward
+    error of order n eps ||H||. So the top
+    eigenvalue is simple, lies in [rho, rho + r^2 / gap] (Kato-Temple), and
+    its unit eigenvector x is at an angle phi to y with sin(phi) <= r / gap
+    (Davis & Kahan, SIAM J. Numer. Anal. 7, 1970). The face point x* A_(1) x
+    then lies within r^2 / gap of the midpoint along the normal, and within
+    w sin(phi) along the line, w the width of the zeros along it (a 2x2
+    compression of the Hermitian Im(exp(-i theta) A_(1)) spans at most w).
+    The gap is chosen so that r (w + r) / gap is half ``radius``, which no
+    rounding takes past it, and never below the backward error; the
+    certified radius is r (w + r) / gap.
+
+    H(theta) is gathered from the zeros (``_toeplitz_stack``), in the
+    chunks of ``_direction_chunks``, and no A_(1) is formed."""
+    z = np.asarray(zeros, dtype=complex)
+    th = np.atleast_1d(np.asarray(thetas, dtype=float))
+    ends = np.asarray(pairs).reshape(th.size, 2)
+    modes = np.zeros((th.size, z.size))
+    rows = np.arange(th.size)
+    modes[rows, ends[:, 0]], modes[rows, ends[:, 1]] = 1.0, -1.0
+    vectors = np.fft.fft(modes, axis=-1)[:, 1:] / math.sqrt(2 * z.size)
+    width = np.ptp(np.imag(np.exp(-1j * th)[:, None] * z), axis=1)
+    scale = float(np.max(np.abs(z)))
+    roundoff = np.finfo(float).eps * scale
+    rho, residual, gap = np.empty(th.size), np.empty(th.size), np.empty(th.size)
+    diagonal = np.arange(z.size - 1)
+    gather = _toeplitz_stack(z)
+    for part in _direction_chunks(z.size - 1, th):
+        stack, y = gather(th[part]), vectors[part]
+        hy = np.einsum("kij,kj->ki", stack, y)
+        rho[part] = np.einsum("ki,ki->k", y.conj(), hy).real
+        r = residual[part] = np.linalg.norm(hy - rho[part][:, None] * y, axis=1) + roundoff
+        gap[part] = np.maximum(2.0 * r * (width[part] + r) / radius, _FACE_GAP_ULPS * z.size * roundoff)
+        shifted = np.multiply(stack, -1.0, out=stack)
+        shifted[:, diagonal, diagonal] += (rho[part] - gap[part])[:, None]
+        shifted += _FACE_SHIFT * scale * y[:, :, None] * y.conj()[:, None, :]
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            for k, matrix in enumerate(shifted):  # the failure's edge, on this path only
+                try:
+                    np.linalg.cholesky(matrix)
+                except np.linalg.LinAlgError:
+                    break
+            a, b = ends[part][k] + 1
+            raise NumericalError(
+                f"face certificate: at the edge of zeros {a} and {b} (theta = {th[part][k]:.6g}) the other "
+                f"eigenvalues of H(theta) are not below the Rayleigh quotient by the gap {gap[part][k]:.3g} "
+                f"that a face radius of {radius:.3g} needs: (rho - gap) I - H(theta) + c y y* "
+                f"has no Cholesky factor"
+            ) from None
+    return FaceCertificate(rho, residual, gap, residual * (width + residual) / gap)
 
 
 def boundary_polyline(a, m: int = DEFAULT_SWEEP_SAMPLES) -> BoundaryPolyline:

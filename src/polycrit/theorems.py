@@ -476,90 +476,34 @@ def _edge_normals(edges) -> tuple[np.ndarray, np.ndarray]:
     return angles, np.array([(np.conj(normal) * a).real for a, _, normal in edges])
 
 
-# A fan's offsets from its edge normal: 0, and 48 geometrically spaced on
-# each side.
-_FAN_STEPS = np.geomspace(1e-6, 0.7, 48)
-_FAN_OFFSETS = np.concatenate([-_FAN_STEPS[::-1], [0.0], _FAN_STEPS])
+# The containment certificate brackets each secular support at the 8 grid
+# angles within this many units of the spread (``fov.certify_supports``).
+_CONTAINMENT_DELTA = 1e-12
 
 
-def _fans(normals: np.ndarray) -> np.ndarray:
-    """Angles about each edge normal, one row per edge, centred on it.
-    Margins near a tangency peak close to the normal, and geometric spacing
-    resolves them however flat the boundary is. A probe's margin over its
-    edge's fan alone is a lower bound of its margin over the grid and the
-    fan, so the tangency checkers take the fans first (``_Tangency``)."""
-    return normals[:, None] + _FAN_OFFSETS
-
-
-@dataclass(frozen=True)
-class _Tangency:
-    """What both tangency checkers sweep: the zeros in their frame, their
-    hypotheses, the support of each hull edge's line at its outward normal
-    (``_edge_normals``), the supports of ``A_(1)`` of the zeros in the frame
-    on the uniform angle grid and on the fans (``_fans``) of the edges the
-    check probes (0-based positions ``probed``, one row of ``fans`` each),
-    from the secular equation (``fov.secular_supports``), and at the
-    cross-check angles ``certified_thetas`` the Rayleigh quotients ``rayleigh``
-    of H(theta) of ``A_(1)``, from the zeros, that certify them
-    (``fov.certify_supports``): with s the secular support and delta
-    ``TOL.membership_slack`` times the spread, s - delta <= rayleigh <=
-    lambda_max < s + delta, the upper side by a Cholesky factorisation of
-    (s + delta) I - H(theta), up to its backward error of order n eps ||H||.
-
-    A probe's outer membership margin (positive outside F(A_(1))) is the
-    larger of its margins over its edge's fan (``fan_margins``) and over the
-    grid (``grid_margins``). Both are maxima, so the fan margin is a lower
-    bound of the full margin, bit for bit, and a checker takes the grid
-    only for the probes whose fan margin leaves its answer open."""
-
-    frame: _Frame
-    hyp: SiebeckHypotheses
-    lines: np.ndarray
-    thetas: np.ndarray
-    supports: np.ndarray
-    probed: list[int]
-    fans: np.ndarray
-    fan_supports: np.ndarray
-    certified_thetas: np.ndarray
-    rayleigh: np.ndarray
-
-    def fan_margins(self, points: np.ndarray) -> np.ndarray:
-        """Margins of points over their edge's fan, in one pass: row k of
-        ``points`` lies on the edge ``probed[k]``."""
-        return fov.point_margin(self.fans[:, None, :], self.fan_supports[:, None, :], points)
-
-    def grid_margins(self, points: np.ndarray) -> np.ndarray:
-        """Margins of points over the uniform grid."""
-        return fov.point_margin(self.thetas, self.supports, points)
-
-
-def _tangency_setup(zeros, m: int, edge: int | tuple[int, int] | None = None) -> _Tangency:
-    """The shared record of the tangency checkers, in the frame of the zeros
-    (every margin is a difference, and probes far from the origin would lose
-    more to roundoff than the membership slack allows); PreconditionsUnmet
-    when the tangency hypotheses fail or ``edge`` names no hull edge.
-
-    The fans are those of every edge, or of ``edge`` alone (as
-    ``check_edge_preimage`` takes it). One secular solve gives the supports
-    on the grid, at the edge normals and on the fans. At every edge normal
-    and at 8 evenly spaced grid angles they are certified from both sides
-    within delta = ``TOL.membership_slack`` times the spread, from the
-    zeros and with no ``A_(1)`` formed (``fov.certify_supports``); a side
-    that fails raises NumericalError."""
+def _tangency_setup(zeros) -> tuple[_Frame, SiebeckHypotheses]:
+    """The zeros in their frame and their tangency hypotheses, as both
+    tangency checkers take them; PreconditionsUnmet when the hypotheses
+    fail."""
     frame = _frame(zeros, 3)
     hyp = _hypotheses(frame)
     if not hyp.holds:
         flags = tuple((name, getattr(hyp, name)) for name in ("simple_vertex_eigenvalues", "strict_half_plane"))
         raise PreconditionsUnmet("hypothesis flags not satisfied", flags)
-    probed = list(range(len(hyp.edges))) if edge is None else [_edge_position(hyp.vertex_indices, edge)]
-    normals, lines = _edge_normals(hyp.edges)
-    fans = _fans(normals[probed])
-    angles = np.concatenate([2.0 * np.pi * np.arange(m) / m, normals, fans.ravel()])
-    supports = fov.secular_supports(frame.u, angles)
-    probe = np.concatenate([np.arange(m, m + normals.size), np.arange(8) * m // 8])  # the normals, then 8 grid angles
-    rayleigh = fov.certify_supports(frame.u, angles[probe], supports[probe], TOL.membership_slack * frame.spread)
-    fan_supports = supports[m + normals.size :].reshape(fans.shape)
-    return _Tangency(frame, hyp, lines, angles[:m], supports[:m], probed, fans, fan_supports, angles[probe], rayleigh)
+    return frame, hyp
+
+
+def _faces(
+    frame: _Frame, hyp: SiebeckHypotheses, probed: list[int], radius: float
+) -> tuple[np.ndarray, fov.FaceCertificate]:
+    """The support of each probed hull edge's line at its outward normal
+    (``_edge_normals``), and the face certificate of ``A_(1)`` of the zeros
+    in the frame there (``fov.certify_faces``), to ``radius``: F(A_(1))
+    meets the line in one point within the certified radius of the edge's
+    midpoint. A face it cannot resolve raises NumericalError."""
+    normals, lines = _edge_normals([hyp.edges[k] for k in probed])
+    ends = np.array([hyp.vertex_indices[k] for k in probed]) - 1
+    return lines, fov.certify_faces(frame.u, normals, ends, radius)
 
 
 def _edge_position(pairs, edge: int | tuple[int, int]) -> int:
@@ -575,74 +519,60 @@ def _edge_position(pairs, edge: int | tuple[int, int]) -> int:
     return pairs.index(pair if pair in pairs else pair[::-1])
 
 
-def _least_margin(setup: _Tangency, points: np.ndarray, fan: np.ndarray) -> float:
-    """The least full margin of ``points``, whose fan margins are ``fan``.
-    The points are visited in the order of their fan margins, and the grid
-    is taken for each until the next fan margin, a lower bound of its full
-    margin, is no less than the least full margin found."""
-    least = math.inf
-    for k in np.argsort(fan, kind="stable"):
-        if fan[k] >= least:
-            break
-        least = min(least, float(max(fan[k], setup.grid_margins(points[k]))))
-    return least
-
-
-def check_poor_mans_siebeck(zeros, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = TOL.geometry) -> CheckReport:
+def check_poor_mans_siebeck(zeros, tol: float = TOL.geometry) -> CheckReport:
     """The field of values of the first principal submatrix is contained
-    in the hull of the zeros and touches every hull edge at its midpoint,
-    each within ``tol`` times the spread of the zeros, and no probe of an
-    edge outside the 5% neighborhood of its midpoint belongs to it: each
-    has a margin of more than ``TOL.membership_slack`` times the spread,
-    the membership rule of ``check_edge_preimage``.
+    in the hull of the zeros and touches every hull edge at its midpoint
+    only, each within ``tol`` times the spread of the zeros.
 
-    The secular supports meet the hull and the edge lines by construction,
-    so containment and tangency are measured on the Rayleigh quotients rho
-    of the cross-check (``_Tangency``). Below, s - delta <= rho <=
-    lambda_max of H(theta), with delta ``TOL.membership_slack`` times the
-    spread; above, a Cholesky factorisation certifies lambda_max < s +
-    delta up to its backward error of order n eps ||H||. The midpoint's
-    margin completes the rule of ``check_bgm``."""
-    tols = {"geometry": tol, "hypotheses": TOL.geometry, "membership_slack": TOL.membership_slack}
+    At each edge normal the face certificate (``fov.certify_faces``) gives
+    the Rayleigh quotient rho of the edge's mode vector, with lambda_max of
+    H(theta) in [rho, rho + r^2 / gap], and proves that F(A_(1)) meets the
+    line there in one point, within the certified ``face_radius`` of the
+    midpoint; it is taken to the bound, or to ``TOL.geometry`` times the
+    spread when the bound is not positive (the verdict is then ``fail``).
+    ``face_min_gap`` is the least gap it certified below rho. Containment
+    is measured on those quotients and, at 8 grid angles, on Rayleigh
+    quotients that bracket the secular supports from both sides within
+    ``_CONTAINMENT_DELTA`` times the spread (``fov.certify_supports``), so
+    both come from H(theta) of the constructed ``A_(1)``; a certificate that
+    fails raises NumericalError."""
+    tols = {"geometry": tol, "hypotheses": TOL.geometry}
     try:
-        setup = _tangency_setup(zeros, m)
+        frame, hyp = _tangency_setup(zeros)
     except PreconditionsUnmet as exc:
         return preconditions_unmet("siebeck", str(exc), tols, exc.evidence)
-    frame, edges = setup.frame, setup.hyp.edges
-    hull = np.max(np.real(np.exp(-1j * setup.certified_thetas)[:, None] * frame.u[None, :]), axis=1)
-    containment_excess = float(np.max(setup.rayleigh - hull))
-    tangency_gap = float(np.max(np.abs(setup.rayleigh[: len(edges)] - setup.lines)))
-
-    k = np.arange(41)
-    params = k[np.abs(k - 20) / 40 > 0.05] / 40  # off the midpoint, by index: |t - 0.5| rounds 0.45 and 0.55 unequally
-    probes = np.array([np.concatenate([[(a + b) / 2.0], a + params * (b - a)]) for a, b, _ in edges])
-    fan = setup.fan_margins(probes)
-    midpoint_excess = float(np.max(np.maximum(fan[:, 0], setup.grid_margins(probes[:, 0]))))
-    uniqueness_margin = _least_margin(setup, probes[:, 1:].ravel(), fan[:, 1:].ravel())
-
-    worst = max(containment_excess, tangency_gap, midpoint_excess)
-    slack = TOL.membership_slack * frame.spread
-    ok = worst <= tol * frame.spread and uniqueness_margin > slack
+    bound = tol * frame.spread
+    lines, faces = _faces(frame, hyp, list(range(len(hyp.edges))), bound if bound > 0 else TOL.geometry * frame.spread)
+    grid = 2.0 * np.pi * np.arange(8) / 8
+    secular = fov.secular_supports(frame.u, grid)
+    rayleigh = fov.certify_supports(frame.u, grid, secular, _CONTAINMENT_DELTA * frame.spread)
+    hull = np.max(np.real(np.exp(-1j * grid)[:, None] * frame.u[None, :]), axis=1)
+    containment_excess = float(max(np.max(rayleigh - hull), np.max(faces.rayleigh - lines)))
+    tangency_gap = float(np.max(np.abs(faces.rayleigh - lines)))
+    face_radius = float(np.max(faces.radius))
+    worst = max(containment_excess, tangency_gap, face_radius)
     details = (
         ("containment_excess", frame.length(containment_excess)),
         ("tangency_gap", frame.length(tangency_gap)),
-        ("midpoint_excess", frame.length(midpoint_excess)),
-        ("uniqueness_min_margin", frame.length(uniqueness_margin)),
-        ("hull_vertices", len(edges)),
+        ("face_radius", frame.length(face_radius)),
+        ("face_min_gap", frame.length(float(np.min(faces.gap)))),
+        ("hull_vertices", len(hyp.edges)),
     )
-    violation = frame.length(max(worst, slack - uniqueness_margin))
-    return CheckReport("siebeck", PASS if ok else FAIL, violation, details, tols)
+    return CheckReport("siebeck", PASS if worst <= bound else FAIL, frame.length(worst), details, tols)
 
 
-def check_bgm(zeros, tol: float = TOL.geometry, m: int = DEFAULT_SWEEP_SAMPLES) -> CheckReport:
+def check_bgm(zeros, tol: float = TOL.geometry) -> CheckReport:
     """The foci of the inscribed midpoint-tangent ellipse of the triangle
     of zeros coincide with the critical points, and it touches each side at
     the midpoint, within ``tol`` times the spread of the zeros, in the frame
     of the zeros. A side is touched at its midpoint when the ellipse's
     support (``fov.ellipse_support``) at the side's outward normal is the
-    side's line and the midpoint's margin over the uniform grid of ``m``
-    angles and the side's fan is at most the bound, as in
-    ``check_poor_mans_siebeck``."""
+    side's line and the midpoint lies on the ellipse (``fov.ellipse_offset``,
+    in closed form): a line that supports a strictly convex set touches it
+    in one point. The contact point itself is not compared: on a thin
+    triangle it moves along the long side by about eps times the spread
+    over the angle between side and major axis when the ellipse moves by
+    eps, while the midpoint's offset moves by eps."""
     tols = {"geometry": tol}
     try:
         frame = _frame(zeros, 3, exact=True)
@@ -652,11 +582,9 @@ def check_bgm(zeros, tol: float = TOL.geometry, m: int = DEFAULT_SWEEP_SAMPLES) 
     edges = geom.polygon_edges(geom.convex_hull(frame.u))
     match = poly.multiset_match([ellipse.focus1, ellipse.focus2], _framed_critical_points(frame), tol * frame.spread)
     normals, lines = _edge_normals(edges)
-    thetas = 2.0 * np.pi * np.arange(m) / m
-    tangency = float(np.max(np.abs(fov.ellipse_support(ellipse, normals) - lines)))
-    for (a, b, _), fan in zip(edges, _fans(normals)):
-        angles = np.concatenate([thetas, fan])
-        tangency = max(tangency, fov.point_margin(angles, fov.ellipse_support(ellipse, angles), (a + b) / 2.0))
+    midpoints = np.array([(a + b) / 2.0 for a, b, _ in edges])
+    support = np.abs(fov.ellipse_support(ellipse, normals) - lines)
+    tangency = float(max(np.max(support), np.max(np.abs(fov.ellipse_offset(ellipse, midpoints)))))
     tangent_all = tangency <= tol * frame.spread
     details = (("foci_match_distance", frame.length(match.max_distance)), ("tangent_all_sides", tangent_all))
     verdict = PASS if match.matched and tangent_all else FAIL
@@ -695,38 +623,40 @@ def check_elliptical_range(a, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = TOL.m
     return CheckReport("elliptical-range", verdict, lengths[-1], details, tols)
 
 
-def check_edge_preimage(
-    zeros, edge: int | tuple[int, int], tol: float = TOL.geometry, m: int = DEFAULT_SWEEP_SAMPLES
-) -> CheckReport:
+def check_edge_preimage(zeros, edge: int | tuple[int, int], tol: float = TOL.geometry) -> CheckReport:
     """Probe a hull edge at 101 evenly spaced points: the only probed
     points of the edge segment that belong to the field of values of the
-    first principal submatrix are those within ``tol`` of the midpoint (in
-    units of the edge length). A probe belongs when its margin is at most
-    ``TOL.membership_slack`` times the spread of the zeros.
+    first principal submatrix are within ``tol`` of the midpoint (in units
+    of the edge length).
+
+    The face certificate (``fov.certify_faces``) at the edge's outward
+    normal proves that F(A_(1)) meets the edge's line in one point, within
+    its certified radius of the midpoint, taken to the smaller of
+    ``TOL.geometry`` times the spread and half a probe spacing. The members
+    are the probes within that radius of the midpoint: the midpoint alone.
+    The check passes when every member lies within ``tol``; a face the
+    certificate cannot resolve raises NumericalError.
 
     ``edge`` is either the 1-based position of the edge on the hull,
     counterclockwise as in ``check_siebeck_hypotheses(zeros).vertex_indices``,
     or a pair of 1-based indices into the zeros naming a hull edge in
     either order. The edge is probed in its counterclockwise direction.
     """
-    tols = {"geometry": tol, "membership_slack": TOL.membership_slack, "hypotheses": TOL.geometry}
+    tols = {"geometry": tol, "hypotheses": TOL.geometry}
     try:
-        setup = _tangency_setup(zeros, m, edge)
+        frame, hyp = _tangency_setup(zeros)
+        k = _edge_position(hyp.vertex_indices, edge)
     except PreconditionsUnmet as exc:
         return preconditions_unmet("edge-preimage", str(exc), tols, exc.evidence)
-    [k] = setup.probed
-    a, b, _ = setup.hyp.edges[k]
+    a, b, _ = hyp.edges[k]
+    _, faces = _faces(frame, hyp, [k], min(TOL.geometry * frame.spread, abs(b - a) / 200.0))
     params = np.arange(101) / 100
-    points = a + params * (b - a)
-    slack = TOL.membership_slack * setup.frame.spread
-    [members] = setup.fan_margins(points[None, :]) <= slack  # beyond the slack on the fan, beyond it in full
-    members[members] = setup.grid_margins(points[members]) <= slack
+    members = np.abs(a + params * (b - a) - (a + b) / 2.0) <= faces.radius[0]
     target = np.abs(np.arange(101) - 50) / 100 <= tol  # by index: k / 100 rounds as the decimal, params - 0.5 does not
-    agree = bool(np.array_equal(members, target))
     worst = float(np.max(np.abs(params - 0.5)[members])) if np.any(members) else 0.0
     details = (
         ("member_count", int(np.count_nonzero(members))),
         ("expected_count", int(np.count_nonzero(target))),
         ("worst_member_offset", worst),
     )
-    return CheckReport("edge-preimage", PASS if agree else FAIL, worst, details, tols)
+    return CheckReport("edge-preimage", PASS if np.all(target[members]) else FAIL, worst, details, tols)

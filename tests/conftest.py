@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from polycrit import fov, geom
-from polycrit.config import TOL
+from polycrit import fov, geom, theorems
 from polycrit.rng import Xoshiro256StarStar, random_matrix, random_zeros
 
 settings.register_profile(
@@ -39,15 +38,15 @@ def random_normal_matrix(rng: Xoshiro256StarStar, n: int) -> np.ndarray:
     return (u * lam[None, :]) @ u.conj().T
 
 
-def moved_secular_supports(sign: float, position: str):
-    """``fov.secular_supports`` with one cross-check support of the default
-    720-angle sweep moved by ``sign`` times delta: at the first edge normal,
-    or at the grid angle 3 * 720 // 8."""
+def moved_secular_supports(sign: float):
+    """``fov.secular_supports`` with the fourth of the 8 containment angles
+    of ``check_poor_mans_siebeck`` moved by ``sign`` times its certificate's
+    delta."""
     original = fov.secular_supports
 
     def moved(u, thetas):
         supports = original(u, thetas)
-        supports[720 if position == "normal" else 3 * 720 // 8] += sign * TOL.membership_slack * geom.point_spread(u)
+        supports[3] += sign * theorems._CONTAINMENT_DELTA * geom.point_spread(u)
         return supports
 
     return moved

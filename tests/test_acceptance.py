@@ -153,22 +153,25 @@ def test_c07_elliptical_range():
 def test_c08_poor_mans_siebeck():
     rng = Xoshiro256StarStar(0x5EB0)
     worst = 0.0
-    min_margin = math.inf
+    min_gap = math.inf
     for k in range(100):
         zeros = generate_zeros(rng, 3 + k % 6, "siebeck-ok")
-        report = theorems.check_poor_mans_siebeck(zeros, m=720, tol=1e-7)
+        report = theorems.check_poor_mans_siebeck(zeros, tol=1e-7)
         assert report.verdict == theorems.PASS, (zeros, report)
         details = dict(report.details)
+        # every edge's face is certified: one point of F(A_(1)) on the edge's
+        # line, within the certified radius (at most the bound) of the midpoint
+        assert details["face_radius"] <= 1e-7 * geom.point_spread(zeros)
+        assert details["face_min_gap"] > 0.0
         worst = max(worst, report.max_violation)
-        min_margin = min(min_margin, details["uniqueness_min_margin"])
+        min_gap = min(min_gap, details["face_min_gap"] / geom.point_spread(zeros))
         # the same hypothesis-satisfying instances pass the companion checks
         assert theorems.check_main_theorem(zeros, tol=1e-6).verdict == theorems.PASS
         assert theorems.check_gauss_lucas(zeros, tol=1e-7).verdict == theorems.PASS
-    assert min_margin > 1e-7
     conclude(
         8,
-        f"containment+tangency+uniqueness on 100 instances, worst={worst:.3e}, "
-        f"min exterior margin={min_margin:.3e}",
+        f"containment+tangency+unique midpoint contact on 100 instances, worst={worst:.3e}, "
+        f"least certified face gap={min_gap:.3e}",
     )
 
 

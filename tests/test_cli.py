@@ -253,28 +253,41 @@ class TestCheckExitCodes:
         assert "numerical failure" in err
 
     def test_secular_cross_check_failure_is_four(self, tmp_path, capsys, monkeypatch):
-        # a secular route off by 1e-9 of the spread is a numerical failure,
-        # never a fail of the theorem
+        # a secular route off by 1e-9 of the spread is a numerical failure of
+        # siebeck's containment certificate, never a fail of the theorem;
+        # edge-preimage solves no secular equation
         from polycrit import fov, geom
 
         original = fov.secular_supports
         monkeypatch.setattr(fov, "secular_supports", lambda u, t: original(u, t) + 1e-9 * geom.point_spread(u))
         inst = write_instance(tmp_path / "sq.json", {"roots": [[1, 0], [0, 1], [-1, 0], [0, -1], [0.2, 0.1]]})
-        for theorem in ("siebeck", "edge-preimage"):
-            code, out, err = run_main(["check", inst, "--theorem", theorem], capsys)
-            assert code == 4, out
-            assert out == "" and "numerical failure" in err
+        code, out, err = run_main(["check", inst, "--theorem", "siebeck"], capsys)
+        assert code == 4, out
+        assert out == "" and "numerical failure" in err
+        code, out, _ = run_main(["check", inst, "--theorem", "edge-preimage"], capsys)
+        assert code == 0 and json.loads(out)["verdict"] == "pass"
 
     @pytest.mark.parametrize("sign, side", [(2.0, "lower side"), (-2.0, "upper side")])
     def test_certificate_side_failure_is_four(self, tmp_path, capsys, monkeypatch, sign, side):
-        # one secular support moved by 2 delta at the first edge normal: the
+        # one secular support moved by 2 delta at a containment angle: the
         # side that catches it is named on the one stderr line
-        monkeypatch.setattr(fov, "secular_supports", moved_secular_supports(sign, "normal"))
+        monkeypatch.setattr(fov, "secular_supports", moved_secular_supports(sign))
         inst = write_instance(tmp_path / "sq.json", {"roots": [[1, 0], [0, 1], [-1, 0], [0, -1], [0.2, 0.1]]})
-        for theorem in ("siebeck", "edge-preimage"):
-            code, out, err = run_main(["check", inst, "--theorem", theorem], capsys)
-            assert code == 4, out
-            assert out == "" and err.startswith("numerical failure: support certificate, " + side)
+        code, out, err = run_main(["check", inst, "--theorem", "siebeck"], capsys)
+        assert code == 4, out
+        assert out == "" and err.startswith("numerical failure: support certificate, " + side)
+
+    @pytest.mark.parametrize("theorem", ["siebeck", "edge-preimage"])
+    def test_unresolved_face_is_four(self, tmp_path, capsys, monkeypatch, theorem):
+        # a face gap no H(theta) can have (the gap floor raised past the
+        # whole spectrum): the certificate names the edge and the gap it
+        # needed, and the check never reports fail
+        monkeypatch.setattr(fov, "_FACE_GAP_ULPS", 1e16)
+        inst = write_instance(tmp_path / "sq.json", {"roots": [[1, 0], [0, 1], [-1, 0], [0, -1], [0.2, 0.1]]})
+        code, out, err = run_main(["check", inst, "--theorem", theorem, "--index", "2"], capsys)
+        assert code == 4 and out == ""
+        assert err.startswith("numerical failure: face certificate: at the edge of zeros ")
+        assert "by the gap " in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("which, target", [("siebeck", "boundary_polyline"), ("bgm", "steiner_inellipse")])
     def test_figure_linalg_error_is_four(self, cube_roots, capsys, monkeypatch, which, target):
@@ -310,7 +323,7 @@ class TestCheckExitCodes:
         assert code == 3
         payload = json.loads(out)
         assert payload["details"] == [["unmet_hypothesis", "edge index 4 out of range"]]
-        assert sorted(payload["tolerances_used"]) == ["geometry", "hypotheses", "membership_slack"]
+        assert sorted(payload["tolerances_used"]) == ["geometry", "hypotheses"]
 
     def test_interlacing_real(self, tmp_path, capsys):
         inst = write_instance(tmp_path / "r.json", {"roots": [[0, 0], [1, 0], [2, 0]]})
@@ -335,22 +348,39 @@ class TestCheckExitCodes:
         assert code == 1 and out == ""
         assert "sweep sample count must be at least 8" in err
 
-    def test_bgm_sweeps_the_samples_it_reports(self, tmp_path, capsys, monkeypatch):
-        roots = [[0.1, 0.2], [1.3, -0.4], [-0.2, 0.9]]
-        inst = write_instance(tmp_path / "tri.json", {"roots": roots})
-        swept = []
-        margin = fov.point_margin
+    @pytest.mark.parametrize("theorem", ["siebeck", "bgm", "edge-preimage"])
+    def test_tangency_reports_do_not_depend_on_the_samples(self, tmp_path, capsys, theorem):
+        # the tangency checkers sweep no grid: --samples is validated and
+        # echoed in meta.sweep_samples, and changes nothing else
+        inst = write_instance(tmp_path / "tri.json", {"roots": [[0.1, 0.2], [1.3, -0.4], [-0.2, 0.9]]})
+        payloads = []
+        for samples in ("16", "720"):
+            code, out, _ = run_main(["check", inst, "--theorem", theorem, "--samples", samples], capsys)
+            assert code == 0
+            payloads.append(json.loads(out))
+        assert payloads[0]["meta"]["sweep_samples"] == 16 and payloads[1]["meta"]["sweep_samples"] == 720
+        assert {**payloads[0], "meta": None} == {**payloads[1], "meta": None}
 
-        def counted(thetas, *rest):
-            swept.append(len(thetas))
-            return margin(thetas, *rest)
-
-        monkeypatch.setattr(fov, "point_margin", counted)
-        code, out, _ = run_main(["check", inst, "--theorem", "bgm", "--samples", "16"], capsys)
-        assert swept == [16 + 97] * 3  # the grid and each side's fan
-        report = theorems.check_bgm([complex(*z) for z in roots], m=16)
+    @pytest.mark.parametrize("tol", ["0.009", "0.01", "0.05"])
+    def test_k16_edge_preimage_at_a_loose_bound(self, tmp_path, capsys, tol):
+        # the ROADMAP's K16 case: every probe within the bound had to be a
+        # member, so a bound of at least the probe spacing gave fail
+        out = tmp_path / "k16"
+        code, _, _ = run_main(["random", "--n", "6", "--constraint", "siebeck-ok", "--seed", "3", "--out", str(out)], capsys)
         assert code == 0
-        assert json.loads(out) == cli.report_payload(report, 16)
+        inst = str(out / "instance_000.json")
+        code, printed, _ = run_main(["check", inst, "--theorem", "edge-preimage", "--index", "1", "--tol-geom", tol], capsys)
+        assert code == 0, printed
+        details = dict(json.loads(printed)["details"])
+        assert details["member_count"] == 1 and details["expected_count"] == {"0.009": 1, "0.01": 3, "0.05": 11}[tol]
+
+    @pytest.mark.parametrize("theorem", ["siebeck", "edge-preimage"])
+    @pytest.mark.parametrize("tol", ["0", "-1e-9"])
+    def test_tangency_at_a_bound_of_at_most_zero_fails(self, cube_roots, capsys, theorem, tol):
+        code, out, err = run_main(["check", cube_roots, "--theorem", theorem, f"--tol-geom={tol}"], capsys)
+        expected = 0 if (theorem, tol) == ("edge-preimage", "0") else 2  # the midpoint is within 0 of itself
+        assert (code, err) == (expected, ""), out
+        assert json.loads(out)["verdict"] == ("pass" if expected == 0 else "fail")
 
     def test_tolerances_echoed(self, cube_roots, capsys):
         code, out, _ = run_main(
@@ -367,10 +397,10 @@ class TestTheoremTable:
         "main": ("check_main_theorem", (), {"tol": 2e-6}),
         "gauss-lucas": ("check_gauss_lucas", (), {"tol": 3e-7}),
         "interlacing": ("check_interlacing", (), {"tol": 4e-8}),
-        "siebeck": ("check_poor_mans_siebeck", (), {"m": 16, "tol": 3e-7}),
-        "bgm": ("check_bgm", (), {"m": 16, "tol": 3e-7}),
+        "siebeck": ("check_poor_mans_siebeck", (), {"tol": 3e-7}),
+        "bgm": ("check_bgm", (), {"tol": 3e-7}),
         "elliptical-range": ("check_elliptical_range", (), {"m": 16, "tol": 2e-6}),
-        "edge-preimage": ("check_edge_preimage", (2,), {"m": 16, "tol": 3e-7}),
+        "edge-preimage": ("check_edge_preimage", (2,), {"tol": 3e-7}),
     }
 
     def test_theorems_in_order(self):
@@ -535,6 +565,20 @@ class TestRandom:
             capsys,
         )
         assert (code, out, err) == (1, "", "input error: constraint 'siebeck-ok' needs n >= 3\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_exhausted_draw_leaves_no_directory(self, tmp_path, capsys, monkeypatch):
+        unmet = theorems.SiebeckHypotheses(False, False, (), ())
+        monkeypatch.setattr(generate, "check_siebeck_hypotheses", lambda zeros: unmet)
+        code, _, _ = run_main(["random", "--n", "3", "--constraint", "siebeck-ok", "--out", str(tmp_path / "x")], capsys)
+        assert code == 5 and not (tmp_path / "x").exists()
+
+    def test_existing_out_directory_is_accepted(self, tmp_path, capsys):
+        out = tmp_path / "existing"
+        out.mkdir()
+        code, printed, _ = run_main(["random", "--n", "3", "--count", "2", "--out", str(out)], capsys)
+        assert code == 0
+        assert printed.split() == [str(out / "instance_000.json"), str(out / "instance_001.json")]
 
     def test_only_unmet_hypotheses_are_resampled(self, monkeypatch):
         calls = []

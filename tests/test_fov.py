@@ -6,7 +6,6 @@ import pytest
 
 from conftest import make_rng, random_normal_matrix
 from polycrit import fov, geom, matricial, numlin, poly
-from polycrit.config import TOL
 from polycrit.generate import generate_zeros
 from polycrit.rng import random_matrix, random_zeros
 
@@ -146,10 +145,10 @@ class TestContainsPoint:
     def test_normalized_trace_always_inside(self):
         rng = make_rng(81)
         a = random_matrix(rng, 5)
-        assert sweep_margin(a, np.trace(a) / a.shape[0]) <= TOL.membership_slack
+        assert sweep_margin(a, np.trace(a) / a.shape[0]) <= 1e-12
 
     def test_far_point_outside(self):
-        assert sweep_margin(np.diag([1.0, 2.0]), 10.0) > TOL.membership_slack
+        assert sweep_margin(np.diag([1.0, 2.0]), 10.0) > 1e-12
 
     def test_eigenvalues_inside(self):
         rng = make_rng(82)
@@ -238,6 +237,26 @@ class TestEllipseParams:
         expected = np.real(np.exp(-1j * thetas) * (0.3 + 0.2j)) + 0.5
         np.testing.assert_allclose(fov.ellipse_support(e, thetas), expected, atol=1e-14)
 
+    def test_offset_of_circle(self):
+        # a circle's first-order offset is (|p|^2 - R^2) / (2 |p|): exact on
+        # the boundary and the distance to first order near it
+        e = fov.ellipse_from_foci(0.3 + 0.2j, 0.3 + 0.2j, 0.5)
+        p = np.array([0.8, 0.3 + 0.7j, 0.3 + 0.2j + 0.6j, 0.4 + 0.2j])
+        r = np.abs(p - e.center)
+        np.testing.assert_allclose(fov.ellipse_offset(e, p), (r**2 - 0.25) / (2 * r), rtol=1e-14, atol=1e-16)
+
+    @pytest.mark.parametrize("minor", [0.5, 1e-6, 1e-10])
+    def test_offset_on_the_boundary_is_roundoff(self, minor):
+        # however thin the ellipse: the offset scales with the point's
+        # distance, not with its normalised coordinate
+        e = fov.ellipse_from_foci(-1 + 0.5j, 1 - 0.25j, minor)
+        points = fov.ellipse_points(e)
+        assert np.max(np.abs(fov.ellipse_offset(e, points))) <= 8 * np.finfo(float).eps * e.major_semi_axis
+        normal = 1j * np.exp(1j * e.rotation)  # outward at the top of the minor axis
+        top = e.center + minor * normal
+        np.testing.assert_allclose(fov.ellipse_offset(e, [top + 1e-3 * minor * normal, top - 1e-3 * minor * normal]),
+                                   [1e-3 * minor, -1e-3 * minor], rtol=2e-3)
+
 
 class TestSweepInvariants:
     def test_convexity_cross_products(self):
@@ -308,37 +327,6 @@ TIE_INSTANCES = {
 }
 
 
-def row_major_secular_supports(zeros, thetas):
-    """Reference for ``fov.secular_supports``: the same Newton iteration
-    with one row per angle, summing each row with numpy's own reductions."""
-    z = np.asarray(zeros, dtype=complex)
-    th = np.asarray(thetas, dtype=float)
-    x = np.real(np.exp(-1j * th)[:, None] * z[None, :])
-    rows = np.arange(th.size)
-    top = np.argmax(x, axis=1)
-    x_top = x[rows, top]
-    d = x - x_top[:, None]
-    d[rows, top] = -np.inf
-    lo = np.max(d, axis=1)
-    tol = 4.0 * np.finfo(float).eps * (x_top - np.min(x, axis=1))
-    s = np.zeros(th.size)
-    idx = np.flatnonzero(lo < 0.0)
-    d, lo, hi, tol, sa = d[idx], lo[idx], np.zeros(idx.size), tol[idx], np.zeros(idx.size)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while idx.size:
-            inv = np.reciprocal(sa[:, None] - d)
-            psi = inv.sum(axis=1)
-            f = sa + 1.0 / psi
-            below = f < 0.0
-            lo, hi = np.where(below, sa, lo), np.where(below, hi, sa)
-            new = sa - f / (1.0 + np.einsum("ij,ij->i", inv, inv) / (psi * psi))
-            new = np.where((new > lo) & (new <= hi), new, 0.5 * (lo + hi))
-            s[idx] = new
-            moving = (np.abs(new - sa) > tol) & (hi - lo > tol)
-            idx, d, lo, hi, tol, sa = idx[moving], d[moving], lo[moving], hi[moving], tol[moving], new[moving]
-    return x_top + s
-
-
 class TestSecularSupports:
     """The secular route against a dense eigensolve of A_(1)."""
 
@@ -384,28 +372,6 @@ class TestSecularSupports:
         together = fov.secular_supports(zeros, thetas)
         alone = np.concatenate([fov.secular_supports(zeros, [t]) for t in thetas])
         np.testing.assert_array_equal(together, alone)
-
-    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 16, 31, 33, 129, 200, 257])
-    def test_sums_follow_numpy_row_order(self, n):
-        # the pole-major sums repeat numpy's sums of one row per angle bit
-        # for bit, so the supports do not depend on the layout
-        rng = np.random.default_rng(n)
-        rows = rng.standard_normal((40, n)) * 10.0 ** rng.integers(-8, 8, (40, n))
-        stored = rows.T[fov._pole_order(n)].copy()
-        assert np.array_equal(fov._pairwise_rows(stored), rows.sum(axis=1))
-        assert np.array_equal(fov._lane_rows(stored * stored), np.einsum("ij,ij->i", rows, rows))
-
-    @pytest.mark.parametrize("n", [3, 4, 9, 16, 33, 130])
-    @pytest.mark.parametrize("family", ["siebeck-ok", "wide"])
-    def test_bit_for_bit_the_row_major_solve(self, n, family):
-        if family == "wide":  # zeros over sixteen decades, as in K14
-            rng = np.random.default_rng(n)
-            zeros = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
-            zeros = zeros + 1j * rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
-        else:
-            zeros = generate_zeros(make_rng(405 + n), n, "siebeck-ok" if n < 100 else "none")
-        thetas = np.concatenate([2 * np.pi * np.arange(720) / 720, _edge_fans(zeros, np.geomspace(1e-6, 0.7, 48))])
-        assert np.array_equal(fov.secular_supports(zeros, thetas), row_major_secular_supports(zeros, thetas))
 
     def test_needs_two_zeros(self):
         with pytest.raises(ValueError):
