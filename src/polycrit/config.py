@@ -11,8 +11,8 @@ gaps of ``interlacing``. Each report echoes the bounds it applied in
 ``tolerances_used``. Two exceptions: ``elliptical-range`` bounds by
 ``match`` times the Frobenius norm of its matrix, and the ``geometry``
 bound of ``edge-preimage`` is the midpoint neighborhood in units of the
-edge length (its face radius is the default ``geometry`` times the spread,
-at most half its probe spacing). A guard of one kernel is a constant of
+edge length (its members are the probes within its certified face
+radius). A guard of one kernel is a constant of
 that kernel's module. The sweep density is that of ``elliptical-range``
 and of the figures.
 """

@@ -27,8 +27,9 @@ H(theta) of A_(1), without an eigensolve: ``certify_supports`` brackets
 secular supports between a Rayleigh quotient and a Cholesky factorisation
 of (s + delta) I - H(theta), and ``certify_faces`` shows that at the
 outward normal of a hull edge F(A_(1)) meets the edge's line in one point,
-within a stated radius of the edge's midpoint, from the edge's mode vector
-and one Cholesky factorisation.
+within a certified radius of the edge's midpoint, from the edge's mode
+vector, a secular estimate of the gap below its eigenvalue and one Cholesky
+factorisation.
 """
 
 from __future__ import annotations
@@ -366,17 +367,19 @@ def certify_supports(zeros, thetas, supports, delta: float) -> np.ndarray:
 # residual, so that a residual that rounds to 0 is not taken for an exact
 # one; and it asks for no gap below this many units of roundoff of s times
 # the order, where Cholesky's backward error on a matrix of norm at most
-# 8 s lies.
+# 8 s lies. It estimates each gap in this many halvings of its logarithm.
 _FACE_SHIFT = 4.0
 _FACE_GAP_ULPS = 64.0
+_FACE_BISECTIONS = 10
 
 
 @dataclass(frozen=True)
 class FaceCertificate:
     """What ``certify_faces`` proved at each edge normal: the Rayleigh
     quotient rho of the edge's mode vector y, its residual ||H y - rho y||
-    (with the unit of roundoff it counts in), a gap below rho that holds every other eigenvalue of H(theta), and the
-    radius about the edge's midpoint within which F(A_(1)) meets the line
+    (with the unit of roundoff it counts in), a gap below rho that holds
+    every other eigenvalue of H(theta), and the radius about the edge's
+    midpoint within which F(A_(1)) meets the line
     Re(exp(-i theta) w) = lambda_max(H(theta))."""
 
     rayleigh: np.ndarray
@@ -385,14 +388,14 @@ class FaceCertificate:
     radius: np.ndarray
 
 
-def certify_faces(zeros, thetas, pairs, radius: float) -> FaceCertificate:
+def certify_faces(zeros, thetas, pairs) -> FaceCertificate:
     """Certify that F(A_(1)), with A_(1) that of
     ``matricial.build_construction(zeros)``, meets its supporting line at
-    each angle of ``thetas`` in one point within ``radius`` (positive) of
-    the midpoint of the two zeros that ``pairs`` names there (0-based): at
-    the outward normal of a hull edge, its two endpoints. Raises
-    NumericalError naming the edge and the gap it needed when the
-    factorisation fails.
+    each angle of ``thetas`` in one point near the midpoint of the two
+    zeros that ``pairs`` names there (0-based): at the outward normal of a
+    hull edge, its two endpoints. Returns the certified radius, which does
+    not depend on any bound; raises NumericalError naming the edge and the
+    gap it tried when the factorisation fails.
 
     At such an angle the top projection x_a = x_b of the zeros is attained
     twice, and y = fft(e_a - e_b)[1:] / sqrt(2n) is an eigenvector of
@@ -410,10 +413,16 @@ def certify_faces(zeros, thetas, pairs, radius: float) -> FaceCertificate:
     (Davis & Kahan, SIAM J. Numer. Anal. 7, 1970). The face point x* A_(1) x
     then lies within r^2 / gap of the midpoint along the normal, and within
     w sin(phi) along the line, w the width of the zeros along it (a 2x2
-    compression of the Hermitian Im(exp(-i theta) A_(1)) spans at most w).
-    The gap is chosen so that r (w + r) / gap is half ``radius``, which no
-    rounding takes past it, and never below the backward error; the
-    certified radius is r (w + r) / gap.
+    compression of the Hermitian Im(exp(-i theta) A_(1)) spans at most w):
+    the certified radius is r (w + r) / gap.
+
+    The gap asked for is half the secular equation's estimate of
+    x_a - lambda_2, never below the backward error. H(theta) compresses
+    diag(x) (see the module docstring), so its other eigenvalues are x_a + s
+    for the roots s of 2 / s + sum over the other zeros of 1 / (s - d_k) = 0,
+    d_k = x_k - x_a, the largest in (max d_k, 0); the function decreases
+    there, and ``_FACE_BISECTIONS`` halvings of log(-s) bracket that root
+    from the side of the smaller gap. The factorisation alone certifies.
 
     H(theta) is gathered from the zeros (``_toeplitz_stack``), in the
     chunks of ``_direction_chunks``, and no A_(1) is formed."""
@@ -424,18 +433,27 @@ def certify_faces(zeros, thetas, pairs, radius: float) -> FaceCertificate:
     rows = np.arange(th.size)
     modes[rows, ends[:, 0]], modes[rows, ends[:, 1]] = 1.0, -1.0
     vectors = np.fft.fft(modes, axis=-1)[:, 1:] / math.sqrt(2 * z.size)
-    width = np.ptp(np.imag(np.exp(-1j * th)[:, None] * z), axis=1)
+    projected = np.exp(-1j * th)[:, None] * z
+    width = np.ptp(np.imag(projected), axis=1)
     scale = float(np.max(np.abs(z)))
     roundoff = np.finfo(float).eps * scale
-    rho, residual, gap = np.empty(th.size), np.empty(th.size), np.empty(th.size)
+    floor = _FACE_GAP_ULPS * z.size * roundoff
+    d = np.real(projected) - np.real(projected[rows, ends[:, 0]])[:, None]
+    d[rows, ends[:, 0]] = d[rows, ends[:, 1]] = -np.inf  # the edge's double pole leaves the sum
+    lo, hi = np.full(th.size, math.log2(floor)), np.log2(-np.max(d, axis=1))
+    for _ in range(_FACE_BISECTIONS):
+        s = -np.exp2(0.5 * (lo + hi))
+        below = 2.0 / s + np.sum(1.0 / (s[:, None] - d), axis=1) < 0.0  # -s below the gap
+        lo, hi = np.where(below, 0.5 * (lo + hi), lo), np.where(below, hi, 0.5 * (lo + hi))
+    gap = np.maximum(np.exp2(lo - 1.0), floor)
+    rho, residual = np.empty(th.size), np.empty(th.size)
     diagonal = np.arange(z.size - 1)
     gather = _toeplitz_stack(z)
     for part in _direction_chunks(z.size - 1, th):
         stack, y = gather(th[part]), vectors[part]
         hy = np.einsum("kij,kj->ki", stack, y)
         rho[part] = np.einsum("ki,ki->k", y.conj(), hy).real
-        r = residual[part] = np.linalg.norm(hy - rho[part][:, None] * y, axis=1) + roundoff
-        gap[part] = np.maximum(2.0 * r * (width[part] + r) / radius, _FACE_GAP_ULPS * z.size * roundoff)
+        residual[part] = np.linalg.norm(hy - rho[part][:, None] * y, axis=1) + roundoff
         shifted = np.multiply(stack, -1.0, out=stack)
         shifted[:, diagonal, diagonal] += (rho[part] - gap[part])[:, None]
         shifted += _FACE_SHIFT * scale * y[:, :, None] * y.conj()[:, None, :]
@@ -450,9 +468,8 @@ def certify_faces(zeros, thetas, pairs, radius: float) -> FaceCertificate:
             a, b = ends[part][k] + 1
             raise NumericalError(
                 f"face certificate: at the edge of zeros {a} and {b} (theta = {th[part][k]:.6g}) the other "
-                f"eigenvalues of H(theta) are not below the Rayleigh quotient by the gap {gap[part][k]:.3g} "
-                f"that a face radius of {radius:.3g} needs: (rho - gap) I - H(theta) + c y y* "
-                f"has no Cholesky factor"
+                f"eigenvalues of H(theta) are not below the Rayleigh quotient by the gap {gap[part][k]:.3g}: "
+                f"(rho - gap) I - H(theta) + c y y* has no Cholesky factor"
             ) from None
     return FaceCertificate(rho, residual, gap, residual * (width + residual) / gap)
 

@@ -493,17 +493,15 @@ def _tangency_setup(zeros) -> tuple[_Frame, SiebeckHypotheses]:
     return frame, hyp
 
 
-def _faces(
-    frame: _Frame, hyp: SiebeckHypotheses, probed: list[int], radius: float
-) -> tuple[np.ndarray, fov.FaceCertificate]:
+def _faces(frame: _Frame, hyp: SiebeckHypotheses, probed: list[int]) -> tuple[np.ndarray, fov.FaceCertificate]:
     """The support of each probed hull edge's line at its outward normal
     (``_edge_normals``), and the face certificate of ``A_(1)`` of the zeros
-    in the frame there (``fov.certify_faces``), to ``radius``: F(A_(1))
-    meets the line in one point within the certified radius of the edge's
-    midpoint. A face it cannot resolve raises NumericalError."""
+    in the frame there (``fov.certify_faces``): F(A_(1)) meets the line in
+    one point within the certified radius of the edge's midpoint. A face it
+    cannot resolve raises NumericalError."""
     normals, lines = _edge_normals([hyp.edges[k] for k in probed])
     ends = np.array([hyp.vertex_indices[k] for k in probed]) - 1
-    return lines, fov.certify_faces(frame.u, normals, ends, radius)
+    return lines, fov.certify_faces(frame.u, normals, ends)
 
 
 def _edge_position(pairs, edge: int | tuple[int, int]) -> int:
@@ -528,21 +526,19 @@ def check_poor_mans_siebeck(zeros, tol: float = TOL.geometry) -> CheckReport:
     the Rayleigh quotient rho of the edge's mode vector, with lambda_max of
     H(theta) in [rho, rho + r^2 / gap], and proves that F(A_(1)) meets the
     line there in one point, within the certified ``face_radius`` of the
-    midpoint; it is taken to the bound, or to ``TOL.geometry`` times the
-    spread when the bound is not positive (the verdict is then ``fail``).
-    ``face_min_gap`` is the least gap it certified below rho. Containment
-    is measured on those quotients and, at 8 grid angles, on Rayleigh
-    quotients that bracket the secular supports from both sides within
-    ``_CONTAINMENT_DELTA`` times the spread (``fov.certify_supports``), so
-    both come from H(theta) of the constructed ``A_(1)``; a certificate that
-    fails raises NumericalError."""
+    midpoint, which does not depend on the bound: a bound below it, as any
+    bound of at most 0, gives ``fail``. ``face_min_gap`` is the least gap
+    it certified below rho. Containment is measured on those quotients
+    and, at 8 grid angles, on Rayleigh quotients that bracket the secular
+    supports from both sides within ``_CONTAINMENT_DELTA`` times the spread
+    (``fov.certify_supports``), so both come from H(theta) of the
+    constructed ``A_(1)``; a certificate that fails raises NumericalError."""
     tols = {"geometry": tol, "hypotheses": TOL.geometry}
     try:
         frame, hyp = _tangency_setup(zeros)
     except PreconditionsUnmet as exc:
         return preconditions_unmet("siebeck", str(exc), tols, exc.evidence)
-    bound = tol * frame.spread
-    lines, faces = _faces(frame, hyp, list(range(len(hyp.edges))), bound if bound > 0 else TOL.geometry * frame.spread)
+    lines, faces = _faces(frame, hyp, list(range(len(hyp.edges))))
     grid = 2.0 * np.pi * np.arange(8) / 8
     secular = fov.secular_supports(frame.u, grid)
     rayleigh = fov.certify_supports(frame.u, grid, secular, _CONTAINMENT_DELTA * frame.spread)
@@ -558,7 +554,7 @@ def check_poor_mans_siebeck(zeros, tol: float = TOL.geometry) -> CheckReport:
         ("face_min_gap", frame.length(float(np.min(faces.gap)))),
         ("hull_vertices", len(hyp.edges)),
     )
-    return CheckReport("siebeck", PASS if worst <= bound else FAIL, frame.length(worst), details, tols)
+    return CheckReport("siebeck", PASS if worst <= tol * frame.spread else FAIL, frame.length(worst), details, tols)
 
 
 def check_bgm(zeros, tol: float = TOL.geometry) -> CheckReport:
@@ -631,11 +627,10 @@ def check_edge_preimage(zeros, edge: int | tuple[int, int], tol: float = TOL.geo
 
     The face certificate (``fov.certify_faces``) at the edge's outward
     normal proves that F(A_(1)) meets the edge's line in one point, within
-    its certified radius of the midpoint, taken to the smaller of
-    ``TOL.geometry`` times the spread and half a probe spacing. The members
-    are the probes within that radius of the midpoint: the midpoint alone.
-    The check passes when every member lies within ``tol``; a face the
-    certificate cannot resolve raises NumericalError.
+    its certified radius of the midpoint. The members are the probes within
+    that radius of the midpoint: the midpoint alone unless the radius
+    reaches a probe spacing. The check passes when every member lies within
+    ``tol``; a face the certificate cannot resolve raises NumericalError.
 
     ``edge`` is either the 1-based position of the edge on the hull,
     counterclockwise as in ``check_siebeck_hypotheses(zeros).vertex_indices``,
@@ -649,7 +644,7 @@ def check_edge_preimage(zeros, edge: int | tuple[int, int], tol: float = TOL.geo
     except PreconditionsUnmet as exc:
         return preconditions_unmet("edge-preimage", str(exc), tols, exc.evidence)
     a, b, _ = hyp.edges[k]
-    _, faces = _faces(frame, hyp, [k], min(TOL.geometry * frame.spread, abs(b - a) / 200.0))
+    _, faces = _faces(frame, hyp, [k])
     params = np.arange(101) / 100
     members = np.abs(a + params * (b - a) - (a + b) / 2.0) <= faces.radius[0]
     target = np.abs(np.arange(101) - 50) / 100 <= tol  # by index: k / 100 rounds as the decimal, params - 0.5 does not

@@ -374,6 +374,18 @@ class TestCheckExitCodes:
         details = dict(json.loads(printed)["details"])
         assert details["member_count"] == 1 and details["expected_count"] == {"0.009": 1, "0.01": 3, "0.05": 11}[tol]
 
+    @pytest.mark.parametrize("tol, code", [("1e-11", 0), ("1e-14", 0), ("1e-18", 2)])
+    def test_siebeck_at_a_tight_bound(self, tmp_path, capsys, tol, code):
+        # the K16 draw's faces are certified to 9.2e-15: a tighter bound is
+        # a fail, never a numerical failure, and the report is the same
+        out = tmp_path / "k16"
+        run_main(["random", "--n", "6", "--constraint", "siebeck-ok", "--seed", "3", "--out", str(out)], capsys)
+        inst = str(out / "instance_000.json")
+        got, printed, err = run_main(["check", inst, "--theorem", "siebeck", "--tol-geom", tol], capsys)
+        assert (got, err) == (code, ""), printed
+        report = json.loads(printed)
+        assert report["max_violation"] == dict(report["details"])["face_radius"] == pytest.approx(9.2286e-15, rel=1e-4)
+
     @pytest.mark.parametrize("theorem", ["siebeck", "edge-preimage"])
     @pytest.mark.parametrize("tol", ["0", "-1e-9"])
     def test_tangency_at_a_bound_of_at_most_zero_fails(self, cube_roots, capsys, theorem, tol):

@@ -327,6 +327,39 @@ TIE_INSTANCES = {
 }
 
 
+def row_major_secular_supports(zeros, thetas):
+    """Reference for ``fov.secular_supports``, kept apart from it so that a
+    change to the solve that moves a bit shows: the same Newton iteration
+    with one row per angle, summing each row with numpy's own reductions,
+    with no step cap."""
+    z = np.asarray(zeros, dtype=complex)
+    th = np.asarray(thetas, dtype=float)
+    x = np.real(np.exp(-1j * th)[:, None] * z[None, :])
+    rows = np.arange(th.size)
+    top = np.argmax(x, axis=1)
+    x_top = x[rows, top]
+    d = x - x_top[:, None]
+    d[rows, top] = -np.inf
+    lo = np.max(d, axis=1)
+    tol = 4.0 * np.finfo(float).eps * (x_top - np.min(x, axis=1))
+    s = np.zeros(th.size)
+    idx = np.flatnonzero(lo < 0.0)
+    d, lo, hi, tol, sa = d[idx], lo[idx], np.zeros(idx.size), tol[idx], np.zeros(idx.size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while idx.size:
+            inv = np.reciprocal(sa[:, None] - d)
+            psi = inv.sum(axis=1)
+            f = sa + 1.0 / psi
+            below = f < 0.0
+            lo, hi = np.where(below, sa, lo), np.where(below, hi, sa)
+            new = sa - f / (1.0 + np.einsum("ij,ij->i", inv, inv) / (psi * psi))
+            new = np.where((new > lo) & (new <= hi), new, 0.5 * (lo + hi))
+            s[idx] = new
+            moving = (np.abs(new - sa) > tol) & (hi - lo > tol)
+            idx, d, lo, hi, tol, sa = idx[moving], d[moving], lo[moving], hi[moving], tol[moving], new[moving]
+    return x_top + s
+
+
 class TestSecularSupports:
     """The secular route against a dense eigensolve of A_(1)."""
 
@@ -372,6 +405,18 @@ class TestSecularSupports:
         together = fov.secular_supports(zeros, thetas)
         alone = np.concatenate([fov.secular_supports(zeros, [t]) for t in thetas])
         np.testing.assert_array_equal(together, alone)
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 16, 33, 130])
+    @pytest.mark.parametrize("family", ["siebeck-ok", "wide"])
+    def test_bit_for_bit_the_row_major_solve(self, n, family):
+        if family == "wide":  # zeros over sixteen decades, as in K14
+            rng = np.random.default_rng(n)
+            zeros = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+            zeros = zeros + 1j * rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+        else:
+            zeros = generate_zeros(make_rng(405 + n), n, "siebeck-ok" if n < 100 else "none")
+        thetas = np.concatenate([2 * np.pi * np.arange(720) / 720, _edge_fans(zeros, np.geomspace(1e-6, 0.7, 48))])
+        assert np.array_equal(fov.secular_supports(zeros, thetas), row_major_secular_supports(zeros, thetas))
 
     def test_needs_two_zeros(self):
         with pytest.raises(ValueError):

@@ -542,14 +542,26 @@ class TestPoorMansSiebeck:
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, -0.5])
     def test_bound_of_at_most_zero_fails(self, tol):
-        # no face radius is at most a bound of 0 or less: the faces are
-        # certified to the default bound instead, and the check fails on it
+        # no face radius is at most a bound of 0 or less
         zeros = generate_zeros(make_rng(115), 5, "siebeck-ok")
         report = theorems.check_poor_mans_siebeck(zeros, tol=tol)
         details, spread = dict(report.details), geom.point_spread(zeros)
         assert report.verdict == theorems.FAIL
         assert 0.0 < details["face_radius"] <= TOL.geometry * spread
         assert report.max_violation == max(details["containment_excess"], details["tangency_gap"], details["face_radius"])
+
+    def test_a_bound_below_the_certified_radius_fails(self):
+        # the certificate does not depend on the bound: the report is the
+        # same at every bound, and a bound below its largest violation,
+        # however tight or tiny, is a fail and not a numerical failure
+        zeros = generate_zeros(make_rng(115), 5, "siebeck-ok")
+        spread = geom.point_spread(zeros)
+        reference = theorems.check_poor_mans_siebeck(zeros)
+        units = reference.max_violation / spread
+        for tol, verdict in ((2 * units, theorems.PASS), (units / 2, theorems.FAIL), (1e-18, theorems.FAIL)):
+            report = theorems.check_poor_mans_siebeck(zeros, tol=tol)
+            assert report.verdict == verdict and report.details == reference.details
+            assert report.max_violation == reference.max_violation
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-2, 1e-1])
     def test_loose_bounds_pass(self, tol):
@@ -813,13 +825,13 @@ class TestEdgePreimage:
 
     @pytest.mark.parametrize("tol, verdict", [(0.01, theorems.FAIL), (0.02, theorems.PASS), (0.05, theorems.PASS)])
     def test_members_are_the_probes_within_the_face_radius(self, tol, verdict, monkeypatch):
-        # a face radius of 0.025 edge lengths (the certificate's own stays
-        # below half a probe spacing) makes the probes at t = 0.48 ... 0.52
-        # members; the check passes when they all lie within the bound
+        # a face radius of 0.025 edge lengths (the certificate's own is at
+        # roundoff here) makes the probes at t = 0.48 ... 0.52 members; the
+        # check passes when they all lie within the bound
         original = fov.certify_faces
 
-        def wide(zeros, thetas, pairs, radius):
-            faces = original(zeros, thetas, pairs, radius)
+        def wide(zeros, thetas, pairs):
+            faces = original(zeros, thetas, pairs)
             a, b = np.asarray(zeros)[np.asarray(pairs).ravel()]
             return dataclasses.replace(faces, radius=np.array([0.025 * abs(b - a)]))
 
@@ -877,7 +889,7 @@ class TestTangencyRoute:
         assert theorems.check_poor_mans_siebeck(zeros).verdict == theorems.PASS
         counts = {name: len(args) for name, args in calls.items()}
         assert counts == {"certify_faces": 1, "certify_supports": 1, "secular_supports": 1}
-        [(_, normals, pairs, _)] = calls["certify_faces"]
+        [(_, normals, pairs)] = calls["certify_faces"]
         assert np.size(normals) == edges
         assert np.array_equal(pairs, np.array(hyp.vertex_indices) - 1)
         [(_, grid)] = calls["secular_supports"]
@@ -886,7 +898,7 @@ class TestTangencyRoute:
         calls.clear()
         assert theorems.check_edge_preimage(zeros, 2).verdict == theorems.PASS
         assert {name: len(args) for name, args in calls.items()} == {"certify_faces": 1}
-        [(_, normals, pairs, _)] = calls["certify_faces"]
+        [(_, normals, pairs)] = calls["certify_faces"]
         assert np.size(normals) == 1 and np.array_equal(np.ravel(pairs), np.array(hyp.vertex_indices[1]) - 1)
 
     def test_cross_check_trips_on_a_wrong_secular_route(self, monkeypatch):
@@ -911,11 +923,11 @@ class TestTangencyRoute:
             theorems.check_poor_mans_siebeck(zeros)
 
 
-def edge_faces(zeros, radius_units=TOL.geometry):
+def edge_faces(zeros):
     """The frame, the hypotheses and the face certificate of every hull
-    edge, to ``radius_units`` times the spread, as ``siebeck`` takes them."""
+    edge, as ``siebeck`` takes them."""
     frame, hyp = theorems._tangency_setup(zeros)
-    _, faces = theorems._faces(frame, hyp, list(range(len(hyp.edges))), radius_units * frame.spread)
+    _, faces = theorems._faces(frame, hyp, list(range(len(hyp.edges))))
     return frame, hyp, faces
 
 
@@ -950,9 +962,11 @@ class TestFaceCertificate:
         assert worst <= 8.0, worst
 
     def test_dense_face_is_within_the_certified_radius(self):
-        # the dense top eigenpair of H(theta) at every edge normal: its gap
-        # exceeds the certified gap, and its face point lies within the
-        # certified radius (at most the bound) of the midpoint
+        # the dense top eigenpair of H(theta) at every edge normal: the
+        # certified gap is half its gap, to the bisection's 3%, and its face
+        # point lies within the certified radius (at most the default
+        # bound) of the midpoint, up to the dense solve's own roundoff
+        roundoff = 8 * np.finfo(float).eps
         for zeros in [*self.siebeck_ok(2), *k14_accepted(range(10))]:
             frame, hyp, faces = edge_faces(zeros)
             assert np.all(faces.radius <= TOL.geometry * frame.spread)
@@ -961,8 +975,9 @@ class TestFaceCertificate:
             for k, (a, b, _) in enumerate(hyp.edges):
                 phase = np.exp(-1j * normals[k])
                 w, v = np.linalg.eigh((phase * sub + np.conj(phase) * sub.conj().T) / 2)
-                assert w[-1] - w[-2] > faces.gap[k]
-                assert abs(v[:, -1].conj() @ sub @ v[:, -1] - (a + b) / 2) <= faces.radius[k]
+                assert 0.97 * (w[-1] - w[-2]) / 2 <= faces.gap[k] <= (1 + 1e-6) * (w[-1] - w[-2]) / 2
+                offset = abs(v[:, -1].conj() @ sub @ v[:, -1] - (a + b) / 2)
+                assert offset <= faces.radius[k] + roundoff * frame.spread
                 assert faces.rayleigh[k] - 8 * np.finfo(float).eps * frame.spread <= w[-1]
                 assert abs(faces.rayleigh[k] - lines[k]) <= 8 * np.finfo(float).eps * frame.spread
 
@@ -1008,14 +1023,7 @@ class TestFaceCertificate:
 
         monkeypatch.setattr(fov, "_toeplitz_stack", doubled)
         with pytest.raises(NumericalError, match="face certificate"):
-            fov.certify_faces(frame.u, normals, np.array(hyp.vertex_indices) - 1, TOL.geometry * frame.spread)
-
-    def test_radius_follows_the_bound(self):
-        zeros = generate_zeros(make_rng(127), 8, "siebeck-ok")
-        for units in (1e-9, 1e-7, 1e-3):
-            frame, _, faces = edge_faces(zeros, units)
-            assert np.all(faces.radius <= units * frame.spread)
-            assert np.all(faces.radius >= units * frame.spread / 4)  # half the bound, unless the gap floor binds
+            fov.certify_faces(frame.u, normals, np.array(hyp.vertex_indices) - 1)
 
 
 class TestCertificateBracket:
