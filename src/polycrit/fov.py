@@ -21,15 +21,15 @@ whose entries all have modulus 1/sqrt(n), as the DFT construction of
 ``matricial`` does, H(theta) compresses diag(x) with x_k =
 Re(exp(-i*theta) z_k), so the support is the largest root mu of the
 secular equation sum_k 1/(mu - x_k) = 0: the largest critical point of
-prod_k (mu - x_k). ``secular_supports`` solves it from the zeros in O(n)
-per angle and Newton step. Two certificates work from the zeros, on
-H(theta) of A_(1), without an eigensolve: ``certify_supports`` brackets
-secular supports between a Rayleigh quotient and a Cholesky factorisation
-of (s + delta) I - H(theta), and ``certify_faces`` shows that at the
-outward normal of a hull edge F(A_(1)) meets the edge's line in one point,
-within a certified radius of the edge's midpoint, from the edge's mode
-vector, a secular estimate of the gap below its eigenvalue and one Cholesky
-factorisation.
+prod_k (mu - x_k). ``certify_faces`` works from the zeros, on H(theta) of
+A_(1), without an eigensolve: at the outward normal of a hull edge it
+brackets the support between the Rayleigh quotient of the edge's mode
+vector and an upper bound, and shows that F(A_(1)) meets the edge's line
+in one point, within a certified radius of the edge's midpoint, from that
+mode vector, a secular estimate of the gap below its eigenvalue and one
+Cholesky factorisation. A convex polygon is the intersection of its edge
+half-planes, so the upper bounds at the hull's edge normals decide whether
+F(A_(1)) lies in the hull at every angle.
 """
 
 from __future__ import annotations
@@ -242,125 +242,6 @@ def sweep_supports(a, thetas) -> np.ndarray:
     return _boundary(as_square(a), np.atleast_1d(np.asarray(thetas, dtype=float)))[0]
 
 
-# A secular solve stops once its step is at most this many units of
-# roundoff of the width of the projected zeros, or at the step cap.
-_SECULAR_STEP_ULPS = 4.0
-_SECULAR_MAX_STEPS = 100
-
-
-def secular_supports(zeros, thetas) -> np.ndarray:
-    """Support values of F(A_(1)) at many angles, from the zeros alone,
-    where A_(1) compresses the normal matrix with eigenvalues ``zeros`` by a
-    vector whose entries all have modulus 1/sqrt(n) (as the DFT makes it).
-
-    At each angle, x = Re(exp(-i theta) zeros) and d = x - max(x). The
-    support is max(x) + s for the root s in (d_second, 0] of
-    F(s) = s + 1 / psi(s), psi(s) = sum over the other zeros of 1/(s - d_k):
-    the largest root of sum 1/(mu - x_k) = 0. F increases and is concave
-    there, so Newton from 0 converges; a bisection bracket guards each step.
-    A top value that is attained twice gives s = 0. All angles are solved
-    together, one row each, each until its step is below roundoff; numpy
-    sums each row on its own, so a support does not depend on the other
-    angles of the call.
-    """
-    z = np.atleast_1d(np.asarray(zeros, dtype=complex))
-    if z.size < 2:
-        raise ValueError("at least 2 zeros are required")
-    th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    x = np.real(np.exp(-1j * th)[:, None] * z)
-    rows = np.arange(th.size)
-    top = np.argmax(x, axis=1)
-    x_top = x[rows, top]
-    tol = _SECULAR_STEP_ULPS * np.finfo(float).eps * (x_top - np.min(x, axis=1))
-    d = x - x_top[:, None]
-    d[rows, top] = -np.inf  # 1/(s - d) = 0: the top zero leaves psi
-    lo = np.max(d, axis=1)
-    s = np.zeros(th.size)
-    # the rows still moving: their angles, d, bracket, tolerance and iterate
-    idx = np.flatnonzero(lo < 0.0)
-    d, lo, hi, tol, sa = d[idx], lo[idx], np.zeros(idx.size), tol[idx], np.zeros(idx.size)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(_SECULAR_MAX_STEPS):
-            if idx.size == 0:
-                return x_top + s
-            inv = np.reciprocal(sa[:, None] - d)
-            psi = inv.sum(axis=1)
-            f = sa + 1.0 / psi
-            below = f < 0.0
-            lo, hi = np.where(below, sa, lo), np.where(below, hi, sa)
-            new = sa - f / (1.0 + np.einsum("ij,ij->i", inv, inv) / (psi * psi))
-            new = np.where((new > lo) & (new <= hi), new, 0.5 * (lo + hi))
-            s[idx] = new
-            moving = (np.abs(new - sa) > tol) & (hi - lo > tol)
-            idx, d, lo, hi, tol, sa = idx[moving], d[moving], lo[moving], hi[moving], tol[moving], new[moving]
-    raise NumericalError("secular equation did not converge")
-
-
-def certify_supports(zeros, thetas, supports, delta: float) -> np.ndarray:
-    """Certify secular supports ``s`` of F(A_(1)) at ``thetas`` from both
-    sides, where A_(1) is that of ``matricial.build_construction(zeros)`` (A
-    = F diag(zeros) F* / n, F the DFT matrix): returns Rayleigh quotients rho
-    of H(theta) with s - delta <= rho <= lambda_max < s + delta, or raises
-    NumericalError naming the side that failed, the angle and by how much.
-
-    Upper side: a Cholesky factorisation of (s + delta) I - H(theta)
-    succeeds only if lambda_max < s + delta, up to Cholesky's backward error
-    of order n * eps * ||H|| (Higham, Accuracy and Stability of Numerical
-    Algorithms, 10.1). Lower side: every quotient y* H y / y* y is at most
-    lambda_max (Parlett, The Symmetric Eigenvalue Problem), up to its own
-    roundoff of the same order. Both test vectors are valid, and the larger
-    quotient counts:
-
-    - the secular eigenvector y = fft(1/(x - s))[1:], x = Re(exp(-i theta)
-      zeros): the top eigenvector when s is the largest root of
-      sum 1/(mu - x_k) = 0;
-    - the difference of the two top modes fft(e_a - e_b)[1:], whose quotient
-      is (x_a + x_b) / 2: the top eigenvector where the top projection is
-      attained twice (at an edge normal), where the resolvent divides by
-      zero and the secular vector means nothing.
-
-    H(theta) is gathered from the zeros (``_toeplitz_stack``), in the
-    chunks of ``_direction_chunks``, and no A_(1) is formed."""
-    z = np.asarray(zeros, dtype=complex)
-    th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    s = np.atleast_1d(np.asarray(supports, dtype=float))
-    x = np.real(np.exp(-1j * th)[:, None] * z)
-    top = np.argsort(x, axis=1)[:, -2:]
-    probes = np.zeros((th.size, 2, x.shape[1]))
-    rows = np.arange(th.size)
-    probes[rows, 1, top[:, 1]], probes[rows, 1, top[:, 0]] = 1.0, -1.0  # e_a - e_b
-    rho = np.empty(th.size)
-    diagonal = np.arange(z.size - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # at an exact top tie the mode difference certifies
-        probes[:, 0] = 1.0 / (x - s[:, None])
-        vectors = np.fft.fft(probes, axis=-1)[:, :, 1:]
-        gather = _toeplitz_stack(z)
-        for part in _direction_chunks(z.size - 1, th):
-            stack, y = gather(th[part]), vectors[part]
-            quotients = np.einsum("kvi,kvi->kv", y.conj() @ stack, y).real / np.einsum("kvi,kvi->kv", y.conj(), y).real
-            rho[part] = np.fmax(quotients[:, 0], quotients[:, 1])
-            short = s[part] - rho[part]
-            if not (short <= delta).all():
-                k = int(np.argmax(short))  # a NaN first
-                raise NumericalError(
-                    f"support certificate, lower side: at theta = {th[part][k]:.6g} the Rayleigh quotient of "
-                    f"H(theta) falls short of the secular support by {short[k] / delta:.3g} delta (delta = {delta:.3g})"
-                )
-            shifted = np.multiply(stack, -1.0, out=stack)  # faster than np.negative on complex
-            shifted[:, diagonal, diagonal] += (s[part] + delta)[:, None]
-            try:
-                np.linalg.cholesky(shifted)
-            except np.linalg.LinAlgError:
-                lowest = np.linalg.eigvalsh(shifted)[:, 0]  # the failure's size, on this path only
-                k = int(np.argmin(lowest))
-                raise NumericalError(
-                    f"support certificate, upper side: at theta = {th[part][k]:.6g} the largest eigenvalue of "
-                    f"H(theta) exceeds the secular support by {(delta - lowest[k]) / delta:.3g} delta "
-                    f"(delta = {delta:.3g}): (s + delta) I - H(theta) has no Cholesky factor"
-                ) from None
-    return rho
-
-
 # ``certify_faces`` works in units of s, the largest |zero| (at least
 # ||H(theta)||): it adds c y y* to -H(theta) with c this many times s, twice
 # any gap it can certify; it counts one unit of roundoff of s into each
@@ -378,13 +259,15 @@ class FaceCertificate:
     """What ``certify_faces`` proved at each edge normal: the Rayleigh
     quotient rho of the edge's mode vector y, its residual ||H y - rho y||
     (with the unit of roundoff it counts in), a gap below rho that holds
-    every other eigenvalue of H(theta), and the radius about the edge's
-    midpoint within which F(A_(1)) meets the line
+    every other eigenvalue of H(theta), the upper bound rho + r^2 / gap on
+    lambda_max(H(theta)), the support of F(A_(1)) there, and the radius
+    about the edge's midpoint within which F(A_(1)) meets the line
     Re(exp(-i theta) w) = lambda_max(H(theta))."""
 
     rayleigh: np.ndarray
     residual: np.ndarray
     gap: np.ndarray
+    upper: np.ndarray
     radius: np.ndarray
 
 
@@ -393,9 +276,10 @@ def certify_faces(zeros, thetas, pairs) -> FaceCertificate:
     ``matricial.build_construction(zeros)``, meets its supporting line at
     each angle of ``thetas`` in one point near the midpoint of the two
     zeros that ``pairs`` names there (0-based): at the outward normal of a
-    hull edge, its two endpoints. Returns the certified radius, which does
-    not depend on any bound; raises NumericalError naming the edge and the
-    gap it tried when the factorisation fails.
+    hull edge, its two endpoints. Returns the support bracket [rho, upper]
+    and the certified radius, neither of which depends on any bound; raises
+    NumericalError naming the edge and the gap it tried when the
+    factorisation fails.
 
     At such an angle the top projection x_a = x_b of the zeros is attained
     twice, and y = fft(e_a - e_b)[1:] / sqrt(2n) is an eigenvector of
@@ -442,9 +326,10 @@ def certify_faces(zeros, thetas, pairs) -> FaceCertificate:
     d[rows, ends[:, 0]] = d[rows, ends[:, 1]] = -np.inf  # the edge's double pole leaves the sum
     lo, hi = np.full(th.size, math.log2(floor)), np.log2(-np.max(d, axis=1))
     for _ in range(_FACE_BISECTIONS):
-        s = -np.exp2(0.5 * (lo + hi))
+        mid = 0.5 * (lo + hi)
+        s = -np.exp2(mid)
         below = 2.0 / s + np.sum(1.0 / (s[:, None] - d), axis=1) < 0.0  # -s below the gap
-        lo, hi = np.where(below, 0.5 * (lo + hi), lo), np.where(below, hi, 0.5 * (lo + hi))
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     gap = np.maximum(np.exp2(lo - 1.0), floor)
     rho, residual = np.empty(th.size), np.empty(th.size)
     diagonal = np.arange(z.size - 1)
@@ -471,7 +356,7 @@ def certify_faces(zeros, thetas, pairs) -> FaceCertificate:
                 f"eigenvalues of H(theta) are not below the Rayleigh quotient by the gap {gap[part][k]:.3g}: "
                 f"(rho - gap) I - H(theta) + c y y* has no Cholesky factor"
             ) from None
-    return FaceCertificate(rho, residual, gap, residual * (width + residual) / gap)
+    return FaceCertificate(rho, residual, gap, rho + residual**2 / gap, residual * (width + residual) / gap)
 
 
 def boundary_polyline(a, m: int = DEFAULT_SWEEP_SAMPLES) -> BoundaryPolyline:

@@ -476,11 +476,6 @@ def _edge_normals(edges) -> tuple[np.ndarray, np.ndarray]:
     return angles, np.array([(np.conj(normal) * a).real for a, _, normal in edges])
 
 
-# The containment certificate brackets each secular support at the 8 grid
-# angles within this many units of the spread (``fov.certify_supports``).
-_CONTAINMENT_DELTA = 1e-12
-
-
 def _tangency_setup(zeros) -> tuple[_Frame, SiebeckHypotheses]:
     """The zeros in their frame and their tangency hypotheses, as both
     tangency checkers take them; PreconditionsUnmet when the hypotheses
@@ -523,27 +518,25 @@ def check_poor_mans_siebeck(zeros, tol: float = TOL.geometry) -> CheckReport:
     only, each within ``tol`` times the spread of the zeros.
 
     At each edge normal the face certificate (``fov.certify_faces``) gives
-    the Rayleigh quotient rho of the edge's mode vector, with lambda_max of
-    H(theta) in [rho, rho + r^2 / gap], and proves that F(A_(1)) meets the
-    line there in one point, within the certified ``face_radius`` of the
-    midpoint, which does not depend on the bound: a bound below it, as any
-    bound of at most 0, gives ``fail``. ``face_min_gap`` is the least gap
-    it certified below rho. Containment is measured on those quotients
-    and, at 8 grid angles, on Rayleigh quotients that bracket the secular
-    supports from both sides within ``_CONTAINMENT_DELTA`` times the spread
-    (``fov.certify_supports``), so both come from H(theta) of the
-    constructed ``A_(1)``; a certificate that fails raises NumericalError."""
+    the Rayleigh quotient rho of the edge's mode vector and proves
+    lambda_max of H(theta) in [rho, upper], upper = rho + r^2 / gap, and
+    that F(A_(1)) meets the line there in one point, within the certified
+    ``face_radius`` of the midpoint, which does not depend on the bound: a
+    bound below it, as any bound of at most 0, gives ``fail``.
+    ``face_min_gap`` is the least gap it certified below rho. The hull is
+    the intersection of its edge half-planes, and under the strict
+    half-plane hypothesis the edges are the whole hull, so F(A_(1)) lies in
+    it at every angle when its support at each edge normal is at most the
+    edge's line: ``containment_excess`` is the largest upper - line. All of
+    it comes from H(theta) of the constructed ``A_(1)``; a certificate that
+    fails raises NumericalError."""
     tols = {"geometry": tol, "hypotheses": TOL.geometry}
     try:
         frame, hyp = _tangency_setup(zeros)
     except PreconditionsUnmet as exc:
         return preconditions_unmet("siebeck", str(exc), tols, exc.evidence)
     lines, faces = _faces(frame, hyp, list(range(len(hyp.edges))))
-    grid = 2.0 * np.pi * np.arange(8) / 8
-    secular = fov.secular_supports(frame.u, grid)
-    rayleigh = fov.certify_supports(frame.u, grid, secular, _CONTAINMENT_DELTA * frame.spread)
-    hull = np.max(np.real(np.exp(-1j * grid)[:, None] * frame.u[None, :]), axis=1)
-    containment_excess = float(max(np.max(rayleigh - hull), np.max(faces.rayleigh - lines)))
+    containment_excess = float(np.max(faces.upper - lines))
     tangency_gap = float(np.max(np.abs(faces.rayleigh - lines)))
     face_radius = float(np.max(faces.radius))
     worst = max(containment_excess, tangency_gap, face_radius)

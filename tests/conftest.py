@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from polycrit import fov, geom, theorems
+from polycrit import fov, geom
+from polycrit.config import TOL
 from polycrit.rng import Xoshiro256StarStar, random_matrix, random_zeros
 
 settings.register_profile(
@@ -38,18 +41,56 @@ def random_normal_matrix(rng: Xoshiro256StarStar, n: int) -> np.ndarray:
     return (u * lam[None, :]) @ u.conj().T
 
 
-def moved_secular_supports(sign: float):
-    """``fov.secular_supports`` with the fourth of the 8 containment angles
-    of ``check_poor_mans_siebeck`` moved by ``sign`` times its certificate's
-    delta."""
-    original = fov.secular_supports
+def moved_first_face(factor: float):
+    """``fov.certify_faces`` with the Rayleigh quotient of its first edge,
+    and the upper bound above it, moved up by ``factor`` times
+    ``TOL.geometry`` times the spread of the zeros it is given."""
+    original = fov.certify_faces
 
-    def moved(u, thetas):
-        supports = original(u, thetas)
-        supports[3] += sign * theorems._CONTAINMENT_DELTA * geom.point_spread(u)
-        return supports
+    def moved(u, thetas, pairs):
+        faces = original(u, thetas, pairs)
+        shift = np.zeros(faces.rayleigh.size)
+        shift[0] = factor * TOL.geometry * geom.point_spread(u)
+        return dataclasses.replace(faces, rayleigh=faces.rayleigh + shift, upper=faces.upper + shift)
 
     return moved
+
+
+def row_major_secular_supports(zeros, thetas):
+    """The support of F(A_(1)) from the zeros alone, where A_(1) compresses
+    the normal matrix with eigenvalues ``zeros`` by a vector whose entries
+    all have modulus 1/sqrt(n): at each angle, x = Re(exp(-i theta) zeros)
+    and the support is the largest root of sum 1/(mu - x_k) = 0, by Newton
+    from max(x) on the concave F(s) = s + 1 / psi(s), guarded by a bisection
+    bracket, one row per angle, until each step is below roundoff. A top
+    value attained twice is the support itself. This is the paper's secular
+    identity, which the tests hold against dense eigensolves of A_(1)."""
+    z = np.asarray(zeros, dtype=complex)
+    th = np.asarray(thetas, dtype=float)
+    x = np.real(np.exp(-1j * th)[:, None] * z[None, :])
+    rows = np.arange(th.size)
+    top = np.argmax(x, axis=1)
+    x_top = x[rows, top]
+    d = x - x_top[:, None]
+    d[rows, top] = -np.inf
+    lo = np.max(d, axis=1)
+    tol = 4.0 * np.finfo(float).eps * (x_top - np.min(x, axis=1))
+    s = np.zeros(th.size)
+    idx = np.flatnonzero(lo < 0.0)
+    d, lo, hi, tol, sa = d[idx], lo[idx], np.zeros(idx.size), tol[idx], np.zeros(idx.size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while idx.size:
+            inv = np.reciprocal(sa[:, None] - d)
+            psi = inv.sum(axis=1)
+            f = sa + 1.0 / psi
+            below = f < 0.0
+            lo, hi = np.where(below, sa, lo), np.where(below, hi, sa)
+            new = sa - f / (1.0 + np.einsum("ij,ij->i", inv, inv) / (psi * psi))
+            new = np.where((new > lo) & (new <= hi), new, 0.5 * (lo + hi))
+            s[idx] = new
+            moving = (np.abs(new - sa) > tol) & (hi - lo > tol)
+            idx, d, lo, hi, tol, sa = idx[moving], d[moving], lo[moving], hi[moving], tol[moving], new[moving]
+    return x_top + s
 
 
 def scipy_bottleneck(cost):

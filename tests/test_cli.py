@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import moved_secular_supports
+from conftest import moved_first_face
 from polycrit import cli, figures, fov, generate, poly, theorems
 from polycrit.errors import PreconditionsUnmet
 from polycrit.figures import LAYERS
@@ -252,30 +252,14 @@ class TestCheckExitCodes:
         assert code == 4
         assert "numerical failure" in err
 
-    def test_secular_cross_check_failure_is_four(self, tmp_path, capsys, monkeypatch):
-        # a secular route off by 1e-9 of the spread is a numerical failure of
-        # siebeck's containment certificate, never a fail of the theorem;
-        # edge-preimage solves no secular equation
-        from polycrit import fov, geom
-
-        original = fov.secular_supports
-        monkeypatch.setattr(fov, "secular_supports", lambda u, t: original(u, t) + 1e-9 * geom.point_spread(u))
+    def test_face_above_its_line_is_a_fail(self, tmp_path, capsys, monkeypatch):
+        # a face quotient moved 2 tol times the spread above its line: rho is
+        # at most lambda_max, so this is a proved violation, exit 2
+        monkeypatch.setattr(fov, "certify_faces", moved_first_face(2.0))
         inst = write_instance(tmp_path / "sq.json", {"roots": [[1, 0], [0, 1], [-1, 0], [0, -1], [0.2, 0.1]]})
         code, out, err = run_main(["check", inst, "--theorem", "siebeck"], capsys)
-        assert code == 4, out
-        assert out == "" and "numerical failure" in err
-        code, out, _ = run_main(["check", inst, "--theorem", "edge-preimage"], capsys)
-        assert code == 0 and json.loads(out)["verdict"] == "pass"
-
-    @pytest.mark.parametrize("sign, side", [(2.0, "lower side"), (-2.0, "upper side")])
-    def test_certificate_side_failure_is_four(self, tmp_path, capsys, monkeypatch, sign, side):
-        # one secular support moved by 2 delta at a containment angle: the
-        # side that catches it is named on the one stderr line
-        monkeypatch.setattr(fov, "secular_supports", moved_secular_supports(sign))
-        inst = write_instance(tmp_path / "sq.json", {"roots": [[1, 0], [0, 1], [-1, 0], [0, -1], [0.2, 0.1]]})
-        code, out, err = run_main(["check", inst, "--theorem", "siebeck"], capsys)
-        assert code == 4, out
-        assert out == "" and err.startswith("numerical failure: support certificate, " + side)
+        assert code == 2 and err == ""
+        assert json.loads(out)["verdict"] == "fail"
 
     @pytest.mark.parametrize("theorem", ["siebeck", "edge-preimage"])
     def test_unresolved_face_is_four(self, tmp_path, capsys, monkeypatch, theorem):

@@ -1,11 +1,12 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import make_rng, random_normal_matrix
-from polycrit import fov, geom, matricial, numlin, poly
+from conftest import make_rng, random_normal_matrix, row_major_secular_supports
+from polycrit import fov, geom, matricial, numlin, poly, theorems
 from polycrit.generate import generate_zeros
 from polycrit.rng import random_matrix, random_zeros
 
@@ -327,46 +328,15 @@ TIE_INSTANCES = {
 }
 
 
-def row_major_secular_supports(zeros, thetas):
-    """Reference for ``fov.secular_supports``, kept apart from it so that a
-    change to the solve that moves a bit shows: the same Newton iteration
-    with one row per angle, summing each row with numpy's own reductions,
-    with no step cap."""
-    z = np.asarray(zeros, dtype=complex)
-    th = np.asarray(thetas, dtype=float)
-    x = np.real(np.exp(-1j * th)[:, None] * z[None, :])
-    rows = np.arange(th.size)
-    top = np.argmax(x, axis=1)
-    x_top = x[rows, top]
-    d = x - x_top[:, None]
-    d[rows, top] = -np.inf
-    lo = np.max(d, axis=1)
-    tol = 4.0 * np.finfo(float).eps * (x_top - np.min(x, axis=1))
-    s = np.zeros(th.size)
-    idx = np.flatnonzero(lo < 0.0)
-    d, lo, hi, tol, sa = d[idx], lo[idx], np.zeros(idx.size), tol[idx], np.zeros(idx.size)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while idx.size:
-            inv = np.reciprocal(sa[:, None] - d)
-            psi = inv.sum(axis=1)
-            f = sa + 1.0 / psi
-            below = f < 0.0
-            lo, hi = np.where(below, sa, lo), np.where(below, hi, sa)
-            new = sa - f / (1.0 + np.einsum("ij,ij->i", inv, inv) / (psi * psi))
-            new = np.where((new > lo) & (new <= hi), new, 0.5 * (lo + hi))
-            s[idx] = new
-            moving = (np.abs(new - sa) > tol) & (hi - lo > tol)
-            idx, d, lo, hi, tol, sa = idx[moving], d[moving], lo[moving], hi[moving], tol[moving], new[moving]
-    return x_top + s
-
-
-class TestSecularSupports:
-    """The secular route against a dense eigensolve of A_(1)."""
+class TestSecularIdentity:
+    """The paper's secular identity: the support of F(A_(1)) is the largest
+    root of sum 1/(mu - x_k) = 0 (``row_major_secular_supports``), against a
+    dense eigensolve of A_(1)."""
 
     @staticmethod
     def assert_routes_agree(zeros, thetas):
         sub = numlin.principal_submatrix(matricial.build_construction(zeros), 1)
-        gap = np.max(np.abs(fov.secular_supports(zeros, thetas) - fov.sweep_supports(sub, thetas)))
+        gap = np.max(np.abs(row_major_secular_supports(zeros, thetas) - fov.sweep_supports(sub, thetas)))
         assert gap <= 1e-14 * geom.point_spread(zeros), gap
 
     @pytest.mark.parametrize("constraint", ["siebeck-ok", "none"])
@@ -388,39 +358,13 @@ class TestSecularSupports:
     @pytest.mark.parametrize("zeros", [TIE_INSTANCES["square"], [1, 1, -1, 1j], [1, 1, 1]])
     def test_a_top_attained_twice_is_the_support(self, zeros):
         # the top eigenvalue of diag(x) survives the compression exactly
-        assert fov.secular_supports(zeros, [0.0]).tolist() == [1.0]
+        assert row_major_secular_supports(zeros, [0.0]).tolist() == [1.0]
         self.assert_routes_agree(np.asarray(zeros, dtype=complex), np.array([0.0]))
 
     def test_two_zeros_give_the_midpoint(self):
         thetas = np.linspace(0.0, 6.0, 13)
-        supports = fov.secular_supports([0, 2 + 2j], thetas)
+        supports = row_major_secular_supports([0, 2 + 2j], thetas)
         np.testing.assert_allclose(supports, np.real(np.exp(-1j * thetas) * (1 + 1j)), rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("n", [3, 9, 33])
-    def test_each_angle_is_solved_on_its_own(self, n):
-        # a support does not depend on the other angles of the call; the
-        # degrees span numpy's 8-term pairwise block
-        zeros = generate_zeros(make_rng(401), n, "siebeck-ok")
-        thetas = 2 * np.pi * np.arange(97) / 97
-        together = fov.secular_supports(zeros, thetas)
-        alone = np.concatenate([fov.secular_supports(zeros, [t]) for t in thetas])
-        np.testing.assert_array_equal(together, alone)
-
-    @pytest.mark.parametrize("n", [3, 4, 9, 16, 33, 130])
-    @pytest.mark.parametrize("family", ["siebeck-ok", "wide"])
-    def test_bit_for_bit_the_row_major_solve(self, n, family):
-        if family == "wide":  # zeros over sixteen decades, as in K14
-            rng = np.random.default_rng(n)
-            zeros = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
-            zeros = zeros + 1j * rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
-        else:
-            zeros = generate_zeros(make_rng(405 + n), n, "siebeck-ok" if n < 100 else "none")
-        thetas = np.concatenate([2 * np.pi * np.arange(720) / 720, _edge_fans(zeros, np.geomspace(1e-6, 0.7, 48))])
-        assert np.array_equal(fov.secular_supports(zeros, thetas), row_major_secular_supports(zeros, thetas))
-
-    def test_needs_two_zeros(self):
-        with pytest.raises(ValueError):
-            fov.secular_supports([1.0], [0.0])
 
 
 class TestPointMargin:
@@ -448,7 +392,7 @@ class TestPointMargin:
 
 
 class TestToeplitzStack:
-    """``certify_supports`` gathers H(theta) of A_(1) from the circulant
+    """``certify_faces`` gathers H(theta) of A_(1) from the circulant
     column of the construction."""
 
     @staticmethod
@@ -467,9 +411,13 @@ class TestToeplitzStack:
         np.testing.assert_array_equal(gathered.view(np.uint64), dense.view(np.uint64))
 
     def test_chunks_change_no_bit(self, monkeypatch):
-        u, a = self.construction(8)
-        thetas = 2 * np.pi * np.arange(16) / 16
-        supports = fov.secular_supports(u, thetas)
-        whole = fov.certify_supports(u, thetas, supports, 1e-12)
-        monkeypatch.setattr(fov, "_SWEEP_ENTRIES", 3 * a.size)
-        np.testing.assert_array_equal(fov.certify_supports(u, thetas, supports, 1e-12), whole)
+        # the face certificate of every edge, whole and three edges a chunk
+        frame, hyp = theorems._tangency_setup(generate_zeros(make_rng(418), 8, "siebeck-ok"))
+        normals, _ = theorems._edge_normals(hyp.edges)
+        pairs = np.array(hyp.vertex_indices) - 1
+        assert normals.size > 3
+        whole = fov.certify_faces(frame.u, normals, pairs)
+        monkeypatch.setattr(fov, "_SWEEP_ENTRIES", 3 * (frame.u.size - 1) ** 2)
+        chunked = fov.certify_faces(frame.u, normals, pairs)
+        for field in dataclasses.fields(whole):
+            np.testing.assert_array_equal(getattr(chunked, field.name), getattr(whole, field.name))

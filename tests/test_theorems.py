@@ -1,10 +1,11 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from conftest import make_rng, moved_secular_supports, scipy_bottleneck
+from conftest import make_rng, moved_first_face, row_major_secular_supports, scipy_bottleneck
 from polycrit import figures, fov, geom, matricial, numlin, poly, theorems
 from polycrit.config import TOL
 from polycrit.errors import NumericalError, PreconditionsUnmet
@@ -662,14 +663,15 @@ class TestBgm:
     @staticmethod
     def assert_steiner_range(zeros):
         """F(A_(1)) of a triangle is its Steiner inellipse (the paper's
-        matricial Bocher-Grace-Marden): in the frame, the secular and the
-        dense supports of A_(1) both meet the inellipse's within 16 eps
-        times the spread on the 720-angle grid."""
+        matricial Bocher-Grace-Marden): in the frame, the secular
+        (``row_major_secular_supports``) and the dense supports of A_(1)
+        both meet the inellipse's within 16 eps times the spread on the
+        720-angle grid."""
         frame = theorems._frame(zeros, 3, exact=True)
         thetas = 2 * np.pi * np.arange(720) / 720
         expected = fov.ellipse_support(geom.steiner_inellipse(*frame.u), thetas)
         sub = numlin.principal_submatrix(matricial.build_construction(frame.u), 1)
-        for supports in (fov.secular_supports(frame.u, thetas), fov.sweep_supports(sub, thetas)):
+        for supports in (row_major_secular_supports(frame.u, thetas), fov.sweep_supports(sub, thetas)):
             assert np.max(np.abs(supports - expected)) <= 16 * np.finfo(float).eps * frame.spread
 
     def test_field_of_values_is_the_steiner_inellipse(self):
@@ -852,8 +854,7 @@ class TestEdgePreimage:
 
 
 # a triangle, a square and a heptagon: at every edge normal the top
-# projection is attained twice, where the secular vector is meaningless and
-# the difference of the two top modes certifies
+# projection is attained twice in floating point too
 TIE_INSTANCES = {
     "triangle": np.array([0, 2, 2j]),
     "square": np.array([0, 1, 1 + 1j, 1j]),
@@ -864,8 +865,8 @@ TIE_INSTANCES = {
 class TestTangencyRoute:
     """The tangency checkers decide each edge on its face: one certificate
     of H(theta) of the constructed A_(1) at the edge normals
-    (``fov.certify_faces``). ``siebeck`` adds its containment certificate at
-    8 grid angles (``fov.certify_supports`` of secular supports)."""
+    (``fov.certify_faces``). ``siebeck`` decides containment on the same
+    certificates: the hull is the intersection of its edge half-planes."""
 
     @staticmethod
     def count(monkeypatch, name, calls):
@@ -878,49 +879,38 @@ class TestTangencyRoute:
         monkeypatch.setattr(fov, name, wrapper)
 
     @pytest.mark.parametrize("n", [8, 32])
-    def test_one_face_certificate_and_one_containment_certificate(self, n, monkeypatch):
+    def test_one_face_certificate(self, n, monkeypatch):
+        # every public function of fov and its dense kernel are counted
         zeros = generate_zeros(make_rng(127), n, "siebeck-ok")
         hyp = theorems.check_siebeck_hypotheses(zeros)
         edges = len(hyp.vertex_indices)
         calls = {}
-        for name in ("certify_faces", "certify_supports", "secular_supports", "sweep_supports", "point_margin"):
-            self.count(monkeypatch, name, calls)
+        for name, value in list(vars(fov).items()):
+            if inspect.isfunction(value) and value.__module__ == fov.__name__ and (name[0] != "_" or name == "_boundary"):
+                self.count(monkeypatch, name, calls)
         monkeypatch.setattr(matricial, "build_construction", None)  # the certificates form no A
         assert theorems.check_poor_mans_siebeck(zeros).verdict == theorems.PASS
-        counts = {name: len(args) for name, args in calls.items()}
-        assert counts == {"certify_faces": 1, "certify_supports": 1, "secular_supports": 1}
+        assert {name: len(args) for name, args in calls.items()} == {"certify_faces": 1}
         [(_, normals, pairs)] = calls["certify_faces"]
         assert np.size(normals) == edges
         assert np.array_equal(pairs, np.array(hyp.vertex_indices) - 1)
-        [(_, grid)] = calls["secular_supports"]
-        [(_, certified, _, _)] = calls["certify_supports"]
-        assert np.array_equal(grid, 2 * np.pi * np.arange(8) / 8) and np.array_equal(certified, grid)
         calls.clear()
         assert theorems.check_edge_preimage(zeros, 2).verdict == theorems.PASS
         assert {name: len(args) for name, args in calls.items()} == {"certify_faces": 1}
         [(_, normals, pairs)] = calls["certify_faces"]
         assert np.size(normals) == 1 and np.array_equal(np.ravel(pairs), np.array(hyp.vertex_indices[1]) - 1)
 
-    def test_cross_check_trips_on_a_wrong_secular_route(self, monkeypatch):
-        original = fov.secular_supports
-        zeros = generate_zeros(make_rng(127), 8, "siebeck-ok")
-        before = theorems.check_edge_preimage(zeros, 1)
-        assert theorems.check_poor_mans_siebeck(zeros).verdict == before.verdict == theorems.PASS
-        monkeypatch.setattr(fov, "secular_supports", lambda u, t: original(u, t) + 1e-9 * geom.point_spread(u))
-        with pytest.raises(NumericalError, match="support certificate"):
-            theorems.check_poor_mans_siebeck(zeros)
-        assert theorems.check_edge_preimage(zeros, 1) == before  # it solves no secular equation
-
-    @pytest.mark.parametrize("sign, side", [(2.0, "lower side"), (-2.0, "upper side")])
-    def test_each_side_trips_on_one_moved_support(self, sign, side, monkeypatch):
-        # a secular support moved by 2 delta at the fourth containment
-        # angle: above the top eigenvalue the Rayleigh quotient falls short,
-        # below it (s + delta) I - H(theta) has no Cholesky factor
+    def test_a_face_above_its_line_fails(self, monkeypatch):
+        # a face quotient moved 2 tol times the spread above its line: rho
+        # is at most lambda_max, so F(A_(1)) leaves the hull by at least that
         zeros = generate_zeros(make_rng(127), 8, "siebeck-ok")
         assert theorems.check_poor_mans_siebeck(zeros).verdict == theorems.PASS
-        monkeypatch.setattr(fov, "secular_supports", moved_secular_supports(sign))
-        with pytest.raises(NumericalError, match=side):
-            theorems.check_poor_mans_siebeck(zeros)
+        monkeypatch.setattr(fov, "certify_faces", moved_first_face(2.0))
+        report = theorems.check_poor_mans_siebeck(zeros)
+        spread = geom.point_spread(zeros)
+        assert report.verdict == theorems.FAIL
+        assert dict(report.details)["containment_excess"] >= 1.9 * TOL.geometry * spread
+        assert report.max_violation >= 1.9 * TOL.geometry * spread
 
 
 def edge_faces(zeros):
@@ -1026,30 +1016,23 @@ class TestFaceCertificate:
             fov.certify_faces(frame.u, normals, np.array(hyp.vertex_indices) - 1)
 
 
-class TestCertificateBracket:
-    """At the edge normals and 8 grid angles the dense top eigenvalue of
-    H(theta) of A_(1) (``fov.sweep_supports``: the dense kernel, which only
+class TestSupportBracket:
+    """At each edge normal the dense top eigenvalue of H(theta) of A_(1)
+    (``fov.sweep_supports``: the dense kernel, which only
     ``check_elliptical_range`` runs, and not the tangency checkers) lies in
-    [rho, s + delta]: rho the Rayleigh quotient of ``fov.certify_supports``,
-    s the secular support and delta siebeck's containment delta times the
-    spread. rho is a quotient in floating point, so it may exceed the top
-    eigenvalue by the roundoff n eps ||H|| that both sides carry (||H|| <=
+    the face certificate's [rho, upper], up to the roundoff n eps ||H||
+    that a quotient in floating point and the dense solve carry (||H|| <=
     spread here)."""
 
     @staticmethod
     def assert_bracketed(zeros):
-        frame, hyp = theorems._tangency_setup(zeros)
+        frame, hyp, faces = edge_faces(zeros)
         normals, _ = theorems._edge_normals(hyp.edges)
-        thetas = np.concatenate([normals, 2 * np.pi * np.arange(8) / 8])
-        secular = fov.secular_supports(frame.u, thetas)
-        delta = theorems._CONTAINMENT_DELTA * frame.spread
-        rayleigh = fov.certify_supports(frame.u, thetas, secular, delta)
         sub = numlin.principal_submatrix(matricial.build_construction(frame.u), 1)
-        dense = fov.sweep_supports(sub, thetas)
+        dense = fov.sweep_supports(sub, normals)
         roundoff = frame.u.size * np.finfo(float).eps * frame.spread
-        assert np.all(rayleigh - roundoff <= dense), (rayleigh - dense) / frame.spread
-        assert np.all(dense < secular + delta), (dense - secular) / frame.spread
-        assert np.all(rayleigh >= secular - delta)
+        assert np.all(faces.rayleigh - roundoff <= dense), (faces.rayleigh - dense) / frame.spread
+        assert np.all(dense <= faces.upper + roundoff), (dense - faces.upper) / frame.spread
         return frame, normals
 
     @pytest.mark.parametrize("n", [3, 8, 32, 64])
@@ -1064,7 +1047,26 @@ class TestCertificateBracket:
         assert np.all(x[:, -1] - x[:, -2] <= 4 * np.finfo(float).eps)  # the ties this instance is here for
 
     def test_degree_200(self):
-        self.assert_bracketed(generate_zeros(make_rng(133), 200, "none"))
+        self.assert_bracketed(generate_zeros(make_rng(133), 200, "siebeck-ok"))
+
+
+class TestContainment:
+    """Where ``siebeck`` passes, F(A_(1)) lies in the hull at every angle:
+    the dense 720-angle sweep of A_(1) stays within the hull's support, up
+    to the dense solve's roundoff n eps times the spread."""
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 16, 32])
+    def test_dense_sweep_within_the_hull_where_siebeck_passes(self, n):
+        thetas = 2 * np.pi * np.arange(720) / 720
+        rng = make_rng(140 + n)
+        for _ in range(4):
+            zeros = generate_zeros(rng, n, "siebeck-ok")
+            assert theorems.check_poor_mans_siebeck(zeros).verdict == theorems.PASS
+            frame = theorems._frame(zeros, 3)
+            sub = numlin.principal_submatrix(matricial.build_construction(frame.u), 1)
+            hull = np.max(np.real(np.exp(-1j * thetas)[:, None] * frame.u), axis=1)
+            excess = np.max(fov.sweep_supports(sub, thetas) - hull)
+            assert excess <= n * np.finfo(float).eps * frame.spread, excess / frame.spread
 
 
 FLAGS_UNMET = (("unmet_hypothesis", "hypothesis flags not satisfied"),

@@ -11,17 +11,28 @@ and errors on the corpus when their outputs are identical::
     PYTHONPATH=/path/to/other/src python3 tools/report_corpus.py > before.txt
     diff before.txt after.txt
 
+With ``--outputs DIR`` each run's stdout and stderr are also written to
+``DIR/<run>.out`` and ``DIR/<run>.err``, ``<run>`` the command line with
+every character outside ``[A-Za-z0-9._=-]`` replaced by ``_``, so that two
+versions' outputs can be compared field by field::
+
+    PYTHONPATH=src python3 tools/report_corpus.py --outputs after > after.txt
+    PYTHONPATH=/path/to/other/src python3 tools/report_corpus.py --outputs before > before.txt
+    diff -r before after
+
 polycrit is imported from ``PYTHONPATH``. The instances are drawn from
 fixed seeds, so the corpus is the same on every run.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 import warnings
@@ -164,9 +175,15 @@ def boundary_commands() -> list[list[str]]:
     return runs
 
 
-def run(argv: list[str]) -> str:
+def _stem(argv: list[str]) -> str:
+    """The file name of a run's outputs under ``--outputs``."""
+    return re.sub(r"[^A-Za-z0-9._=-]", "_", " ".join(argv))
+
+
+def run(argv: list[str], outputs: Path | None = None) -> str:
     """The fingerprint line of one run; a ``random`` run also hashes the
-    instance files it wrote."""
+    instance files it wrote. With ``outputs``, the run's stdout and stderr
+    are written there (``--outputs``)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("always")
@@ -174,13 +191,22 @@ def run(argv: list[str]) -> str:
             code = str(cli.main(argv))
         except Exception as exc:  # a run that escapes the exit-code contract
             code = f"raised {type(exc).__name__}: {exc}"
+    if outputs is not None:
+        (outputs / f"{_stem(argv)}.out").write_text(out.getvalue(), encoding="utf-8")
+        (outputs / f"{_stem(argv)}.err").write_text(err.getvalue(), encoding="utf-8")
     written = sorted(Path(argv[argv.index("--out") + 1]).glob("*")) if argv[0] == "random" else []
     text = out.getvalue() + err.getvalue() + "".join(path.read_text(encoding="utf-8") for path in written)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return f"{' '.join(argv)}\t{code}\t{digest}"
 
 
-def main() -> int:
+def main(args: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Fingerprint the output of polycrit on a fixed corpus.")
+    parser.add_argument("--outputs", type=Path, help="also write each run's stdout and stderr to files in this directory")
+    outputs = parser.parse_args(args).outputs
+    if outputs is not None:
+        outputs = outputs.resolve()  # before the corpus changes directory
+        outputs.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):  # paths in messages do not vary
         files = instances()
         for name, text in files.items():
@@ -195,8 +221,9 @@ def main() -> int:
             for constraint in CONSTRAINTS
             for n, seed in ((3, 7), (12, 8))
         ]
+        assert len({_stem(argv) for argv in argvs}) == len(argvs), "two runs would share an output file"
         for argv in argvs:
-            print(run(argv))
+            print(run(argv, outputs))
     return 0
 
 
