@@ -261,6 +261,18 @@ class TestCheckExitCodes:
         assert code == 2 and err == ""
         assert json.loads(out)["verdict"] == "fail"
 
+    def test_face_below_its_line_is_a_fail(self, tmp_path, capsys, monkeypatch):
+        # a face quotient moved 2 tol times the spread below its line: the
+        # face misses the line, a proved tangency gap, exit 2
+        monkeypatch.setattr(fov, "certify_faces", moved_first_face(-2.0))
+        inst = write_instance(tmp_path / "sq.json", {"roots": [[1, 0], [0, 1], [-1, 0], [0, -1], [0.2, 0.1]]})
+        code, out, err = run_main(["check", inst, "--theorem", "siebeck"], capsys)
+        assert code == 2 and err == ""
+        report = json.loads(out)
+        details = dict(report["details"])
+        assert report["verdict"] == "fail" and details["tangency_gap"] == report["max_violation"] > 0
+        assert details["containment_excess"] < details["tangency_gap"]
+
     @pytest.mark.parametrize("theorem", ["siebeck", "edge-preimage"])
     def test_unresolved_face_is_four(self, tmp_path, capsys, monkeypatch, theorem):
         # a face gap no H(theta) can have (the gap floor raised past the

@@ -328,7 +328,7 @@ TIE_INSTANCES = {
 }
 
 
-class TestSecularIdentity:
+class TestSecularSupports:
     """The paper's secular identity: the support of F(A_(1)) is the largest
     root of sum 1/(mu - x_k) = 0 (``row_major_secular_supports``), against a
     dense eigensolve of A_(1)."""

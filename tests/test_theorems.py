@@ -912,6 +912,18 @@ class TestTangencyRoute:
         assert dict(report.details)["containment_excess"] >= 1.9 * TOL.geometry * spread
         assert report.max_violation >= 1.9 * TOL.geometry * spread
 
+    def test_a_face_below_its_line_fails(self, monkeypatch):
+        # a face quotient moved 2 tol times the spread below its line: the
+        # face misses the line, a tangency gap, and the hull still holds it
+        zeros = generate_zeros(make_rng(127), 8, "siebeck-ok")
+        monkeypatch.setattr(fov, "certify_faces", moved_first_face(-2.0))
+        report = theorems.check_poor_mans_siebeck(zeros)
+        spread = geom.point_spread(zeros)
+        assert report.verdict == theorems.FAIL
+        assert dict(report.details)["tangency_gap"] >= 1.9 * TOL.geometry * spread
+        assert dict(report.details)["containment_excess"] <= 8 * np.finfo(float).eps * spread
+        assert report.max_violation >= 1.9 * TOL.geometry * spread
+
 
 def edge_faces(zeros):
     """The frame, the hypotheses and the face certificate of every hull
@@ -980,6 +992,20 @@ class TestFaceCertificate:
         frame, _, faces = edge_faces(generate_zeros(make_rng(133), 200, "siebeck-ok"))
         assert np.all(faces.radius <= TOL.geometry * frame.spread)
 
+    @pytest.mark.parametrize("n", [3, 9, 33])
+    def test_each_face_is_certified_on_its_own(self, n):
+        # a face's certificate does not depend on the other edges of the
+        # call; the degrees span numpy's 8-term pairwise block
+        frame, hyp = theorems._tangency_setup(generate_zeros(make_rng(401), n, "siebeck-ok"))
+        normals, _ = theorems._edge_normals(hyp.edges)
+        pairs = np.array(hyp.vertex_indices) - 1
+        assert normals.size >= 3
+        together = fov.certify_faces(frame.u, normals, pairs)
+        alone = [fov.certify_faces(frame.u, normals[k : k + 1], pairs[k : k + 1]) for k in range(normals.size)]
+        for field in dataclasses.fields(together):
+            np.testing.assert_array_equal(getattr(together, field.name),
+                                          np.concatenate([getattr(face, field.name) for face in alone]))
+
     @pytest.mark.parametrize("check", [theorems.check_poor_mans_siebeck, lambda z: theorems.check_edge_preimage(z, 2)],
                              ids=["siebeck", "edge-preimage"])
     def test_an_unresolved_gap_raises_naming_the_edge(self, check, monkeypatch):
@@ -1016,7 +1042,7 @@ class TestFaceCertificate:
             fov.certify_faces(frame.u, normals, np.array(hyp.vertex_indices) - 1)
 
 
-class TestSupportBracket:
+class TestCertificateBracket:
     """At each edge normal the dense top eigenvalue of H(theta) of A_(1)
     (``fov.sweep_supports``: the dense kernel, which only
     ``check_elliptical_range`` runs, and not the tangency checkers) lies in
@@ -1049,24 +1075,43 @@ class TestSupportBracket:
     def test_degree_200(self):
         self.assert_bracketed(generate_zeros(make_rng(133), 200, "siebeck-ok"))
 
+    @pytest.mark.parametrize("n", [3, 4, 6, 10, 20])
+    def test_k14_draws(self, n):
+        # zeros over sixteen decades: the bracket is relative to the spread
+        draws = [zeros for zeros in k14_accepted(range(10)) if zeros.size == n]
+        assert draws
+        for zeros in draws:
+            self.assert_bracketed(zeros)
+
 
 class TestContainment:
     """Where ``siebeck`` passes, F(A_(1)) lies in the hull at every angle:
     the dense 720-angle sweep of A_(1) stays within the hull's support, up
     to the dense solve's roundoff n eps times the spread."""
 
+    @staticmethod
+    def assert_sweep_within_the_hull(zeros):
+        assert theorems.check_poor_mans_siebeck(zeros).verdict == theorems.PASS
+        thetas = 2 * np.pi * np.arange(720) / 720
+        frame = theorems._frame(zeros, 3)
+        sub = numlin.principal_submatrix(matricial.build_construction(frame.u), 1)
+        hull = np.max(np.real(np.exp(-1j * thetas)[:, None] * frame.u), axis=1)
+        excess = np.max(fov.sweep_supports(sub, thetas) - hull)
+        assert excess <= frame.u.size * np.finfo(float).eps * frame.spread, excess / frame.spread
+
     @pytest.mark.parametrize("n", [3, 4, 8, 16, 32])
     def test_dense_sweep_within_the_hull_where_siebeck_passes(self, n):
-        thetas = 2 * np.pi * np.arange(720) / 720
         rng = make_rng(140 + n)
         for _ in range(4):
-            zeros = generate_zeros(rng, n, "siebeck-ok")
-            assert theorems.check_poor_mans_siebeck(zeros).verdict == theorems.PASS
-            frame = theorems._frame(zeros, 3)
-            sub = numlin.principal_submatrix(matricial.build_construction(frame.u), 1)
-            hull = np.max(np.real(np.exp(-1j * thetas)[:, None] * frame.u), axis=1)
-            excess = np.max(fov.sweep_supports(sub, thetas) - hull)
-            assert excess <= n * np.finfo(float).eps * frame.spread, excess / frame.spread
+            self.assert_sweep_within_the_hull(generate_zeros(rng, n, "siebeck-ok"))
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 10, 20])
+    def test_dense_sweep_within_the_hull_on_k14_draws(self, n):
+        # zeros over sixteen decades, four draws the tangency hypotheses accept
+        draws = [zeros for zeros in k14_accepted(range(40)) if zeros.size == n][:4]
+        assert len(draws) == 4
+        for zeros in draws:
+            self.assert_sweep_within_the_hull(zeros)
 
 
 FLAGS_UNMET = (("unmet_hypothesis", "hypothesis flags not satisfied"),
