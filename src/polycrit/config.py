@@ -6,15 +6,12 @@ centroid) and bounds each length there by its tolerance times the spread
 of the zeros (their largest pairwise distance): ``match`` the matched
 distances of ``main``; ``geometry`` the hull violations of
 ``gauss-lucas``, the foci distances and tangency distances of ``bgm`` and
-the containment, tangency and face radii of ``siebeck``; ``linalg`` the
-gaps of ``interlacing``. Each report echoes the bounds it applied in
-``tolerances_used``. Two exceptions: ``elliptical-range`` bounds by
-``match`` times the Frobenius norm of its matrix, and the ``geometry``
-bound of ``edge-preimage`` is the midpoint neighborhood in units of the
-edge length (its members are the probes within its certified face
-radius). A guard of one kernel is a constant of
-that kernel's module. The sweep density is that of ``elliptical-range``
-and of the figures.
+the containment, tangency and face radii of ``siebeck`` and
+``edge-preimage``; ``linalg`` the gaps of ``interlacing``. Each report
+echoes the bounds it applied in ``tolerances_used``. One exception:
+``elliptical-range`` bounds by ``match`` times the Frobenius norm of its
+matrix. A guard of one kernel is a constant of that kernel's module. The
+sweep density is that of ``elliptical-range`` and of the figures.
 """
 
 from __future__ import annotations

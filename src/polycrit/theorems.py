@@ -488,21 +488,16 @@ def _tangency_setup(zeros) -> tuple[_Frame, SiebeckHypotheses]:
     return frame, hyp
 
 
-def _faces(frame: _Frame, hyp: SiebeckHypotheses, probed: list[int]) -> tuple[np.ndarray, fov.FaceCertificate]:
-    """The support of each probed hull edge's line at its outward normal
-    (``_edge_normals``), and the face certificate of ``A_(1)`` of the zeros
-    in the frame there (``fov.certify_faces``): F(A_(1)) meets the line in
-    one point within the certified radius of the edge's midpoint. A face it
-    cannot resolve raises NumericalError."""
-    normals, lines = _edge_normals([hyp.edges[k] for k in probed])
-    ends = np.array([hyp.vertex_indices[k] for k in probed]) - 1
-    return lines, fov.certify_faces(frame.u, normals, ends)
-
-
 def _edge_position(pairs, edge: int | tuple[int, int]) -> int:
     """The 0-based position of ``edge`` among the hull edges ``pairs`` (as
-    ``check_edge_preimage`` takes it); PreconditionsUnmet when it names none."""
-    if isinstance(edge, (int, np.integer)):
+    ``check_edge_preimage`` takes it); PreconditionsUnmet when it names none,
+    ValueError when it is neither an integer nor a pair of integers (a bool
+    is neither)."""
+    edge = edge.tolist() if isinstance(edge, np.ndarray) else edge
+    items = edge if isinstance(edge, (tuple, list)) and len(edge) == 2 else [edge]
+    if any(isinstance(x, bool) or not isinstance(x, (int, np.integer)) for x in items):
+        raise ValueError(f"an edge is a 1-based index or a pair of 1-based zero indices, not {edge!r}")
+    if len(items) == 1:
         if not 1 <= edge <= len(pairs):
             raise PreconditionsUnmet(f"edge index {edge} out of range")
         return int(edge) - 1
@@ -510,6 +505,36 @@ def _edge_position(pairs, edge: int | tuple[int, int]) -> int:
     if pair not in pairs and pair[::-1] not in pairs:
         raise PreconditionsUnmet(f"{pair} is not a hull edge")
     return pairs.index(pair if pair in pairs else pair[::-1])
+
+
+def _decide_faces(theorem: str, zeros, tol: float, pick) -> CheckReport:
+    """The tangency decision of ``theorem`` on the face certificate
+    (``fov.certify_faces``) of ``A_(1)`` of the zeros in the frame at the
+    outward normal (``_edge_normals``) of each hull edge that ``pick``
+    names by its 0-based position, given the hull edges' ``vertex_indices``.
+    Each edge gives its support excess upper - line, its tangency gap
+    |rho - line| and its face radius; the largest of each over the edges
+    decided is bounded by ``tol`` times the spread of the zeros."""
+    tols = {"geometry": tol, "hypotheses": TOL.geometry}
+    try:
+        frame, hyp = _tangency_setup(zeros)
+        probed = pick(hyp.vertex_indices)
+    except PreconditionsUnmet as exc:
+        return preconditions_unmet(theorem, str(exc), tols, exc.evidence)
+    normals, lines = _edge_normals([hyp.edges[k] for k in probed])
+    faces = fov.certify_faces(frame.u, normals, np.array([hyp.vertex_indices[k] for k in probed]) - 1)
+    containment_excess = float(np.max(faces.upper - lines))
+    tangency_gap = float(np.max(np.abs(faces.rayleigh - lines)))
+    face_radius = float(np.max(faces.radius))
+    worst = max(containment_excess, tangency_gap, face_radius)
+    details = (
+        ("containment_excess", frame.length(containment_excess)),
+        ("tangency_gap", frame.length(tangency_gap)),
+        ("face_radius", frame.length(face_radius)),
+        ("face_min_gap", frame.length(float(np.min(faces.gap)))),
+        ("hull_vertices", len(hyp.edges)),
+    )
+    return CheckReport(theorem, PASS if worst <= tol * frame.spread else FAIL, frame.length(worst), details, tols)
 
 
 def check_poor_mans_siebeck(zeros, tol: float = TOL.geometry) -> CheckReport:
@@ -530,24 +555,7 @@ def check_poor_mans_siebeck(zeros, tol: float = TOL.geometry) -> CheckReport:
     edge's line: ``containment_excess`` is the largest upper - line. All of
     it comes from H(theta) of the constructed ``A_(1)``; a certificate that
     fails raises NumericalError."""
-    tols = {"geometry": tol, "hypotheses": TOL.geometry}
-    try:
-        frame, hyp = _tangency_setup(zeros)
-    except PreconditionsUnmet as exc:
-        return preconditions_unmet("siebeck", str(exc), tols, exc.evidence)
-    lines, faces = _faces(frame, hyp, list(range(len(hyp.edges))))
-    containment_excess = float(np.max(faces.upper - lines))
-    tangency_gap = float(np.max(np.abs(faces.rayleigh - lines)))
-    face_radius = float(np.max(faces.radius))
-    worst = max(containment_excess, tangency_gap, face_radius)
-    details = (
-        ("containment_excess", frame.length(containment_excess)),
-        ("tangency_gap", frame.length(tangency_gap)),
-        ("face_radius", frame.length(face_radius)),
-        ("face_min_gap", frame.length(float(np.min(faces.gap)))),
-        ("hull_vertices", len(hyp.edges)),
-    )
-    return CheckReport("siebeck", PASS if worst <= tol * frame.spread else FAIL, frame.length(worst), details, tols)
+    return _decide_faces("siebeck", zeros, tol, lambda pairs: range(len(pairs)))
 
 
 def check_bgm(zeros, tol: float = TOL.geometry) -> CheckReport:
@@ -613,38 +621,23 @@ def check_elliptical_range(a, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = TOL.m
 
 
 def check_edge_preimage(zeros, edge: int | tuple[int, int], tol: float = TOL.geometry) -> CheckReport:
-    """Probe a hull edge at 101 evenly spaced points: the only probed
-    points of the edge segment that belong to the field of values of the
-    first principal submatrix are within ``tol`` of the midpoint (in units
-    of the edge length).
+    """Only the midpoint of one hull edge lies in the field of values of
+    the first principal submatrix: ``check_poor_mans_siebeck`` decided on
+    that edge alone, within ``tol`` times the spread of the zeros.
 
     The face certificate (``fov.certify_faces``) at the edge's outward
-    normal proves that F(A_(1)) meets the edge's line in one point, within
-    its certified radius of the midpoint. The members are the probes within
-    that radius of the midpoint: the midpoint alone unless the radius
-    reaches a probe spacing. The check passes when every member lies within
-    ``tol``; a face the certificate cannot resolve raises NumericalError.
+    normal proves that F(A_(1)) lies on the inner side of the edge's line
+    within ``containment_excess`` (upper - line), touches it within
+    ``tangency_gap`` (|rho - line|), and meets it in one point within the
+    certified ``face_radius`` of the midpoint. The report carries siebeck's
+    five detail fields, measured on this edge, and fails a bound below the
+    radius, as any bound of at most 0; a face the certificate cannot
+    resolve raises NumericalError.
 
     ``edge`` is either the 1-based position of the edge on the hull,
     counterclockwise as in ``check_siebeck_hypotheses(zeros).vertex_indices``,
     or a pair of 1-based indices into the zeros naming a hull edge in
-    either order. The edge is probed in its counterclockwise direction.
+    either order. On zeros that meet the tangency hypotheses, anything else
+    raises ValueError.
     """
-    tols = {"geometry": tol, "hypotheses": TOL.geometry}
-    try:
-        frame, hyp = _tangency_setup(zeros)
-        k = _edge_position(hyp.vertex_indices, edge)
-    except PreconditionsUnmet as exc:
-        return preconditions_unmet("edge-preimage", str(exc), tols, exc.evidence)
-    a, b, _ = hyp.edges[k]
-    _, faces = _faces(frame, hyp, [k])
-    params = np.arange(101) / 100
-    members = np.abs(a + params * (b - a) - (a + b) / 2.0) <= faces.radius[0]
-    target = np.abs(np.arange(101) - 50) / 100 <= tol  # by index: k / 100 rounds as the decimal, params - 0.5 does not
-    worst = float(np.max(np.abs(params - 0.5)[members])) if np.any(members) else 0.0
-    details = (
-        ("member_count", int(np.count_nonzero(members))),
-        ("expected_count", int(np.count_nonzero(target))),
-        ("worst_member_offset", worst),
-    )
-    return CheckReport("edge-preimage", PASS if np.all(target[members]) else FAIL, worst, details, tols)
+    return _decide_faces("edge-preimage", zeros, tol, lambda pairs: [_edge_position(pairs, edge)])

@@ -273,6 +273,16 @@ class TestCheckExitCodes:
         assert report["verdict"] == "fail" and details["tangency_gap"] == report["max_violation"] > 0
         assert details["containment_excess"] < details["tangency_gap"]
 
+    @pytest.mark.parametrize("factor", [2.0, -2.0])
+    def test_edge_preimage_face_off_its_line_is_a_fail(self, tmp_path, capsys, monkeypatch, factor):
+        # the face of its one edge moved 2 tol times the spread above or
+        # below the line: a proved violation, exit 2, as siebeck's
+        monkeypatch.setattr(fov, "certify_faces", moved_first_face(factor))
+        inst = write_instance(tmp_path / "sq.json", {"roots": [[1, 0], [0, 1], [-1, 0], [0, -1], [0.2, 0.1]]})
+        code, out, err = run_main(["check", inst, "--theorem", "edge-preimage", "--index", "2"], capsys)
+        assert code == 2 and err == ""
+        assert json.loads(out)["verdict"] == "fail"
+
     @pytest.mark.parametrize("theorem", ["siebeck", "edge-preimage"])
     def test_unresolved_face_is_four(self, tmp_path, capsys, monkeypatch, theorem):
         # a face gap no H(theta) can have (the gap floor raised past the
@@ -359,8 +369,9 @@ class TestCheckExitCodes:
 
     @pytest.mark.parametrize("tol", ["0.009", "0.01", "0.05"])
     def test_k16_edge_preimage_at_a_loose_bound(self, tmp_path, capsys, tol):
-        # the ROADMAP's K16 case: every probe within the bound had to be a
-        # member, so a bound of at least the probe spacing gave fail
+        # the ROADMAP's K16 case: every probe within the bound once had to
+        # be a member, so a bound of at least the probe spacing gave fail;
+        # now edge 1 reports siebeck's measures of that edge
         out = tmp_path / "k16"
         code, _, _ = run_main(["random", "--n", "6", "--constraint", "siebeck-ok", "--seed", "3", "--out", str(out)], capsys)
         assert code == 0
@@ -368,7 +379,10 @@ class TestCheckExitCodes:
         code, printed, _ = run_main(["check", inst, "--theorem", "edge-preimage", "--index", "1", "--tol-geom", tol], capsys)
         assert code == 0, printed
         details = dict(json.loads(printed)["details"])
-        assert details["member_count"] == 1 and details["expected_count"] == {"0.009": 1, "0.01": 3, "0.05": 11}[tol]
+        _, printed, _ = run_main(["check", inst, "--theorem", "siebeck", "--tol-geom", tol], capsys)
+        siebeck = dict(json.loads(printed)["details"])
+        assert list(details) == list(siebeck) and details["hull_vertices"] == siebeck["hull_vertices"]
+        assert all(details[name] <= siebeck[name] for name in ("containment_excess", "tangency_gap", "face_radius"))
 
     @pytest.mark.parametrize("tol, code", [("1e-11", 0), ("1e-14", 0), ("1e-18", 2)])
     def test_siebeck_at_a_tight_bound(self, tmp_path, capsys, tol, code):
@@ -386,9 +400,8 @@ class TestCheckExitCodes:
     @pytest.mark.parametrize("tol", ["0", "-1e-9"])
     def test_tangency_at_a_bound_of_at_most_zero_fails(self, cube_roots, capsys, theorem, tol):
         code, out, err = run_main(["check", cube_roots, "--theorem", theorem, f"--tol-geom={tol}"], capsys)
-        expected = 0 if (theorem, tol) == ("edge-preimage", "0") else 2  # the midpoint is within 0 of itself
-        assert (code, err) == (expected, ""), out
-        assert json.loads(out)["verdict"] == ("pass" if expected == 0 else "fail")
+        assert (code, err) == (2, ""), out
+        assert json.loads(out)["verdict"] == "fail"
 
     def test_tolerances_echoed(self, cube_roots, capsys):
         code, out, _ = run_main(

@@ -758,11 +758,11 @@ class TestEllipticalRange:
 class TestEdgePreimage:
     def test_equilateral_midpoint_only(self):
         hyp = theorems.check_siebeck_hypotheses(CUBE_ROOTS)
+        fields = [name for name, _ in theorems.check_poor_mans_siebeck(CUBE_ROOTS).details]
         for edge in hyp.vertex_indices:
             report = theorems.check_edge_preimage(CUBE_ROOTS, edge)
             assert report.verdict == theorems.PASS
-            details = dict(report.details)
-            assert details["member_count"] == 1
+            assert [name for name, _ in report.details] == fields
 
     def test_right_triangle_edge(self):
         hyp = theorems.check_siebeck_hypotheses([0, 2, 2j])
@@ -783,34 +783,50 @@ class TestEdgePreimage:
         assert out_of_range.verdict == theorems.PRECONDITIONS_UNMET
         assert "out of range" in dict(out_of_range.details)["unmet_hypothesis"]
 
-    @pytest.mark.parametrize(
-        "zeros, edge",
-        [
-            # drawn fov-siebeck instances (benchmark seeds 3, 6, 21) whose
-            # probes next to the midpoint carry margins of about 5e-9 of the
-            # spread, which a slack of 1e-8 of the spread counted as members
-            (FOV_SEED_3, (8, 7)),
-            (FOV_SEED_6, (11, 28)),
-            (FOV_SEED_21, (9, 5)),
-        ],
-    )
-    def test_off_midpoint_probes_with_small_margins_are_not_members(self, zeros, edge):
+    @pytest.mark.parametrize("edge", [(3, 2), np.int64(2), [2, 3], np.array([3, 2])], ids=["pair", "int64", "list", "array"])
+    def test_edge_forms(self, edge):
+        # the right triangle's hull edges are (1, 2), (2, 3), (3, 1)
+        pairs = theorems.check_siebeck_hypotheses([0, 2, 2j]).vertex_indices
+        assert theorems._edge_position(pairs, edge) == 1
+        assert theorems.check_edge_preimage([0, 2, 2j], edge) == theorems.check_edge_preimage([0, 2, 2j], 2)
+
+    @pytest.mark.parametrize("edge", [(1, 2, 3), (1.7, 2), True, 2.0], ids=["triple", "float-pair", "bool", "float"])
+    def test_malformed_edge_raises(self, edge):
+        # once taken as (1, 2), as (1, 2), as edge 1, and a TypeError
+        pairs = theorems.check_siebeck_hypotheses(CUBE_ROOTS).vertex_indices
+        with pytest.raises(ValueError, match="an edge is a 1-based index or a pair of 1-based zero indices"):
+            theorems._edge_position(pairs, edge)
+        with pytest.raises(ValueError, match="an edge is a 1-based index or a pair of 1-based zero indices"):
+            theorems.check_edge_preimage(CUBE_ROOTS, edge)
+
+    @pytest.mark.parametrize("zeros, edge", [(FOV_SEED_3, (8, 7)), (FOV_SEED_6, (11, 28)), (FOV_SEED_21, (9, 5))])
+    def test_benchmark_draws_pass(self, zeros, edge):
+        # drawn fov-siebeck instances (benchmark seeds 3, 6, 21) whose
+        # points next to the midpoint once carried margins of about 5e-9 of
+        # the spread, which a slack of 1e-8 of the spread counted as members
         report = theorems.check_edge_preimage(np.array(zeros), edge)
         assert report.verdict == theorems.PASS, report.details
-        assert dict(report.details)["member_count"] == 1
+        assert dict(report.details)["face_radius"] <= TOL.geometry * geom.point_spread(np.array(zeros))
 
-    @pytest.mark.parametrize("tol, expected", [(0.05, 11), (0.29, 59)])
-    def test_midpoint_neighbourhood_is_symmetric(self, tol, expected):
-        # 0.45 and 0.55 are both within 0.05 of the midpoint, though 0.55 - 0.5
-        # rounds to 0.050000000000000044; 100 * 0.29 rounds to 28.999999999999996
-        report = theorems.check_edge_preimage(CUBE_ROOTS, 1, tol=tol)
-        assert dict(report.details)["expected_count"] == expected
+    def test_each_edge_reports_siebecks_measures_of_that_edge(self):
+        # every edge of every draw passes, and the largest of each measure
+        # over the edges (the least certified gap) is siebeck's, bit for bit
+        for zeros in [*TestFaceCertificate.siebeck_ok(), *k14_accepted(range(40))]:
+            siebeck = theorems.check_poor_mans_siebeck(zeros)
+            reports = [theorems.check_edge_preimage(zeros, k) for k in range(1, dict(siebeck.details)["hull_vertices"] + 1)]
+            assert all(report.verdict == theorems.PASS for report in reports), (zeros, reports)
+            measured = [dict(report.details) for report in reports]
+            expected = dict(siebeck.details)
+            for name in ("containment_excess", "tangency_gap", "face_radius", "hull_vertices"):
+                assert max(details[name] for details in measured) == expected[name], (zeros, name)
+            assert min(details["face_min_gap"] for details in measured) == expected["face_min_gap"], zeros
+            assert max(report.max_violation for report in reports) == siebeck.max_violation, zeros
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-2, 1e-1])
     def test_k16_loose_bounds_pass(self, tol):
-        # a bound of at least the probe spacing asked every probe within it
-        # to be a member (K16: all 100 of these failed at 0.01 and 0.1); only
-        # the midpoint is, and the members need only lie within the bound
+        # a bound of at least the probe spacing once asked every probe
+        # within it to be a member (K16: all 100 of these failed at 0.01 and
+        # 0.1); a looser bound only passes more
         rng = make_rng(9)
         for n in (3, 4, 8, 16, 32):
             for k in range(20):
@@ -818,18 +834,18 @@ class TestEdgePreimage:
                 edges = len(theorems.check_siebeck_hypotheses(zeros).vertex_indices)
                 report = theorems.check_edge_preimage(zeros, 1 + k % edges, tol=tol)
                 assert report.verdict == theorems.PASS, (n, k, report.details)
-                assert dict(report.details)["member_count"] == 1
 
-    def test_negative_bound_fails(self):
-        report = theorems.check_edge_preimage(CUBE_ROOTS, 1, tol=-1e-9)
-        assert report.verdict == theorems.FAIL
-        assert dict(report.details) == {"member_count": 1, "expected_count": 0, "worst_member_offset": 0.0}
+    @pytest.mark.parametrize("tol", [0.0, -1e-9])
+    def test_bound_of_at_most_zero_fails(self, tol):
+        # the certified face radius is positive, as siebeck's is
+        report = theorems.check_edge_preimage(CUBE_ROOTS, 1, tol=tol)
+        assert report.verdict == theorems.check_poor_mans_siebeck(CUBE_ROOTS, tol=tol).verdict == theorems.FAIL
+        assert report.max_violation == dict(report.details)["face_radius"] > 0
 
-    @pytest.mark.parametrize("tol, verdict", [(0.01, theorems.FAIL), (0.02, theorems.PASS), (0.05, theorems.PASS)])
-    def test_members_are_the_probes_within_the_face_radius(self, tol, verdict, monkeypatch):
+    @pytest.mark.parametrize("tol, verdict", [(0.02, theorems.FAIL), (0.03, theorems.PASS)])
+    def test_the_face_radius_is_bounded_by_the_spread(self, tol, verdict, monkeypatch):
         # a face radius of 0.025 edge lengths (the certificate's own is at
-        # roundoff here) makes the probes at t = 0.48 ... 0.52 members; the
-        # check passes when they all lie within the bound
+        # roundoff here), and the equilateral edge is the spread
         original = fov.certify_faces
 
         def wide(zeros, thetas, pairs):
@@ -839,9 +855,8 @@ class TestEdgePreimage:
 
         monkeypatch.setattr(fov, "certify_faces", wide)
         report = theorems.check_edge_preimage(CUBE_ROOTS, 1, tol=tol)
-        details = dict(report.details)
         assert report.verdict == verdict
-        assert details["member_count"] == 5 and details["worst_member_offset"] == pytest.approx(0.02, abs=1e-15)
+        assert dict(report.details)["face_radius"] == pytest.approx(0.025 * math.sqrt(3), rel=1e-14)
 
     def test_repeated_vertex_precondition(self):
         report = theorems.check_edge_preimage([0, 0, 1, 1j], (1, 3))
@@ -924,13 +939,26 @@ class TestTangencyRoute:
         assert dict(report.details)["containment_excess"] <= 8 * np.finfo(float).eps * spread
         assert report.max_violation >= 1.9 * TOL.geometry * spread
 
+    @pytest.mark.parametrize("factor", [2.0, -2.0])
+    def test_edge_preimage_fails_on_a_moved_face(self, factor, monkeypatch):
+        # the face of its one edge moved 2 tol times the spread above or
+        # below the line: both are siebeck's fails, on that edge alone
+        zeros = generate_zeros(make_rng(127), 8, "siebeck-ok")
+        assert theorems.check_edge_preimage(zeros, 1).verdict == theorems.PASS
+        monkeypatch.setattr(fov, "certify_faces", moved_first_face(factor))
+        report = theorems.check_edge_preimage(zeros, 1)
+        bound = 1.9 * TOL.geometry * geom.point_spread(zeros)
+        assert report.verdict == theorems.FAIL
+        assert dict(report.details)["containment_excess" if factor > 0 else "tangency_gap"] >= bound
+        assert report.max_violation >= bound
+
 
 def edge_faces(zeros):
     """The frame, the hypotheses and the face certificate of every hull
     edge, as ``siebeck`` takes them."""
     frame, hyp = theorems._tangency_setup(zeros)
-    _, faces = theorems._faces(frame, hyp, list(range(len(hyp.edges))))
-    return frame, hyp, faces
+    normals, _ = theorems._edge_normals(hyp.edges)
+    return frame, hyp, fov.certify_faces(frame.u, normals, np.array(hyp.vertex_indices) - 1)
 
 
 def k14_accepted(seeds=range(200)):

@@ -150,8 +150,9 @@ def commands(name: str) -> list[list[str]]:
 
 def boundary_commands() -> list[list[str]]:
     """Runs at the edge of the accepted input: bounds that are not finite
-    (and a finite negative one, which asks for a margin, and a loose one), a
-    second submatrix index, and outputs that cannot be written."""
+    (and a finite negative one, which asks for a margin, a zero one and a
+    loose one), a second submatrix index, and outputs that cannot be
+    written."""
     runs = [
         ["check", name, "--theorem", theorem, f"--tol-{flag}={value}"]
         for name, theorem, flag in (
@@ -163,7 +164,13 @@ def boundary_commands() -> list[list[str]]:
         for value in ("nan", "inf", "-inf")
     ]
     runs += [["check", "triangle.json", "--theorem", "gauss-lucas", "--tol-geom=-1e-9"]]
-    # a midpoint neighborhood of 11 probes, wider than the probe spacing (K16)
+    # a bound of 0 is below every certified face radius: both tangency checkers fail
+    runs += [
+        ["check", name, "--theorem", theorem, "--tol-geom=0"]
+        for name in ("quadrilateral-interior.json", "siebeck-ok-6.json")
+        for theorem in ("siebeck", "edge-preimage")
+    ]
+    # a loose bound, once wider than the spacing of edge-preimage's probes (K16)
     runs += [["check", "siebeck-ok-6.json", "--theorem", "edge-preimage", "--index", "1", "--tol-geom", "0.05"]]
     runs += [["critical-points", name, "--method", "matricial", "--index", "2"] for name in ("disk-5.json", "coeffs-5.json")]
     runs += [
