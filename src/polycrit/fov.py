@@ -26,7 +26,7 @@ A_(1), without an eigensolve: at the outward normal of a hull edge it
 brackets the support between the Rayleigh quotient of the edge's mode
 vector and an upper bound, and shows that F(A_(1)) meets the edge's line
 in one point, within a certified radius of the edge's midpoint, from that
-mode vector, a secular estimate of the gap below its eigenvalue and one
+mode vector, a closed-form bound of the gap below its eigenvalue and one
 Cholesky factorisation. A convex polygon is the intersection of its edge
 half-planes, so the upper bounds at the hull's edge normals decide whether
 F(A_(1)) lies in the hull at every angle.
@@ -248,10 +248,9 @@ def sweep_supports(a, thetas) -> np.ndarray:
 # residual, so that a residual that rounds to 0 is not taken for an exact
 # one; and it asks for no gap below this many units of roundoff of s times
 # the order, where Cholesky's backward error on a matrix of norm at most
-# 8 s lies. It estimates each gap in this many halvings of its logarithm.
+# 8 s lies.
 _FACE_SHIFT = 4.0
 _FACE_GAP_ULPS = 64.0
-_FACE_BISECTIONS = 10
 
 
 @dataclass(frozen=True)
@@ -300,13 +299,15 @@ def certify_faces(zeros, thetas, pairs) -> FaceCertificate:
     compression of the Hermitian Im(exp(-i theta) A_(1)) spans at most w):
     the certified radius is r (w + r) / gap.
 
-    The gap asked for is half the secular equation's estimate of
-    x_a - lambda_2, never below the backward error. H(theta) compresses
-    diag(x) (see the module docstring), so its other eigenvalues are x_a + s
-    for the roots s of 2 / s + sum over the other zeros of 1 / (s - d_k) = 0,
-    d_k = x_k - x_a, the largest in (max d_k, 0); the function decreases
-    there, and ``_FACE_BISECTIONS`` halvings of log(-s) bracket that root
-    from the side of the smaller gap. The factorisation alone certifies.
+    The gap asked for is half a lower bound of x_a - lambda_2, never below
+    the backward error. H(theta) compresses diag(x) (see the module
+    docstring), so x_a - lambda_2 is the least root t of 2 / t = sum over
+    the other zeros of 1 / (delta_k - t), delta_k = x_a - x_k. Below
+    delta = min delta_k each term is at most 1 / delta_k + t / (delta_k
+    (delta - t)), so with S = sum 1 / delta_k, 2 / (S + 2 / delta) <= t <=
+    2 / S (Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978): the gap asked
+    for, 1 / (S + 2 / delta), is at most 3 times below t / 2, and is t / 2
+    for three zeros. The factorisation alone certifies.
 
     H(theta) is gathered from the zeros (``_toeplitz_stack``), in the
     chunks of ``_direction_chunks``, and no A_(1) is formed."""
@@ -322,15 +323,10 @@ def certify_faces(zeros, thetas, pairs) -> FaceCertificate:
     scale = float(np.max(np.abs(z)))
     roundoff = np.finfo(float).eps * scale
     floor = _FACE_GAP_ULPS * z.size * roundoff
-    d = np.real(projected) - np.real(projected[rows, ends[:, 0]])[:, None]
-    d[rows, ends[:, 0]] = d[rows, ends[:, 1]] = -np.inf  # the edge's double pole leaves the sum
-    lo, hi = np.full(th.size, math.log2(floor)), np.log2(-np.max(d, axis=1))
-    for _ in range(_FACE_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        s = -np.exp2(mid)
-        below = 2.0 / s + np.sum(1.0 / (s[:, None] - d), axis=1) < 0.0  # -s below the gap
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    gap = np.maximum(np.exp2(lo - 1.0), floor)
+    delta = np.real(projected[rows, ends[:, 0]])[:, None] - np.real(projected)
+    delta[rows, ends[:, 0]] = delta[rows, ends[:, 1]] = np.inf  # the edge's double pole leaves the sum
+    inv = 1.0 / delta
+    gap = np.maximum(1.0 / (inv.sum(axis=1) + 2.0 * inv.max(axis=1)), floor)
     rho, residual = np.empty(th.size), np.empty(th.size)
     diagonal = np.arange(z.size - 1)
     gather = _toeplitz_stack(z)

@@ -961,6 +961,30 @@ def edge_faces(zeros):
     return frame, hyp, fov.certify_faces(frame.u, normals, np.array(hyp.vertex_indices) - 1)
 
 
+def secular_poles(frame, hyp):
+    """For each hull edge, the distances delta_k > 0 below the edge's line
+    of the projections of the other zeros on its outward normal: the poles
+    of the secular equation 2 / t = sum 1 / (delta_k - t) whose smallest
+    root t is the gap below the top eigenvalue of H(theta) there."""
+    normals, _ = theorems._edge_normals(hyp.edges)
+    poles = []
+    for theta, (a, b) in zip(normals, np.array(hyp.vertex_indices) - 1):
+        x = np.real(np.exp(-1j * theta) * frame.u)
+        poles.append(x[a] - np.delete(x, [a, b]))
+    return poles
+
+
+def secular_root(delta):
+    """The root in (0, min delta) of sum 1 / (delta_k - t) - 2 / t, which
+    increases there, by bisection to the last bit."""
+    lo, hi = 0.0, float(np.min(delta))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        lo, hi = (mid, hi) if np.sum(1.0 / (delta - mid)) < 2.0 / mid else (lo, mid)
+
+
 def k14_accepted(seeds=range(200)):
     """The K14 draws the tangency hypotheses accept (669 of 1000)."""
     for s in seeds:
@@ -993,23 +1017,49 @@ class TestFaceCertificate:
 
     def test_dense_face_is_within_the_certified_radius(self):
         # the dense top eigenpair of H(theta) at every edge normal: the
-        # certified gap is half its gap, to the bisection's 3%, and its face
-        # point lies within the certified radius (at most the default
-        # bound) of the midpoint, up to the dense solve's own roundoff
+        # certified gap is at most half its gap and at least that over
+        # 1 + 2 / (delta S), delta the least and S the sum of the inverse
+        # secular poles, and its face point lies within the certified
+        # radius (at most the default bound) of the midpoint, up to the
+        # dense solve's own roundoff
         roundoff = 8 * np.finfo(float).eps
         for zeros in [*self.siebeck_ok(2), *k14_accepted(range(10))]:
             frame, hyp, faces = edge_faces(zeros)
             assert np.all(faces.radius <= TOL.geometry * frame.spread)
             sub = numlin.principal_submatrix(matricial.build_construction(frame.u), 1)
             normals, lines = theorems._edge_normals(hyp.edges)
-            for k, (a, b, _) in enumerate(hyp.edges):
+            for k, ((a, b, _), delta) in enumerate(zip(hyp.edges, secular_poles(frame, hyp))):
                 phase = np.exp(-1j * normals[k])
                 w, v = np.linalg.eigh((phase * sub + np.conj(phase) * sub.conj().T) / 2)
-                assert 0.97 * (w[-1] - w[-2]) / 2 <= faces.gap[k] <= (1 + 1e-6) * (w[-1] - w[-2]) / 2
+                half_gap = (w[-1] - w[-2]) / 2
+                assert half_gap / (1 + 2 / (np.min(delta) * np.sum(1 / delta))) <= faces.gap[k] <= (1 + 1e-6) * half_gap
                 offset = abs(v[:, -1].conj() @ sub @ v[:, -1] - (a + b) / 2)
                 assert offset <= faces.radius[k] + roundoff * frame.spread
                 assert faces.rayleigh[k] - 8 * np.finfo(float).eps * frame.spread <= w[-1]
                 assert abs(faces.rayleigh[k] - lines[k]) <= 8 * np.finfo(float).eps * frame.spread
+
+    def test_triangle_gap_is_half_the_dense_gap(self):
+        # with one other zero the secular equation is linear and its lower
+        # bound is its root: the gap is half the dense one to roundoff
+        rng = make_rng(29)
+        for _ in range(20):
+            frame, hyp, faces = edge_faces(generate_zeros(rng, 3, "siebeck-ok"))
+            sub = numlin.principal_submatrix(matricial.build_construction(frame.u), 1)
+            normals, _ = theorems._edge_normals(hyp.edges)
+            for k, theta in enumerate(normals):
+                phase = np.exp(-1j * theta)
+                w = np.linalg.eigvalsh((phase * sub + np.conj(phase) * sub.conj().T) / 2)
+                assert faces.gap[k] == pytest.approx((w[-1] - w[-2]) / 2, rel=1e-12, abs=0)
+
+    def test_k14_gap_is_within_the_secular_bracket(self):
+        # zeros over sixteen decades: against the secular root t found to
+        # the last bit, t / (2 + 4 / (delta S)) <= gap <= t / 2
+        for zeros in k14_accepted(range(40)):
+            frame, hyp, faces = edge_faces(zeros)
+            for gap, delta in zip(faces.gap, secular_poles(frame, hyp)):
+                half_root = secular_root(delta) / 2
+                assert half_root / (1 + 2 / (np.min(delta) * np.sum(1 / delta))) <= gap * (1 + 1e-12)
+                assert gap <= half_root * (1 + 1e-12)
 
     @pytest.mark.parametrize("name", sorted(TIE_INSTANCES))
     def test_exact_ties(self, name):
