@@ -59,7 +59,6 @@ class InstanceError(ValueError):
 class Instance:
     roots: np.ndarray | None
     coefficients: poly.Polynomial | None
-    label: str | None
 
 
 def _parse_pairs(raw, what: str) -> np.ndarray:
@@ -94,13 +93,13 @@ def parse_instance(payload) -> Instance:
     if label is not None and not isinstance(label, str):
         raise InstanceError("label must be a string")
     if has_roots:
-        return Instance(_parse_pairs(payload["roots"], "roots"), None, label)
+        return Instance(_parse_pairs(payload["roots"], "roots"), None)
     coeffs = _parse_pairs(payload["coeffs"], "coeffs")
     try:
         p = poly.Polynomial(coeffs)
     except ValueError as exc:
         raise InstanceError(f"invalid coefficients: {exc}") from exc
-    return Instance(None, p, label)
+    return Instance(None, p)
 
 
 def load_instance(path: str) -> Instance:

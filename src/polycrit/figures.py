@@ -38,7 +38,7 @@ def figure_layers(zeros, which: str, sweep_samples: int = DEFAULT_SWEEP_SAMPLES)
         layers["midpoints"] = frame.points(geom.edge_midpoints(hull))
     if which == "siebeck":
         sub = numlin.principal_submatrix(matricial.build_construction(u), 1)
-        layers["fov"] = frame.points(fov.boundary_polyline(sub, sweep_samples).boundary_points)
+        layers["fov"] = frame.points(fov.boundary_polyline(sub, sweep_samples))
     else:
         if u.size != 3:
             raise PreconditionsUnmet("bgm figure requires exactly 3 zeros")

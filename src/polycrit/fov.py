@@ -10,11 +10,12 @@ eigenvalue of
 
 with H1 = (a + a*)/2 and H2 = (a - a*)/(2i). A top eigenvector x gives
 the boundary point x* a x, whose projection Re(exp(-i*theta) x* a x)
-equals the support value. ``support_point``, ``boundary_polyline`` and
-``sweep_supports`` share one kernel, ``_boundary``: batched eigensolves
-over their angles, in chunks of bounded memory, with the flat-segment rule
-relative to the matrix's power of two. ``sweep_supports`` is its column of
-support values.
+equals the support value. ``boundary_polyline`` and ``sweep_supports``
+share one kernel, ``_boundary``: batched eigensolves over their angles, in
+chunks of bounded memory, with the flat-segment rule relative to the
+matrix's power of two. ``boundary_polyline`` is its column of boundary
+points on the grid of ``sweep_angles``, and ``sweep_supports`` its column
+of support values.
 
 When a = A_(1) compresses a normal A with eigenvalues z_k by a vector
 whose entries all have modulus 1/sqrt(n), as the DFT construction of
@@ -209,33 +210,6 @@ def _boundary(a: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.ldexp(supports, shift), ldexp(points, shift), flats
 
 
-def support_point(a, theta: float) -> tuple[float, complex]:
-    """Support value of F(a) in direction exp(i*theta) and a boundary
-    point attaining it."""
-    supports, points, _ = _boundary(as_square(a), np.array([float(theta)]))
-    return float(supports[0]), complex(points[0])
-
-
-@dataclass(frozen=True)
-class BoundaryPolyline:
-    """Support sweep of the boundary: angles, support values, boundary
-    points, and per-sample flags marking degenerate (flat-segment) tops.
-
-    Validated on construction: angles strictly increasing and at least 3
-    samples."""
-
-    thetas: np.ndarray
-    support_values: np.ndarray
-    boundary_points: np.ndarray
-    flat_flags: np.ndarray
-
-    def __post_init__(self):
-        if self.thetas.size < 3:
-            raise ValueError("at least 3 samples required")
-        if not np.all(np.diff(self.thetas) > 0):
-            raise ValueError("angles must be strictly increasing")
-
-
 def sweep_supports(a, thetas) -> np.ndarray:
     """Support values of F(a) at many angles: the support column of
     ``_boundary``."""
@@ -355,13 +329,18 @@ def certify_faces(zeros, thetas, pairs) -> FaceCertificate:
     return FaceCertificate(rho, residual, gap, rho + residual**2 / gap, residual * (width + residual) / gap)
 
 
-def boundary_polyline(a, m: int = DEFAULT_SWEEP_SAMPLES) -> BoundaryPolyline:
-    """Support sweep at the uniform grid theta_k = 2 pi k / m."""
-    mat = as_square(a)
+def sweep_angles(m: int) -> np.ndarray:
+    """The uniform grid theta_k = 2 pi k / m of a boundary sweep; fewer
+    than 8 samples raise ValueError."""
     if m < 8:
         raise ValueError("at least 8 samples required")
-    thetas = 2.0 * np.pi * np.arange(m) / m
-    return BoundaryPolyline(thetas, *_boundary(mat, thetas))
+    return 2.0 * np.pi * np.arange(m) / m
+
+
+def boundary_polyline(a, m: int = DEFAULT_SWEEP_SAMPLES) -> np.ndarray:
+    """Boundary points of F(a) at the angles of ``sweep_angles(m)``, in
+    counterclockwise order: the point column of ``_boundary``."""
+    return _boundary(as_square(a), sweep_angles(m))[1]
 
 
 def point_margin(thetas, supports, z):

@@ -32,18 +32,6 @@ _TRACE_DEFECT = 1e-8
 _DIFFERENTIATOR = 1e-7
 
 
-def dft_matrix(n: int) -> np.ndarray:
-    """DFT matrix of order n: entry (j, k) = w**(j*k), w = exp(-2*pi*i/n),
-    zero-based indices, with j*k reduced mod n so that every entry is a
-    machine-accurate root of unity; the dense reference for ``build_construction``.
-    """
-    if n < 1:
-        raise ValueError("order must be positive")
-    idx = np.arange(n)
-    table = np.exp(-2j * np.pi * idx / n)
-    return table[np.outer(idx, idx) % n]
-
-
 def circulant_column(zeros) -> np.ndarray:
     """The column c = fft(zeros) / n of A = ``build_construction(zeros)``,
     in O(n log n), verified by the round trip n * ifft(c) = zeros within
@@ -64,8 +52,9 @@ def circulant_column(zeros) -> np.ndarray:
 
 def build_construction(zeros) -> np.ndarray:
     """The normal matrix A = U D U* with D = diag(zeros) and U = F/sqrt(n),
-    F the DFT matrix (``dft_matrix``): the circulant A[j, k] = c[(j - k) mod
-    n] of c = ``circulant_column(zeros)``, with no matrix product. Every
+    F the DFT matrix F[j, k] = w**(j k), w = exp(-2 pi i / n), zero-based:
+    the circulant A[j, k] = c[(j - k) mod n] of c =
+    ``circulant_column(zeros)``, with no matrix product. Every
     A_(i) is then A_(1) with its indices relabelled cyclically.
     """
     c = circulant_column(zeros)

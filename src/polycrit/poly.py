@@ -68,17 +68,6 @@ def derivative(p: Polynomial) -> Polynomial:
     return Polynomial(p.coeffs[1:] * k)
 
 
-def evaluate(p: Polynomial, z):
-    """Horner evaluation; ``z`` may be a scalar or an ndarray."""
-    zz = np.asarray(z, dtype=complex)
-    out = np.zeros_like(zz)
-    for c in p.coeffs[::-1]:
-        out = out * zz + c
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
-
 def _horner(coeffs: np.ndarray, z: complex) -> complex:
     out = 0.0 + 0.0j
     for c in coeffs[::-1]:

@@ -74,20 +74,9 @@ class Xoshiro256StarStar:
             if abs(z) <= 1.0:
                 return z
 
-    def complex_box(self) -> complex:
-        """Uniform point in [-1, 1) x [-1, 1)."""
-        re = self.symmetric()
-        im = self.symmetric()
-        return complex(re, im)
-
 
 def random_zeros(rng: Xoshiro256StarStar, n: int, real: bool = False) -> np.ndarray:
     """n polynomial zeros: uniform on the unit disk, or on [-1, 1] if real."""
     if real:
         return np.array([complex(rng.symmetric(), 0.0) for _ in range(n)])
     return np.array([rng.unit_disk() for _ in range(n)])
-
-
-def random_matrix(rng: Xoshiro256StarStar, n: int) -> np.ndarray:
-    """Dense n-by-n matrix with entries uniform on [-1,1) x [-1,1)."""
-    return np.array([[rng.complex_box() for _ in range(n)] for _ in range(n)])

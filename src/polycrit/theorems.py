@@ -600,13 +600,13 @@ def check_elliptical_range(a, m: int = DEFAULT_SWEEP_SAMPLES, tol: float = TOL.m
     the verdict is the same on 2**k * A. The distances are bounded by
     ``tol`` times ||A||_F (the ``scale``) and reported in the units of A."""
     mat = numlin.as_square(a)
+    thetas = fov.sweep_angles(m)
     tols = {"match": tol}
     if mat.shape[0] != 2:
         return preconditions_unmet("elliptical-range", "order-2 matrix required", tols)
     shift = numlin.binary_exponent(mat)
     scaled = numlin.ldexp(mat, -shift)
     ellipse = fov.elliptical_range(scaled)
-    thetas = 2.0 * np.pi * np.arange(m) / m
     supports = fov.sweep_supports(scaled, thetas)
     he = fov.ellipse_support(ellipse, thetas)
     sweep_excess = float(max(np.max(supports - he), 0.0))

@@ -1,12 +1,13 @@
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from polycrit import fov, geom
+from polycrit import fov, geom, numlin
 from polycrit.config import TOL
-from polycrit.rng import Xoshiro256StarStar, random_matrix, random_zeros
+from polycrit.rng import Xoshiro256StarStar, random_zeros
 
 settings.register_profile(
     "default",
@@ -25,6 +26,17 @@ def make_rng(seed: int) -> Xoshiro256StarStar:
     return Xoshiro256StarStar(seed)
 
 
+def complex_box(rng: Xoshiro256StarStar) -> complex:
+    """Uniform point in [-1, 1) x [-1, 1), real part drawn first."""
+    return complex(rng.symmetric(), rng.symmetric())
+
+
+def random_matrix(rng: Xoshiro256StarStar, n: int) -> np.ndarray:
+    """Dense n-by-n matrix with entries uniform on [-1,1) x [-1,1), drawn
+    row by row."""
+    return np.array([[complex_box(rng) for _ in range(n)] for _ in range(n)])
+
+
 def random_hermitian(rng: Xoshiro256StarStar, n: int) -> np.ndarray:
     m = random_matrix(rng, n)
     return (m + m.conj().T) / 2.0
@@ -39,6 +51,54 @@ def random_normal_matrix(rng: Xoshiro256StarStar, n: int) -> np.ndarray:
     u = random_unitary(rng, n)
     lam = random_zeros(rng, n)
     return (u * lam[None, :]) @ u.conj().T
+
+
+def dft_matrix(n: int) -> np.ndarray:
+    """DFT matrix of order n: entry (j, k) = w**(j*k), w = exp(-2*pi*i/n),
+    zero-based indices, with j*k reduced mod n so that every entry is a
+    machine-accurate root of unity; the dense reference for
+    ``matricial.build_construction``."""
+    if n < 1:
+        raise ValueError("order must be positive")
+    idx = np.arange(n)
+    table = np.exp(-2j * np.pi * idx / n)
+    return table[np.outer(idx, idx) % n]
+
+
+def evaluate(p, z):
+    """Horner evaluation of the ``poly.Polynomial`` p; ``z`` may be a scalar
+    or an ndarray. The reference for the rootfinder tests."""
+    zz = np.asarray(z, dtype=complex)
+    out = np.zeros_like(zz)
+    for c in p.coeffs[::-1]:
+        out = out * zz + c
+    if out.ndim == 0:
+        return complex(out)
+    return out
+
+
+class Sweep(NamedTuple):
+    """The columns of the dense field-of-values kernel ``fov._boundary``
+    at its angles: support values, boundary points and flat flags."""
+
+    thetas: np.ndarray
+    support_values: np.ndarray
+    boundary_points: np.ndarray
+    flat_flags: np.ndarray
+
+
+def boundary_sweep(a, m: int) -> Sweep:
+    """``fov._boundary`` on the grid of ``fov.sweep_angles(m)``, the grid
+    ``fov.boundary_polyline(a, m)`` sweeps."""
+    thetas = fov.sweep_angles(m)
+    return Sweep(thetas, *fov._boundary(numlin.as_square(a), thetas))
+
+
+def support_point(a, theta: float) -> tuple[float, complex]:
+    """Support value of F(a) in direction exp(i*theta) and a boundary point
+    attaining it: ``fov._boundary`` at one angle."""
+    supports, points, _ = fov._boundary(numlin.as_square(a), np.array([float(theta)]))
+    return float(supports[0]), complex(points[0])
 
 
 def moved_first_face(factor: float):

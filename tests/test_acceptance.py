@@ -13,10 +13,10 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import random_normal_matrix
+from conftest import random_matrix, random_normal_matrix
 from polycrit import fov, geom, matricial, numlin, poly, theorems
 from polycrit.generate import generate_zeros
-from polycrit.rng import Xoshiro256StarStar, random_matrix, random_zeros
+from polycrit.rng import Xoshiro256StarStar, random_zeros
 
 
 def conclude(num: int, message: str) -> None:
@@ -102,7 +102,7 @@ def test_c06_field_of_values_properties():
     # convexity of the swept boundary
     for k in range(50):
         a = random_matrix(rng, 2 + k % 5)
-        pts = fov.boundary_polyline(a, 128).boundary_points
+        pts = fov.boundary_polyline(a, 128)
         d = np.roll(pts, -1) - pts
         cross = d.real * np.roll(d, -1).imag - d.imag * np.roll(d, -1).real
         assert np.min(cross) >= -1e-9, (k, np.min(cross))
@@ -144,8 +144,8 @@ def test_c07_elliptical_range():
     ellipse = fov.elliptical_range(nilpotent)
     assert abs(ellipse.minor_semi_axis - 0.5) <= 1e-9
     assert abs(ellipse.major_semi_axis - 0.5) <= 1e-9
-    polyline = fov.boundary_polyline(nilpotent, 720)
-    assert np.max(np.abs(np.abs(polyline.boundary_points) - 0.5)) <= 1e-9
+    points = fov.boundary_polyline(nilpotent, 720)
+    assert np.max(np.abs(np.abs(points) - 0.5)) <= 1e-9
     assert theorems.check_elliptical_range(nilpotent, m=720).verdict == theorems.PASS
     conclude(7, f"sweep vs formula on 50 random 2x2 + nilpotent circle, worst rel={worst:.3e}")
 

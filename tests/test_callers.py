@@ -10,12 +10,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "polycrit"
 TEST_ONLY = {
     "fov.kippenhahn_eval": "the tangent-line determinant form of acceptance criterion c10",
     "fov.point_margin": "membership margins of acceptance criterion c6; the benchmark's tracing layers name it",
-    "fov.support_point": "one support and its boundary point, a view of the dense kernel the fov tests pin",
-    "matricial.dft_matrix": "the dense DFT matrix, the reference the tests hold the FFT construction to",
     "matricial.is_trace_vector": "the trace-vector test of acceptance criterion c2",
     "matricial.is_differentiator": "the differentiator identity of acceptance criterion c3",
-    "poly.evaluate": "polynomial evaluation, the reference for the rootfinder tests",
-    "rng.random_matrix": "random dense matrices for the field-of-values tests and acceptance criteria c6, c7, c10",
 }
 
 

@@ -5,17 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_rng, random_normal_matrix, row_major_secular_supports
+from conftest import (
+    boundary_sweep,
+    make_rng,
+    random_matrix,
+    random_normal_matrix,
+    row_major_secular_supports,
+    support_point,
+)
 from polycrit import fov, geom, matricial, numlin, poly, theorems
 from polycrit.generate import generate_zeros
-from polycrit.rng import random_matrix, random_zeros
+from polycrit.rng import random_zeros
 
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
 class TestSupportPoint:
     def test_hermitian_rightmost(self):
-        value, point = fov.support_point(np.diag([1.0, 2.0]), 0.0)
+        value, point = support_point(np.diag([1.0, 2.0]), 0.0)
         assert abs(value - 2) <= 1e-12
         assert abs(point - 2) <= 1e-12
 
@@ -23,33 +30,33 @@ class TestSupportPoint:
         # F is the disk of radius 1/2: support 1/2 and boundary point
         # exp(i theta)/2 in every direction
         for theta in (0.0, 0.4, 1.9, 3.6, 5.5):
-            value, point = fov.support_point(NILPOTENT, theta)
+            value, point = support_point(NILPOTENT, theta)
             assert abs(value - 0.5) <= 1e-12
             assert abs(point - cmath.exp(1j * theta) / 2) <= 1e-12
 
     def test_topmost_point(self):
-        value, point = fov.support_point(np.diag([1j, -1j]), math.pi / 2)
+        value, point = support_point(np.diag([1j, -1j]), math.pi / 2)
         assert abs(value - 1) <= 1e-12
         assert abs(point - 1j) <= 1e-12
 
 
 class TestBoundaryPolyline:
     def test_hermitian_segment(self):
-        pl = fov.boundary_polyline(np.diag([1.0, 2.0]), 360)
-        assert np.max(np.abs(pl.boundary_points.imag)) <= 1e-9
-        assert np.all(pl.boundary_points.real >= 1 - 1e-9)
-        assert np.all(pl.boundary_points.real <= 2 + 1e-9)
+        points = fov.boundary_polyline(np.diag([1.0, 2.0]), 360)
+        assert np.max(np.abs(points.imag)) <= 1e-9
+        assert np.all(points.real >= 1 - 1e-9)
+        assert np.all(points.real <= 2 + 1e-9)
 
     def test_nilpotent_circle_radial_error(self):
-        pl = fov.boundary_polyline(NILPOTENT, 360)
-        assert np.max(np.abs(np.abs(pl.boundary_points) - 0.5)) <= 1e-9
+        points = fov.boundary_polyline(NILPOTENT, 360)
+        assert np.max(np.abs(np.abs(points) - 0.5)) <= 1e-9
 
     def test_normal_matrix_approaches_spectrum_hull(self):
         # normal => field of values is the convex hull of the eigenvalues
         omega = np.exp(2j * np.pi / 3)
         zeros = np.array([1, omega, omega**2])
         a = matricial.build_construction(zeros)
-        pl = fov.boundary_polyline(a, 360)
+        pl = boundary_sweep(a, 360)
         hull_support = np.max(
             np.real(np.exp(-1j * pl.thetas)[:, None] * zeros[None, :]), axis=1
         )
@@ -68,11 +75,11 @@ class TestBoundaryPolyline:
         # gap flags samples of small matrices as flat and moves their points
         rng = np.random.default_rng(3)
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        base = fov.boundary_polyline(a, 720)
-        pl = fov.boundary_polyline(numlin.ldexp(a, k), 720)
+        base = boundary_sweep(a, 720)
+        pl = boundary_sweep(numlin.ldexp(a, k), 720)
         assert not base.flat_flags.any()
         np.testing.assert_array_equal(pl.flat_flags, base.flat_flags)
-        singles = np.array([fov.support_point(numlin.ldexp(a, k), t) for t in base.thetas[::45]])
+        singles = np.array([support_point(numlin.ldexp(a, k), t) for t in base.thetas[::45]])
         pairs = [
             (pl.support_values, base.support_values),
             (pl.boundary_points, base.boundary_points),
@@ -91,7 +98,7 @@ class TestBoundaryPolyline:
         # one dense path: the polyline's support values bit for bit, and
         # exactly 2**k times them on 2**k * a
         a = random_matrix(make_rng(7), n)
-        pl = fov.boundary_polyline(a, 720)
+        pl = boundary_sweep(a, 720)
         supports = fov.sweep_supports(a, pl.thetas)
         np.testing.assert_array_equal(supports, pl.support_values)
         for k in (-600, -60, 60, 600):
@@ -110,7 +117,7 @@ class TestBoundaryPolyline:
             return eigh(m)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        pl = fov.boundary_polyline(a, 360)
+        pl = boundary_sweep(a, 360)
         assert int(np.count_nonzero(pl.flat_flags)) == 3
         assert shapes[0] == (360, 3, 3)
         assert len(shapes) == 4 and all(len(s) == 2 and s[0] < 3 for s in shapes[1:])
@@ -124,12 +131,14 @@ class TestBoundaryPolyline:
         general = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         for a, flats in ((matricial.build_construction([1, omega, omega**2]), 3), (general, 0)):
             assert 360 * a.size <= fov._SWEEP_ENTRIES
-            whole = fov.boundary_polyline(a, 360)
+            whole = boundary_sweep(a, 360)
             supports = fov.sweep_supports(a, whole.thetas)
+            np.testing.assert_array_equal(fov.boundary_polyline(a, 360), whole.boundary_points)
             with monkeypatch.context() as patch:
                 patch.setattr(fov, "_SWEEP_ENTRIES", 7 * a.size)
-                chunked = fov.boundary_polyline(a, 360)
+                chunked = boundary_sweep(a, 360)
                 np.testing.assert_array_equal(fov.sweep_supports(a, whole.thetas), supports)
+                np.testing.assert_array_equal(fov.boundary_polyline(a, 360), whole.boundary_points)
             np.testing.assert_array_equal(chunked.support_values, whole.support_values)
             np.testing.assert_array_equal(chunked.boundary_points, whole.boundary_points)
             np.testing.assert_array_equal(chunked.flat_flags, whole.flat_flags)
@@ -179,7 +188,7 @@ class TestKippenhahn:
             a = random_matrix(rng, n)
             scale = (1 + numlin.frobenius(a)) ** n
             for theta in 2 * np.pi * np.arange(12) / 12:
-                support, _ = fov.support_point(a, float(theta))
+                support, _ = support_point(a, float(theta))
                 value = fov.kippenhahn_eval(a, math.cos(theta), math.sin(theta), -support)
                 assert abs(value) <= 1e-8 * scale
                 assert abs(value.imag) <= 1e-9 * scale
@@ -264,7 +273,7 @@ class TestSweepInvariants:
         rng = make_rng(85)
         for n in (2, 3, 5):
             a = random_matrix(rng, n)
-            pts = fov.boundary_polyline(a, 128).boundary_points
+            pts = fov.boundary_polyline(a, 128)
             d = np.roll(pts, -1) - pts
             cross = (d.real * np.roll(d, -1).imag - d.imag * np.roll(d, -1).real)
             assert np.min(cross) >= -1e-9
@@ -290,15 +299,15 @@ class TestSweepInvariants:
     def test_boundedness(self):
         rng = make_rng(88)
         a = random_matrix(rng, 4)
-        pl = fov.boundary_polyline(a, 64)
-        assert np.max(np.abs(pl.boundary_points)) <= numlin.frobenius(a) + 1e-9
+        points = fov.boundary_polyline(a, 64)
+        assert np.max(np.abs(points)) <= numlin.frobenius(a) + 1e-9
 
     def test_sweep_vs_ellipse_support_two_by_two(self):
         rng = make_rng(89)
         for _ in range(10):
             a = random_matrix(rng, 2)
             e = fov.elliptical_range(a)
-            pl = fov.boundary_polyline(a, 720)
+            pl = boundary_sweep(a, 720)
             he = fov.ellipse_support(e, pl.thetas)
             scale = 1 + numlin.frobenius(a)
             assert np.max(np.abs(pl.support_values - he)) <= 1e-6 * scale
@@ -307,7 +316,7 @@ class TestSweepInvariants:
         # ties of the top eigenvalue happen exactly at the 3 edge normals
         omega = np.exp(2j * np.pi / 3)
         a = matricial.build_construction([1, omega, omega**2])
-        pl = fov.boundary_polyline(a, 360)
+        pl = boundary_sweep(a, 360)
         assert int(np.count_nonzero(pl.flat_flags)) == 3
 
 

@@ -1,35 +1,35 @@
 import numpy as np
 import pytest
 
-from conftest import make_rng
+from conftest import dft_matrix, make_rng, random_matrix
 from polycrit import geom, matricial, numlin, poly
 from polycrit.config import TOL
 from polycrit.errors import NumericalError
-from polycrit.rng import random_matrix, random_zeros
+from polycrit.rng import random_zeros
 
 
 class TestDftMatrix:
     def test_order_two(self):
         np.testing.assert_allclose(
-            matricial.dft_matrix(2), np.array([[1, 1], [1, -1]]), atol=1e-12
+            dft_matrix(2), np.array([[1, 1], [1, -1]]), atol=1e-12
         )
 
     def test_order_four_entry(self):
-        f = matricial.dft_matrix(4)
+        f = dft_matrix(4)
         assert abs(f[1, 1] - (-1j)) <= 1e-12
 
     def test_first_row_and_column_are_ones(self):
-        f = matricial.dft_matrix(7)
+        f = dft_matrix(7)
         np.testing.assert_allclose(f[0, :], np.ones(7), atol=1e-15)
         np.testing.assert_allclose(f[:, 0], np.ones(7), atol=1e-15)
 
     def test_hadamard_identity_order_three(self):
-        f = matricial.dft_matrix(3)
+        f = dft_matrix(3)
         np.testing.assert_allclose(f @ numlin.adjoint(f), 3 * np.eye(3), atol=1e-12)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            matricial.dft_matrix(0)
+            dft_matrix(0)
 
 
 class TestBuildConstruction:
@@ -49,7 +49,7 @@ class TestBuildConstruction:
         comm = numlin.frobenius(a @ numlin.adjoint(a) - numlin.adjoint(a) @ a)
         assert comm <= 1e-8 * numlin.frobenius(a) ** 2
         # U and D are not returned; rebuild them as the construction defines them
-        u = matricial.dft_matrix(5) / np.sqrt(5)
+        u = dft_matrix(5) / np.sqrt(5)
         d = np.diag(zeros)
         assert numlin.frobenius(u @ numlin.adjoint(u) - np.eye(5)) <= 1e-10
         np.testing.assert_array_equal(np.diag(d), zeros)
@@ -63,7 +63,7 @@ class TestBuildConstruction:
     def test_fft_build_matches_dense_product(self, n):
         zeros = random_zeros(make_rng(72), n)
         a = matricial.build_construction(zeros)
-        u = matricial.dft_matrix(n) / np.sqrt(n)
+        u = dft_matrix(n) / np.sqrt(n)
         bound = 1e-14 * np.max(np.abs(zeros))
         np.testing.assert_allclose(a, (u * zeros) @ numlin.adjoint(u), rtol=0, atol=bound)
 
@@ -199,7 +199,7 @@ class TestInvariants:
         # the densely built U D U* and match each to the spectrum of A_(1)
         n = zeros.size
         single = matricial.critical_points_matricial(zeros, 1)
-        u = matricial.dft_matrix(n) / np.sqrt(n)
+        u = dft_matrix(n) / np.sqrt(n)
         dense = (u * zeros) @ numlin.adjoint(u)
         bound = TOL.match * geom.point_spread(zeros)
         for i in range(1, n + 1):

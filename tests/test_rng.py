@@ -1,13 +1,7 @@
 import numpy as np
 
-from polycrit.rng import (
-    MASK64,
-    RNG_ID,
-    Xoshiro256StarStar,
-    random_matrix,
-    random_zeros,
-    splitmix64,
-)
+from conftest import random_matrix
+from polycrit.rng import MASK64, RNG_ID, Xoshiro256StarStar, random_zeros, splitmix64
 
 # Published reference outputs of splitmix64 for state 0.
 SPLITMIX64_SEED0 = [

@@ -754,6 +754,13 @@ class TestEllipticalRange:
         report = theorems.check_elliptical_range(np.eye(3))
         assert report.verdict == theorems.PRECONDITIONS_UNMET
 
+    @pytest.mark.parametrize("m", [0, 1, 3, 7])
+    def test_fewer_than_eight_samples_refused(self, m):
+        # the grid of boundary_polyline and the CLI: a short grid is refused,
+        # not decided from a few samples (and m = 0 sweeps no angle at all)
+        with pytest.raises(ValueError, match="at least 8 samples required"):
+            theorems.check_elliptical_range(np.array([[1, 1], [0, -1]]), m=m)
+
 
 class TestEdgePreimage:
     def test_equilateral_midpoint_only(self):

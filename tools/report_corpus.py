@@ -21,7 +21,11 @@ versions' outputs can be compared field by field::
     diff -r before after
 
 polycrit is imported from ``PYTHONPATH``. The instances are drawn from
-fixed seeds, so the corpus is the same on every run.
+fixed seeds, so the corpus is the same on every run. Every 8th line of the
+output is committed as ``tests/data/report_corpus.tsv``, which the tests
+rerun::
+
+    PYTHONPATH=src python3 tools/report_corpus.py | awk 'NR % 8 == 1' > tests/data/report_corpus.tsv
 """
 
 from __future__ import annotations
@@ -182,6 +186,22 @@ def boundary_commands() -> list[list[str]]:
     return runs
 
 
+def corpus_commands(names) -> list[list[str]]:
+    """Every command line of the corpus, in the order the tool runs them,
+    over the instance files ``names`` (those of ``instances()``)."""
+    argvs = [argv for name in names for argv in commands(name)]
+    argvs += [["check", "triangle.json", "--theorem", "siebeck", "--samples", "7"], ["check", "triangle.json", "--bogus"]]
+    argvs += [["figure", "triangle.json", "--which", "siebeck", "--samples", "0"]]
+    argvs += boundary_commands()
+    argvs += [
+        ["random", "--n", str(n), "--count", "3", "--seed", str(seed), "--constraint", constraint, "--out", f"random-{constraint}-{n}"]
+        for constraint in CONSTRAINTS
+        for n, seed in ((3, 7), (12, 8))
+    ]
+    assert len({_stem(argv) for argv in argvs}) == len(argvs), "two runs would share an output file"
+    return argvs
+
+
 def _stem(argv: list[str]) -> str:
     """The file name of a run's outputs under ``--outputs``."""
     return re.sub(r"[^A-Za-z0-9._=-]", "_", " ".join(argv))
@@ -219,17 +239,7 @@ def main(args: list[str] | None = None) -> int:
         for name, text in files.items():
             with open(name, "w", encoding="utf-8") as handle:
                 handle.write(text)
-        argvs = [argv for name in files for argv in commands(name)]
-        argvs += [["check", "triangle.json", "--theorem", "siebeck", "--samples", "7"], ["check", "triangle.json", "--bogus"]]
-        argvs += [["figure", "triangle.json", "--which", "siebeck", "--samples", "0"]]
-        argvs += boundary_commands()
-        argvs += [
-            ["random", "--n", str(n), "--count", "3", "--seed", str(seed), "--constraint", constraint, "--out", f"random-{constraint}-{n}"]
-            for constraint in CONSTRAINTS
-            for n, seed in ((3, 7), (12, 8))
-        ]
-        assert len({_stem(argv) for argv in argvs}) == len(argvs), "two runs would share an output file"
-        for argv in argvs:
+        for argv in corpus_commands(files):
             print(run(argv, outputs))
     return 0
 
