@@ -293,8 +293,9 @@ def certify_faces(zeros, thetas, pairs) -> FaceCertificate:
     modes[rows, ends[:, 0]], modes[rows, ends[:, 1]] = 1.0, -1.0
     vectors = np.fft.fft(modes, axis=-1)[:, 1:] / math.sqrt(2 * z.size)
     projected = np.exp(-1j * th)[:, None] * z
-    width = np.ptp(np.imag(projected), axis=1)
-    scale = float(np.max(np.abs(z)))
+    across = projected.imag
+    width = across.max(axis=1) - across.min(axis=1)
+    scale = float(np.abs(z).max())
     roundoff = np.finfo(float).eps * scale
     floor = _FACE_GAP_ULPS * z.size * roundoff
     delta = np.real(projected[rows, ends[:, 0]])[:, None] - np.real(projected)
@@ -308,7 +309,9 @@ def certify_faces(zeros, thetas, pairs) -> FaceCertificate:
         stack, y = gather(th[part]), vectors[part]
         hy = np.einsum("kij,kj->ki", stack, y)
         rho[part] = np.einsum("ki,ki->k", y.conj(), hy).real
-        residual[part] = np.linalg.norm(hy - rho[part][:, None] * y, axis=1) + roundoff
+        off = hy - rho[part][:, None] * y
+        # ``np.linalg.norm(off, axis=1)``'s own formula, without its checks of the argument
+        residual[part] = np.sqrt((off.conj() * off).real.sum(axis=1)) + roundoff
         shifted = np.multiply(stack, -1.0, out=stack)
         shifted[:, diagonal, diagonal] += (rho[part] - gap[part])[:, None]
         shifted += _FACE_SHIFT * scale * y[:, :, None] * y.conj()[:, None, :]

@@ -76,7 +76,7 @@ def point_spread(points) -> float:
     if p.size < 2:
         return 0.0
     p = _hull_candidates(p)
-    return float(np.max(np.abs(p[:, None] - p[None, :])))
+    return float(np.abs(p[:, None] - p[None, :]).max())
 
 
 def _cross(o: complex, a: complex, b: complex) -> float:
@@ -95,22 +95,25 @@ class ConvexPolygon:
         v = np.atleast_1d(np.asarray(self.vertices, dtype=complex))
         if v.size == 0:
             raise ValueError("polygon needs at least one vertex")
+        # The loops run on Python complex (``tolist``), not on ndarray items:
+        # arithmetic on numpy scalars costs several times Python's, for the
+        # same bits.
         if v.size >= 3:
-            area2 = sum(
-                (v[k].real * v[(k + 1) % v.size].imag - v[k].imag * v[(k + 1) % v.size].real)
-                for k in range(v.size)
-            )
+            w = v.tolist()
+            area2 = 0.0
+            for a, b in zip(w, w[1:] + w[:1]):
+                area2 += a.real * b.imag - a.imag * b.real
             if area2 < 0:
                 v = v[::-1].copy()
         object.__setattr__(self, "vertices", v)
         if v.size < 3:
             return
         scale = point_spread(v)
-        n = v.size
-        for k in range(n):
-            if abs(v[k] - v[(k + 1) % n]) <= _DEDUP * scale:
+        w = v.tolist()
+        for a, b, c in zip(w, w[1:] + w[:1], w[2:] + w[:2]):
+            if abs(a - b) <= _DEDUP * scale:
                 raise ValueError("vertices must be distinct")
-            if _cross(v[k], v[(k + 1) % n], v[(k + 2) % n]) < -1e-12 * scale**2:
+            if _cross(a, b, c) < -1e-12 * scale**2:
                 raise ValueError("vertices must turn counterclockwise")
 
 
@@ -120,7 +123,7 @@ def _segment_distance(z, a, b):
     # d = 0 gives t = 0, the distance to a; on a complex scalar d, Python's
     # abs, which np.abs does not match in the last bit
     norm2 = np.where(d == 0, 1.0, abs(d) ** 2)
-    t = np.clip(((z - a) * np.conj(d)).real / norm2, 0.0, 1.0)
+    t = (((z - a) * np.conj(d)).real / norm2).clip(0.0, 1.0)
     return np.abs(z - (a + t * d))
 
 
@@ -133,10 +136,10 @@ def _merge_coincident(pts: np.ndarray) -> tuple[np.ndarray, float]:
     """
     p = pts[np.lexsort((pts.imag, pts.real))]
     dist = np.abs(p[:, None] - p[None, :])
-    scale = float(np.max(dist))
+    scale = float(dist.max())
     near = dist <= _DEDUP * scale
     np.fill_diagonal(near, False)
-    keep = ~np.any(near, axis=1)
+    keep = ~near.any(axis=1)
     for k in np.flatnonzero(~keep):
         keep[k] = not np.any(near[k] & keep)
     return p[keep], scale
@@ -158,19 +161,24 @@ def convex_hull(points) -> ConvexPolygon:
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
     if pts.size == 0:
         raise ValueError("need at least one point")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     merged, scale = _merge_coincident(_hull_candidates(pts))
     if scale == 0.0:
         return ConvexPolygon(np.array([pts[0]]))
-    kept = [complex(w) for w in merged]
+    kept = merged.tolist()  # Python complex: see ``ConvexPolygon``
     if len(kept) == 1:
         return ConvexPolygon(np.array(kept))
 
     def chain(seq):
         out: list[complex] = []
         for p in seq:
-            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0.0:
+            while len(out) >= 2:
+                o = out[-2]
+                a, b = out[-1] - o, p - o
+                # ``_cross(o, out[-1], p) <= 0.0`` inline: the call costs more than the test
+                if not a.real * b.imag - a.imag * b.real <= 0.0:
+                    break
                 out.pop()
             out.append(p)
         return out
@@ -185,10 +193,10 @@ def convex_hull(points) -> ConvexPolygon:
     hull = np.array(hull)
     while hull.size > 2:
         k = np.arange(hull.size)
-        sliver = np.flatnonzero(_segment_distance(hull, hull[k - 1], hull[(k + 1) % hull.size]) <= _SLIVER * scale)
-        if sliver.size == 0:
+        sliver = _segment_distance(hull, hull[k - 1], hull[(k + 1) % hull.size]) <= _SLIVER * scale
+        if not sliver.any():
             break
-        hull = np.delete(hull, sliver[0])
+        hull = np.delete(hull, sliver.argmax())
     return ConvexPolygon(hull)
 
 
@@ -207,12 +215,11 @@ def polygon_edges(p: ConvexPolygon) -> tuple[tuple[complex, complex, complex], .
     ``(a, b, outward unit normal)``, counterclockwise from the first
     vertex. The signed distance of z past the side's line is
     ``(conj(normal) * (z - a)).real``."""
-    v = p.vertices
-    if v.size < 3:
+    v = p.vertices.tolist()  # Python complex: see ``ConvexPolygon``
+    if len(v) < 3:
         raise ValueError("fewer than 3 hull vertices")
     edges = []
-    for k in range(v.size):
-        a, b = complex(v[k]), complex(v[(k + 1) % v.size])
+    for a, b in zip(v, v[1:] + v[:1]):
         normal = -1j * (b - a)
         edges.append((a, b, normal / abs(normal)))
     return tuple(edges)
@@ -230,7 +237,7 @@ def hull_violation(p: ConvexPolygon, z):
     elif v.size == 2:
         out = _segment_distance(zz, complex(v[0]), complex(v[1]))
     else:
-        starts, _, normals = (np.array(col) for col in zip(*polygon_edges(p)))
+        starts, _, normals = np.array(polygon_edges(p)).T
         signed = (np.conj(normals)[:, None] * (zz.reshape(1, -1) - starts[:, None])).real
         out = np.max(signed, axis=0).reshape(zz.shape)
     return float(out) if out.ndim == 0 else out

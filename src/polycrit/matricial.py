@@ -40,12 +40,12 @@ def circulant_column(zeros) -> np.ndarray:
     n = z.size
     if n < 2:
         raise ValueError("at least 2 zeros are required")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("zeros must be finite")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the round trip
         c = np.fft.fft(z) / n
-        roundtrip = np.max(np.abs(n * np.fft.ifft(c) - z))
-    if not roundtrip <= _UNITARITY * np.max(np.abs(z)):
+        roundtrip = np.abs(n * np.fft.ifft(c) - z).max()
+    if not roundtrip <= _UNITARITY * np.abs(z).max():
         raise NumericalError("DFT round trip does not return the zeros within tolerance")
     return c
 

@@ -41,8 +41,8 @@ def ldexp(w, e: int) -> np.ndarray:
 def binary_exponent(w) -> int:
     """The e that brings the largest real or imaginary part of
     ``ldexp(w, -e)`` into [1/2, 1); 0 when w is zero."""
-    w = np.asarray(w, dtype=complex)
-    return math.frexp(max(float(np.max(np.abs(w.real))), float(np.max(np.abs(w.imag)))))[1]
+    parts = np.ascontiguousarray(w, dtype=complex).view(float)
+    return math.frexp(float(np.abs(parts).max()))[1]
 
 
 def frobenius(a) -> float:

@@ -88,7 +88,7 @@ def _frame(zeros, minimum: int, exact: bool = False) -> _Frame:
     their tolerance times its spread, and report them in units of the zeros.
     """
     z = np.atleast_1d(np.asarray(zeros, dtype=complex))
-    if z.size == 0 or not np.all(np.isfinite(z)):
+    if z.size == 0 or not np.isfinite(z).all():
         raise ValueError("zeros must be finite" if z.size else "empty zero set")
     if z.size < minimum or (exact and z.size != minimum):
         raise PreconditionsUnmet(f"exactly {minimum} zeros required" if exact else f"need at least {minimum} zeros")
@@ -96,7 +96,7 @@ def _frame(zeros, minimum: int, exact: bool = False) -> _Frame:
     pre = numlin.ldexp(z, -shift)
     spread = geom.point_spread(pre)
     exponent = round(math.log2(spread)) if spread else 0
-    center = pre.mean() if spread else pre[0]
+    center = pre.sum() / pre.size if spread else pre[0]
     u = (pre - center) / 2.0**exponent
     return _Frame(z, u, spread / 2.0**exponent, shift, exponent, complex(center))
 
@@ -454,16 +454,16 @@ def _hypotheses(frame: _Frame) -> SiebeckHypotheses:
     edges = geom.polygon_edges(hull)
     radius = TOL.geometry * frame.spread
 
-    verts = np.array([a for a, _, _ in edges])
-    normals = np.array([normal for _, _, normal in edges])
-    dists = np.abs(u[None, :] - verts[:, None])
-    simple = bool(np.all(np.count_nonzero(dists <= radius, axis=1) == 1))
+    verts, _, normals = np.array(edges).T
+    offsets = u[None, :] - verts[:, None]
+    dists = np.abs(offsets)
+    simple = bool(((dists <= radius).sum(axis=1) == 1).all())
     first = np.argmin(dists, axis=1)  # zero at each hull vertex, so at each edge's start
-    last = np.roll(first, -1)
-    signed = (np.conj(normals)[:, None] * (u[None, :] - verts[:, None])).real
+    last = np.concatenate((first[1:], first[:1]))
+    signed = (np.conj(normals)[:, None] * offsets).real
     rows = np.arange(len(edges))
     signed[rows, first] = signed[rows, last] = -math.inf  # an edge's endpoints are not tested
-    strict = not np.any(signed > -radius)
+    strict = not (signed > -radius).any()
     pairs = tuple(zip((first + 1).tolist(), (last + 1).tolist()))
     return SiebeckHypotheses(simple, strict, pairs, edges)
 
@@ -473,7 +473,7 @@ def _edge_normals(edges) -> tuple[np.ndarray, np.ndarray]:
     of the edge's line, Re(conj(normal) a): a convex set on its inner side
     touches the line when its own support at that angle is this value."""
     angles = np.array([math.atan2(normal.imag, normal.real) for _, _, normal in edges])
-    return angles, np.array([(np.conj(normal) * a).real for a, _, normal in edges])
+    return angles, np.array([(normal.conjugate() * a).real for a, _, normal in edges])
 
 
 def _tangency_setup(zeros) -> tuple[_Frame, SiebeckHypotheses]:
@@ -523,18 +523,16 @@ def _decide_faces(theorem: str, zeros, tol: float, pick) -> CheckReport:
         return preconditions_unmet(theorem, str(exc), tols, exc.evidence)
     normals, lines = _edge_normals([hyp.edges[k] for k in probed])
     faces = fov.certify_faces(frame.u, normals, np.array([hyp.vertex_indices[k] for k in probed]) - 1)
-    containment_excess = float(np.max(faces.upper - lines))
-    tangency_gap = float(np.max(np.abs(faces.rayleigh - lines)))
-    face_radius = float(np.max(faces.radius))
+    # the largest excess, gap and radius, and the least certified gap, negated
+    extremes = np.max([faces.upper - lines, np.abs(faces.rayleigh - lines), faces.radius, -faces.gap], axis=1)
+    containment_excess, tangency_gap, face_radius, minus_gap = extremes.tolist()
     worst = max(containment_excess, tangency_gap, face_radius)
-    details = (
-        ("containment_excess", frame.length(containment_excess)),
-        ("tangency_gap", frame.length(tangency_gap)),
-        ("face_radius", frame.length(face_radius)),
-        ("face_min_gap", frame.length(float(np.min(faces.gap)))),
-        ("hull_vertices", len(hyp.edges)),
-    )
-    return CheckReport(theorem, PASS if worst <= tol * frame.spread else FAIL, frame.length(worst), details, tols)
+    with np.errstate(over="ignore"):
+        lengths = np.ldexp([containment_excess, tangency_gap, face_radius, -minus_gap, worst],
+                           frame.shift + frame.exponent).tolist()
+    names = ("containment_excess", "tangency_gap", "face_radius", "face_min_gap")
+    details = (*zip(names, lengths), ("hull_vertices", len(hyp.edges)))
+    return CheckReport(theorem, PASS if worst <= tol * frame.spread else FAIL, lengths[-1], details, tols)
 
 
 def check_poor_mans_siebeck(zeros, tol: float = TOL.geometry) -> CheckReport:

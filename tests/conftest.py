@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -99,6 +100,58 @@ def support_point(a, theta: float) -> tuple[float, complex]:
     attaining it: ``fov._boundary`` at one angle."""
     supports, points, _ = fov._boundary(numlin.as_square(a), np.array([float(theta)]))
     return float(supports[0]), complex(points[0])
+
+
+def hull_vertices_reference(points) -> np.ndarray:
+    """The vertices of ``geom.convex_hull(points)`` with its monotone chain
+    run on ndarray items (numpy scalars) through ``geom._cross``, and its
+    sliver rule as a list of indices: the form ``convex_hull`` had before
+    its loops moved onto Python complex, which must give the same bits."""
+    pts = np.atleast_1d(np.asarray(points, dtype=complex))
+    merged, scale = geom._merge_coincident(geom._hull_candidates(pts))
+    if scale == 0.0:
+        return pts[:1]
+    if merged.size == 1:
+        return merged
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and geom._cross(out[-2], out[-1], p) <= 0.0:
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = chain(merged)[:-1] + chain(merged[::-1])[:-1]
+    if len(hull) < 3:
+        return np.array([merged[0], merged[-1]])
+    hull = np.array(hull)
+    while hull.size > 2:
+        k = np.arange(hull.size)
+        sliver = np.flatnonzero(geom._segment_distance(hull, hull[k - 1], hull[(k + 1) % hull.size]) <= geom._SLIVER * scale)
+        if sliver.size == 0:
+            break
+        hull = np.delete(hull, sliver[0])
+    return hull
+
+
+def polygon_edges_reference(p: geom.ConvexPolygon):
+    """``geom.polygon_edges`` indexing the vertex array item by item, the
+    form it had before it looped over ``tolist()``."""
+    v = p.vertices
+    edges = []
+    for k in range(v.size):
+        a, b = complex(v[k]), complex(v[(k + 1) % v.size])
+        normal = -1j * (b - a)
+        edges.append((a, b, normal / abs(normal)))
+    return tuple(edges)
+
+
+def edge_normals_reference(edges) -> tuple[np.ndarray, np.ndarray]:
+    """``theorems._edge_normals`` with each line's product taken by numpy,
+    ``np.conj(normal) * a``, as it was before it took Python's."""
+    angles = np.array([math.atan2(normal.imag, normal.real) for _, _, normal in edges])
+    return angles, np.array([(np.conj(normal) * a).real for a, _, normal in edges])
 
 
 def moved_first_face(factor: float):

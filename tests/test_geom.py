@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng
-from polycrit import geom, poly
+from conftest import edge_normals_reference, hull_vertices_reference, make_rng, polygon_edges_reference
+from polycrit import geom, poly, theorems
 from polycrit.config import TOL
 from polycrit.generate import generate_zeros
 from polycrit.rng import Xoshiro256StarStar, random_zeros
@@ -69,6 +69,20 @@ class TestConvexHull:
             for k in range(4)
         )
         assert area > 0
+
+    def test_repeated_vertex_rejected(self):
+        # within the merge radius of its neighbour, not equal to it
+        with pytest.raises(ValueError, match="vertices must be distinct"):
+            geom.ConvexPolygon([0, 1, 1 + 1e-12, 1j])
+
+    def test_reflex_vertex_rejected(self):
+        with pytest.raises(ValueError, match="vertices must turn counterclockwise"):
+            geom.ConvexPolygon([0, 2, 0.5 + 0.5j, 2j])
+
+    def test_clockwise_reflex_vertex_rejected_after_reversal(self):
+        # positive area once reversed, and its vertex 0.5 + 0.5j still reflex
+        with pytest.raises(ValueError, match="vertices must turn counterclockwise"):
+            geom.ConvexPolygon([0, 2j, 0.5 + 0.5j, 2])
 
     def test_random_vs_brute_force_oracle(self):
         rng = make_rng(91)
@@ -179,6 +193,49 @@ class TestHullCandidates:
     def test_points_below_the_crossover_are_not_filtered(self):
         pts = generate_zeros(make_rng(144), geom._FILTER_FROM - 1)
         assert geom._hull_candidates(pts) is pts
+
+
+def scalar_arithmetic_draws():
+    """About 2000 point sets on which the geometry's scalar loops must give
+    the bits of their numpy-scalar forms: K14-type draws (each part scaled
+    over 16 decades), nearly collinear draws and disk draws scaled by
+    2**500 and 2**-500."""
+    rng = np.random.default_rng(2024)
+    draws = []
+    for _ in range(700):
+        n = int(rng.integers(3, 33))
+        draws.append(rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+                     + 1j * rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n))
+    for _ in range(700):
+        n = int(rng.integers(3, 80))
+        jitter = 10.0 ** rng.uniform(-15, -9) * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+        draws.append((1 + 2j) * rng.uniform(-1, 1, n) + 0.5j + jitter)
+    for k in range(600):
+        n = int(rng.integers(3, 33))
+        disk = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        draws.append(disk * 2.0 ** (500 if k % 2 else -500))
+    return draws
+
+
+def bits(x) -> np.ndarray:
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class TestScalarArithmetic:
+    """The hull, the edges and the edge lines loop over Python scalars; a
+    numpy scalar rounds +, -, * and / as Python does, so the conftest's
+    numpy-scalar forms give the same bits."""
+
+    def test_hull_edges_and_lines_bit_identical(self):
+        for k, pts in enumerate(scalar_arithmetic_draws()):
+            hull = geom.convex_hull(pts)
+            np.testing.assert_array_equal(bits(hull.vertices), bits(hull_vertices_reference(pts)), err_msg=str(k))
+            if hull.vertices.size < 3:
+                continue
+            edges = geom.polygon_edges(hull)
+            np.testing.assert_array_equal(bits(np.array(edges)), bits(np.array(polygon_edges_reference(hull))))
+            for got, want in zip(theorems._edge_normals(edges), edge_normals_reference(edges)):
+                np.testing.assert_array_equal(bits(got), bits(want), err_msg=str(k))
 
 
 class TestEdgeMidpoints:

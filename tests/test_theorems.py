@@ -1515,3 +1515,9 @@ class TestOpenDefects:
         rng = np.random.default_rng(0)
         zeros = roots_of_unity(20) + 1e-12 * (rng.uniform(-1, 1, 20) + 1j * rng.uniform(-1, 1, 20))
         assert holds_verdict_contract(theorems.check_main_theorem, zeros)
+
+    @pytest.mark.xfail(strict=True, reason="K17: the oracle misses critical points of zeros whose moduli span 16 decades")
+    def test_k17_sixteen_decades(self):
+        rng = np.random.default_rng(1000 * 10 + 10)
+        zeros = 10.0 ** rng.uniform(-8, 8, 10) * np.exp(2j * np.pi * rng.uniform(0, 1, 10))
+        assert holds_verdict_contract(theorems.check_main_theorem, zeros)
